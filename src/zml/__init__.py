@@ -4,12 +4,11 @@ in the radially symmetric plane, for compactly supported magnetic fields.
 The package builds the scalar potential lambda by Green-kernel convolution,
 constructs the candidate zero modes exp(+-lambda_k) and r^j exp(-lambda),
 decides normalizability from exact asymptotics, and cross-checks every
-count against an independent discretized spectral oracle.  Hot quadrature
-kernels run through a compiled extension when available (see
-``zml._kernels.BACKEND``) with a pure-Python twin as fallback.
+count against an independent discretized spectral oracle.  Every
+convolution is a closed form over cumulative moments of the field, computed
+in one vectorized Gauss-Kronrod pass (``zml._quadrature``).
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .errors import (CapExceededError, ClusterResolutionError,
                      EigenSolveError, GridError, PaddingError, ProfileError,
                      QuadratureError, ZmlError)
@@ -37,7 +36,6 @@ from .reduction import (ChannelVerdict, DegeneracyReport, ReductionConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "__version__",
     # errors
     "ZmlError", "ProfileError", "GridError", "PaddingError",

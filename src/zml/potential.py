@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as K
+from . import _quadrature
 from .errors import GridError, PaddingError, ProfileError
 from .profiles import DEFAULT_RTOL, Grid1D, total_flux
 
@@ -125,19 +125,14 @@ def check_padding(profile, k, grid, Q=None):
     return need
 
 
-def _kernel_args(profile):
-    return (profile.kernel_id, np.asarray(profile.kernel_params, dtype=float),
-            profile.support[0], profile.support[1],
-            np.asarray(profile.seeds, dtype=float))
-
-
 def lambda_1d(profile, k, grid, rtol=DEFAULT_RTOL, enforce_padding=True):
     """Build lambda_k on the grid.
 
-    The convolution integral is evaluated per grid point by adaptive Simpson
-    with the kernel kink x' = x and the profile breakpoints as forced
-    subdivision nodes; the k x term is added afterwards so that
-    lambda_k - lambda_0 = k x holds pointwise to rounding.
+    The convolution is a closed form over the prefix moments int B and
+    int t B, integrated once over the cells between the grid points, the
+    profile breakpoints and the support ends (``zml._quadrature``), so it is
+    exactly affine outside the support; the k x term is added afterwards so
+    that lambda_k - lambda_0 = k x holds pointwise to rounding.
     """
     if profile.is_radial:
         raise ProfileError("lambda_1d needs a line profile; "
@@ -145,9 +140,8 @@ def lambda_1d(profile, k, grid, rtol=DEFAULT_RTOL, enforce_padding=True):
     flux = total_flux(profile, rtol=rtol)
     if enforce_padding:
         check_padding(profile, k, grid, Q=flux.value)
-    kid, kp, lo, hi, seeds = _kernel_args(profile)
     x = grid.points()
-    base = K.convolve_abs(kid, kp, lo, hi, seeds, x, rtol)
+    base = _quadrature.convolve_abs(profile, x, rtol)
     values = base + k * x
     return ScalarPotential(grid=grid, values=values, k=float(k), flux=flux,
                            slope_left=k - 0.5 * flux.value,
@@ -167,9 +161,7 @@ def lambda_2d_radial(profile, grid, rtol=DEFAULT_RTOL):
     if grid.x_lo < 0.0:
         raise GridError("radial grids must have x_lo >= 0")
     flux = total_flux(profile, rtol=rtol)
-    kid, kp, lo, hi, seeds = _kernel_args(profile)
-    r = grid.points()
-    values = K.convolve_log_radial(kid, kp, lo, hi, seeds, r, rtol)
+    values = _quadrature.convolve_log_radial(profile, grid.points(), rtol)
     return RadialScalarPotential(grid=grid, values=values, flux=flux,
                                  log_coefficient=flux.value / TWO_PI,
                                  support=profile.support)
@@ -179,9 +171,7 @@ def vector_potential_y(profile, xs, rtol=DEFAULT_RTOL):
     """A_y(x) = d lambda/dx = int 1/2 sign(x - x') B(x') dx' at the points xs."""
     if profile.is_radial:
         raise ProfileError("vector_potential_y needs a line profile")
-    kid, kp, lo, hi, seeds = _kernel_args(profile)
-    return K.convolve_sign(kid, kp, lo, hi, seeds,
-                           np.asarray(xs, dtype=float), rtol)
+    return _quadrature.convolve_sign(profile, xs, rtol)
 
 
 def alpha_gauge(ax_profile, grid, rtol=DEFAULT_RTOL):

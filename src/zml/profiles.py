@@ -12,10 +12,10 @@ radially symmetric plane case).  Four kinds are provided:
 - ``piecewise-linear``: linear interpolation through breakpoints, zero
   outside the first/last breakpoint.
 
-Fluxes use closed forms where they exist and adaptive Simpson quadrature
-otherwise; uniform fields on the whole line are out of scope (use a wide
-box).  All objects are immutable and evaluation is pure, so everything here
-is safe to share across threads.
+Fluxes use closed forms where they exist and Gauss-Kronrod quadrature
+(``zml._quadrature``) otherwise; uniform fields on the whole line are out of
+scope (use a wide box).  All objects are immutable and evaluation is pure,
+so everything here is safe to share across threads.
 """
 
 import math
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as K
+from . import _quadrature
 from .errors import GridError, ProfileError
 
 __all__ = [
@@ -49,12 +49,6 @@ DEFAULT_RTOL = 1e-10
 TWO_PI = 2.0 * math.pi
 
 _KINDS = ("box", "truncated-gaussian", "bump", "piecewise-linear")
-_KIND_CODES = {
-    "box": K.KIND_BOX,
-    "truncated-gaussian": K.KIND_TRUNC_GAUSS,
-    "bump": K.KIND_BUMP,
-    "piecewise-linear": K.KIND_PW_LINEAR,
-}
 
 
 @dataclass(frozen=True)
@@ -95,18 +89,12 @@ class FieldProfile:
     seeds: tuple = ()
 
     @property
-    def kernel_id(self):
-        return _KIND_CODES[self.kind]
-
-    @property
     def is_radial(self):
         return self.dimension == DIM_RADIAL
 
     def __call__(self, x):
-        p = np.asarray(self.kernel_params)
-        if np.isscalar(x):
-            return K.eval_field(self.kernel_id, p, float(x))
-        return K.field_values(self.kernel_id, p, np.asarray(x, dtype=float))
+        values = _quadrature.field_values(self, x)
+        return float(values) if np.isscalar(x) else values
 
     def max_abs(self):
         """Upper bound max |B|; exact for all kinds (attained at a node)."""
@@ -250,21 +238,12 @@ def _analytic_flux(profile):
     return None  # bump has no closed form
 
 
-def _quadrature_flux(profile, rtol):
-    lo, hi = profile.support
-    kid = profile.kernel_id
-    kp = np.asarray(profile.kernel_params)
-    seeds = np.asarray(profile.seeds, dtype=float)
-    if profile.is_radial:
-        return TWO_PI * K.integrate_radial_moment(kid, kp, lo, hi, seeds, rtol)
-    return K.integrate_field(kid, kp, lo, hi, seeds, rtol)
-
-
 def total_flux(profile, method="auto", rtol=DEFAULT_RTOL):
     """Total flux Q = int B dx (line) or Phi = int B d^2r (radial).
 
     method: "auto" prefers the closed form, "analytic" requires one,
-    "quadrature" forces adaptive Simpson at relative tolerance rtol.
+    "quadrature" forces Gauss-Kronrod quadrature at relative tolerance rtol
+    (error estimate at most rtol * int |B|; QuadratureError otherwise).
     """
     if method not in ("auto", "analytic", "quadrature"):
         raise ValueError(f"unknown flux method {method!r}")
@@ -275,7 +254,7 @@ def total_flux(profile, method="auto", rtol=DEFAULT_RTOL):
         if method == "analytic":
             raise ProfileError(f"profile kind {profile.kind!r} has no "
                                "closed-form flux")
-    return Flux(value=_quadrature_flux(profile, rtol), method="quadrature")
+    return Flux(value=_quadrature.flux(profile, rtol), method="quadrature")
 
 
 def sample(profile, grid):

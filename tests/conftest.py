@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from zml._kernels import available_backends, get_backend
-
-
-@pytest.fixture(params=available_backends())
-def kernels(request):
-    """One kernel backend per run: compiled (when built) and pure Python."""
-    return get_backend(request.param)
+# property tests draw the same examples on every run, so Tier-1 is reproducible
+settings.register_profile("zml", derandomize=True, deadline=None, database=None)
+settings.load_profile("zml")
 
 
 @pytest.fixture
