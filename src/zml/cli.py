@@ -220,6 +220,7 @@ def _degeneracy_json(rep):
         "g_analytic": rep.g_analytic,
         "channels": [
             {"n": ch.n, "ky": ch.k_y, "admissible": ch.admissible,
+             "on_window_edge": ch.on_window_edge,
              "near_zero_count": ch.near_zero_count,
              **({"level_weight": ch.level_weight}
                 if ch.level_weight is not None else {})}

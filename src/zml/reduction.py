@@ -31,8 +31,8 @@ from .errors import (CapExceededError, ClusterResolutionError,
                      PaddingError)
 from .potential import PADDING_FLOOR, required_padding, vector_potential_y
 from .profiles import DEFAULT_RTOL, total_flux
-from .spectral import (DENSE_CAP, DiracOperator, eigen_spectrum,
-                       windowed_singular_modes)
+from .spectral import (DENSE_CAP, DiracOperator, _check_tau, _count_below,
+                       eigen_spectrum, windowed_singular_modes)
 
 __all__ = [
     "ReductionConfig",
@@ -90,6 +90,7 @@ class ChannelVerdict:
     n: int
     k_y: float
     admissible: bool
+    on_window_edge: bool = False   # |k_gauge + k_y| = |Q|/2 to rel 1e-9
     near_zero_count: int = None
     level_weight: float = None   # bulk-projected spectral weight in the window
 
@@ -137,15 +138,21 @@ def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
 
     A channel is admissible iff |k_gauge + k_y| < |Q|/2 (open window of
     length |Q|).  The admissible count can differ from the floor formula by
-    at most one lattice point.
+    at most one lattice point; channels on the window edge (|k_gauge + k_y|
+    = |Q|/2 to relative 1e-9, as ``ZeroModeCount2D.integer_flux`` in the
+    plane) are flagged, since there the count depends on rounding.
     """
     q = total_flux(profile, rtol=rtol).value
     n_range = cfg.n_range or default_n_range(q, cfg.L_y, cfg.k_gauge)
     kys = quantize_ky(cfg.L_y, n_range)
     half = 0.5 * abs(q)
-    channels = [ChannelVerdict(n=n, k_y=float(ky),
-                               admissible=bool(abs(cfg.k_gauge + ky) < half))
-                for n, ky in zip(range(n_range[0], n_range[1] + 1), kys)]
+    edge_tol = 1e-9 * max(1.0, half)
+    channels = []
+    for n, ky in zip(range(n_range[0], n_range[1] + 1), kys):
+        depth = abs(cfg.k_gauge + ky)
+        channels.append(ChannelVerdict(
+            n=n, k_y=float(ky), admissible=bool(depth < half),
+            on_window_edge=bool(abs(depth - half) <= edge_tol)))
     g_real = abs(q) * cfg.L_y / TWO_PI
     g = int(math.floor(g_real))
     report = DegeneracyReport(Q=q, L_y=cfg.L_y, g_analytic_real=g_real,
@@ -266,12 +273,15 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
 
     Level 0 sums per-channel near-zero mode counts at tolerance ``zero_tol``
     (default: below both the Landau scale and the finite-padding edge-ladder
-    scale).  Level m >= 1 totals the bulk-projected weight of non-doubler
-    states within ``cluster_tol`` of the m-th level center and rounds; the
-    center comes from B_const when the config provides it and from
-    gap-splitting the deepest admissible channel's spectrum otherwise, and
-    unresolvable clusters raise ClusterResolutionError instead of guessing.
-    Channels are processed in ascending n and the report is deterministic.
+    scale); each count is one O(m) inertia count of M^T M at tau^2, so no
+    channel needs its full spectrum.  Level m >= 1 totals the bulk-projected
+    weight of non-doubler states within ``cluster_tol`` of the m-th level
+    center and rounds, taking each channel's windowed vectors by
+    shift-invert Lanczos; the center comes from B_const when the config
+    provides it and from gap-splitting the deepest admissible channel's full
+    spectrum otherwise, and unresolvable clusters raise
+    ClusterResolutionError instead of guessing.  Channels are processed in
+    ascending n and the report is deterministic.
     """
     if int(level) != level or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level}")
@@ -287,14 +297,14 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     ay = vector_potential_y(profile, x_int, rtol=rtol)
     bmax = float(profile.max_abs())
     tau0 = zero_tol if zero_tol is not None else _sweep_zero_tolerance(bmax, min_pad)
+    _check_tau(bmax, tau0)
     ops = []
     for ch in report.channels:
-        ops.append(DiracOperator(grid=grid, k_y=ch.k_y, interior_x=x_int,
-                                 w_values=(cfg.k_gauge + ch.k_y) + ay,
-                                 h=grid.h, bmax=bmax))
-    spectra = [eigen_spectrum(op, tau=tau0, method="banded") for op in ops]
-    for ch, spec in zip(report.channels, spectra):
-        ch.near_zero_count = spec.near_zero_count
+        op = DiracOperator(grid=grid, k_y=ch.k_y, interior_x=x_int,
+                           w_values=(cfg.k_gauge + ch.k_y) + ay,
+                           h=grid.h, bmax=bmax)
+        ch.near_zero_count = _count_below(op.mtm_band(), tau0 * tau0)
+        ops.append(op)
     report.level = level
     report.tau = tau0
     if level == 0:
@@ -311,24 +321,20 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     if cfg.B_const is not None:
         center = math.sqrt(2.0 * level * cfg.B_const)
     else:
-        deepest = None
-        for ch, spec in zip(report.channels, spectra):
-            if ch.admissible:
-                depth = abs(cfg.k_gauge + ch.k_y)
-                if deepest is None or depth < deepest[0]:
-                    deepest = (depth, spec)
-        vals = (deepest[1].eigenvalues[deepest[1].eigenvalues > 2.0 * tau0]
-                if deepest else np.array([]))
+        admissible = [(abs(cfg.k_gauge + ch.k_y), op)
+                      for ch, op in zip(report.channels, ops) if ch.admissible]
+        vals = np.array([])
+        if admissible:
+            deepest = min(admissible, key=lambda item: item[0])[1]
+            vals = eigen_spectrum(deepest, tau=tau0,
+                                  method="banded").eigenvalues
+            vals = vals[vals > 2.0 * tau0]
         center = _detect_cluster_center(vals, level, ctol)
     s_lo, s_hi = profile.support
     support_mask = ((x_int >= s_lo) & (x_int <= s_hi)).astype(float)
     lo, hi = max(center - ctol, 0.0), center + ctol
     total = 0.0
-    for ch, op, spec in zip(report.channels, ops, spectra):
-        vals = spec.eigenvalues
-        if not np.any((vals >= lo) & (vals <= hi)):
-            ch.level_weight = 0.0   # empty window, skip the vector solve
-            continue
+    for ch, op in zip(report.channels, ops):
         svals, vecs = windowed_singular_modes(op, lo, hi)
         ch.level_weight = _smooth_bulk_weight(svals, vecs, support_mask)
         total += ch.level_weight

@@ -14,12 +14,23 @@ operator
     H = [[0, M], [M^T, 0]],      M = D + diag(W),
 
 whose spectrum is symmetric about zero: the eigenvalues are exactly the
-+-singular values of M.  Three equivalent spectral paths are provided:
++-singular values of M.  Three equivalent full-spectrum paths are provided
+by ``eigen_spectrum``:
 
 - "dense": eigendecomposition of the assembled 2m x 2m matrix;
 - "svd": singular values of the dense M;
 - "banded": eigenvalues of the pentadiagonal M^T M (sign-split afterwards),
-  which is the fast path for channel sweeps (O(m^2) instead of O(m^3)).
+  O(m^2).
+
+Channel sweeps need no full spectrum.  The number of singular values below
+s is the number of eigenvalues of M^T M below s^2, which Sylvester's law of
+inertia reads off the negative pivots of an unpivoted LDL^T of the
+pentadiagonal M^T M - s^2 I (a Sturm count, Parlett, The Symmetric
+Eigenvalue Problem): O(m).  ``windowed_singular_modes`` takes its count from
+two such factorizations and then computes exactly that many eigenpairs by
+shift-invert Lanczos (ARPACK; Lehoucq, Sorensen & Yang, 1998) about the
+middle of the squared window, one sparse O(m) factorization plus O(m) work
+per Lanczos step.  A sweep is therefore O(m) per channel.
 
 Central differences carry the usual lattice artifact: M also hosts a
 staggered ("doubler") branch whose levels coincide with the partner tower.
@@ -35,6 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import CapExceededError, EigenSolveError, GridError, ProfileError
 from .potential import check_padding, vector_potential_y
@@ -176,11 +189,11 @@ def default_zero_tolerance(op):
     return 0.1 * math.sqrt(2.0 * op.bmax)
 
 
-def _check_tau(op, tau):
+def _check_tau(bmax, tau):
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if op.bmax > 0.0:
-        gap = math.sqrt(2.0 * op.bmax)
+    if bmax > 0.0:
+        gap = math.sqrt(2.0 * bmax)
         if tau >= 0.5 * gap:
             warnings.warn(f"zero tolerance {tau:.3g} is not below half the "
                           f"first gap {gap:.3g}; counts may absorb the first "
@@ -199,7 +212,7 @@ def eigen_spectrum(op, tau=None, method="auto"):
     if tau is None:
         tau = default_zero_tolerance(op)
     tau = float(tau)
-    _check_tau(op, tau)
+    _check_tau(op.bmax, tau)
     if method == "auto":
         method = "dense" if op.size <= 300 else "banded"
     try:
@@ -267,21 +280,79 @@ def susy_partners(op):
     return mm.T @ mm, mm @ mm.T
 
 
+def _count_below(band, sigma):
+    """Number of eigenvalues below sigma of the pentadiagonal M^T M.
+
+    ``band`` is the lower band form of ``mtm_band``.  The count is the
+    number of negative pivots of the unpivoted LDL^T of M^T M - sigma I
+    (Sylvester's law of inertia).  A pivot smaller in magnitude than
+    sqrt(eps) ||M^T M|| is replaced by minus that size, as Sturm counts
+    replace a zero pivot by a tiny negative one.  The substitution perturbs
+    the diagonal by no more than that size, so only eigenvalues that close
+    to sigma can be miscounted, and it bounds the growth of the later pivots
+    of this band-2 factorization, which a perturbation at rounding level
+    would not.
+    """
+    if sigma <= 0.0:
+        return 0   # M^T M is positive semidefinite
+    diag = (band[0] - sigma).tolist()
+    sub1 = [0.0] + band[1, :-1].tolist()         # A[i, i-1]
+    sub2 = [0.0, 0.0] + band[2, :-2].tolist()    # A[i, i-2]
+    norm = float(np.max(np.abs(band[0])) + 2.0 * np.max(np.abs(band[1]))
+                 + 2.0 * np.max(np.abs(band[2])))   # bounds ||M^T M||
+    pivmin = math.sqrt(np.finfo(float).eps) * norm
+    count = 0
+    d2 = d1 = 1.0    # pivots of rows i-2 and i-1
+    l1 = 0.0         # L[i-1, i-2]
+    for a, e, f in zip(diag, sub1, sub2):
+        u = e - f * l1                           # L[i, i-1] D[i-1]
+        l1 = u / d1
+        d = a - u * l1 - f * (f / d2)
+        if abs(d) < pivmin:
+            d = -pivmin
+        if d < 0.0:
+            count += 1
+        d2, d1 = d1, d
+    return count
+
+
 def windowed_singular_modes(op, lo, hi):
     """Singular values of M in [lo, hi] with their right singular vectors.
 
-    Computed as eigenpairs of the pentadiagonal M^T M restricted to the
-    squared window.  The vectors are the b-sector components, suitable for
-    smooth/staggered and bulk/edge classification.
+    The window's count k comes from two inertia counts of M^T M at lo^2 and
+    hi^2 (O(m) each); an empty window returns at once.  Otherwise the k
+    eigenpairs of the pentadiagonal M^T M nearest the middle of the squared
+    window, which are exactly the ones inside it, come from shift-invert
+    Lanczos (ARPACK) with a fixed start vector, so repeated runs give the
+    same vectors.  The cost is O(m) per Lanczos step rather than the O(m^2)
+    of a banded eigensolver.  Values are ascending; the vectors are the
+    b-sector components, suitable for smooth/staggered and bulk/edge
+    classification.
     """
     if not 0.0 <= lo <= hi:
         raise ValueError("need 0 <= lo <= hi for a singular-value window")
+    band = op.mtm_band()
+    m = op.size
+    lo2, hi2 = lo * lo, hi * hi
+    k = _count_below(band, hi2) - _count_below(band, lo2)
+    if k == 0:
+        return np.empty(0), np.empty((m, 0))
     try:
-        vals, vecs = scipy.linalg.eig_banded(
-            op.mtm_band(), lower=True, select="v",
-            select_range=(lo * lo, hi * hi))
-    except np.linalg.LinAlgError as exc:
+        if k >= m:   # the whole spectrum: ARPACK needs k < m
+            vals, vecs = scipy.linalg.eig_banded(band, lower=True)
+        else:
+            mtm = scipy.sparse.diags(
+                [band[2, :m - 2], band[1, :m - 1], band[0],
+                 band[1, :m - 1], band[2, :m - 2]],
+                [-2, -1, 0, 1, 2], format="csc")
+            # ARPACK's default start vector is random
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
+            vals, vecs = scipy.sparse.linalg.eigsh(
+                mtm, k, sigma=0.5 * (lo2 + hi2), v0=v0)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # ArpackError and SuperLU's singular-factor error are RuntimeErrors
         raise EigenSolveError(
-            f"windowed banded eigensolver failed for k_y={op.k_y} "
-            f"(m={op.size}): {exc}") from exc
-    return np.sqrt(np.clip(vals, 0.0, None)), vecs
+            f"windowed eigensolver failed for k_y={op.k_y} "
+            f"(m={m}, {k} values in the window): {exc}") from exc
+    order = np.argsort(vals)
+    return np.sqrt(np.clip(vals[order], 0.0, None)), vecs[:, order]

@@ -168,6 +168,8 @@ class TestCountAndVerify:
         assert doc["g_numeric"] is None
         assert [c["admissible"] for c in doc["channels"]] == \
             [False, False, True, True, True, False, False]
+        assert [c["n"] for c in doc["channels"] if c["on_window_edge"]] == \
+            [-2, 2]
 
     def test_count_byte_identical_reruns(self, tmp_path, capsys):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -181,6 +183,36 @@ class TestCountAndVerify:
         assert stdout1 == stdout2
         assert (out1 / "count.json").read_bytes() == \
             (out2 / "count.json").read_bytes()
+
+    def test_verify_level1_byte_identical_reruns(self, tmp_path, capsys):
+        # level 1 takes windowed vectors from ARPACK, whose start vector
+        # must be fixed for reruns to agree; no B_const, so the cluster
+        # center is detected from a full spectrum as well
+        outs = []
+        for name in ("v1", "v2"):
+            out = tmp_path / name
+            cfg = write_cfg(tmp_path, f"{name}.json", profile=BOX_PROFILE,
+                            grid={"x_lo": -32.0, "x_hi": 32.0, "n": 802},
+                            Ly=2 * math.pi, n_range=[-3, 3], level=1,
+                            out_dir=str(out))
+            code, stdout, _ = run_cli(capsys, "verify", "--config", cfg)
+            assert code == EXIT_OK
+            outs.append((stdout, (out / "verify.json").read_bytes()))
+        assert outs[0] == outs[1]
+        doc = json.loads(outs[0][0])
+        assert doc["level"] == 1
+        assert any(c["level_weight"] > 0.5 for c in doc["channels"])
+
+    def test_verify_nonpositive_zero_tol(self, tmp_path, capsys):
+        # not a config error: the ValueError leaves main, so the process
+        # exits through the interpreter's uncaught-exception path
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE,
+                        grid={"x_lo": -32.0, "x_hi": 32.0, "n": 802},
+                        Ly=2 * math.pi, n_range=[-3, 3],
+                        tolerances={"zero_tol": 0.0},
+                        out_dir=str(tmp_path / "o"))
+        with pytest.raises(ValueError, match="tau must be positive"):
+            main(["verify", "--config", cfg])
 
     def test_count_radial_reports_plane_count(self, tmp_path, capsys):
         profile = {"kind": "box", "B0": 7.0 / 4.0, "a": 2.0,

@@ -41,6 +41,18 @@ class TestAdmissibleChannels:
         assert rep.g_analytic == 10
         assert rep.discrepancy == 1
 
+    def test_window_edge_flag(self):
+        # the headline g = 10 sweep: n = +-5 sit exactly on |k_y| = Q/2 and
+        # are the channels behind its discrepancy of one
+        rep = admissible_channels(box(1.0, 5.0),
+                                  ReductionConfig(L_y=TWO_PI, n_range=(-8, 8)))
+        assert [ch.n for ch in rep.channels if ch.on_window_edge] == [-5, 5]
+        assert rep.discrepancy == 1
+        # a gauge shift by half a channel spacing moves every channel off it
+        rep = admissible_channels(box(1.0, 5.0), ReductionConfig(
+            L_y=TWO_PI, k_gauge=0.5, n_range=(-8, 8)))
+        assert not any(ch.on_window_edge for ch in rep.channels)
+
     def test_q4_window(self):
         rep = admissible_channels(box(1.0, 2.0),
                                   ReductionConfig(L_y=TWO_PI, n_range=(-4, 4)))
@@ -140,6 +152,28 @@ class TestVerifyDegeneracy:
         cfg = ReductionConfig(L_y=TWO_PI, n_range=(-4, 4))
         with pytest.raises(ClusterResolutionError):
             verify_degeneracy(profile, cfg, 40, grid)
+
+    def test_headline_sweep_names_edge_channels(self):
+        profile = box(1.0, 5.0)
+        cfg = ReductionConfig(L_y=TWO_PI, n_range=(-8, 8), B_const=1.0,
+                              L_x=10.0)
+        rep = verify_degeneracy(profile, cfg, 0, Grid1D(-35.0, 35.0, 1002))
+        assert (rep.g_analytic, rep.g_numeric, rep.discrepancy) == (10, 9, 1)
+        edge = [ch for ch in rep.channels if ch.on_window_edge]
+        assert [ch.n for ch in edge] == [-5, 5]
+        assert [ch.near_zero_count for ch in edge] == [0, 0]
+
+    def test_nonpositive_zero_tol_rejected(self, setup6):
+        profile, cfg, grid = setup6
+        for tau in (0.0, -0.1):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                verify_degeneracy(profile, cfg, 0, grid, zero_tol=tau)
+
+    def test_zero_tol_near_gap_warns(self, setup6):
+        # half the first Landau gap is sqrt(2)/2 at B = 1
+        profile, cfg, grid = setup6
+        with pytest.warns(UserWarning, match="first gap"):
+            verify_degeneracy(profile, cfg, 0, grid, zero_tol=0.75)
 
     def test_zero_flux_counts_zero(self):
         profile = box(0.0, 2.0)

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, example, given, strategies as st
 
 from zml.errors import CapExceededError, GridError
-from zml.profiles import Grid1D, box, truncated_gaussian
-from zml.spectral import (build_operator, count_near_zero, eigen_spectrum,
-                          mode_residual, susy_partners,
-                          windowed_singular_modes)
+from zml.potential import required_padding
+from zml.profiles import Grid1D, box, total_flux, truncated_gaussian
+from zml.reduction import _smooth_bulk_weight
+from zml.spectral import (DiracOperator, _count_below, build_operator,
+                          count_near_zero, eigen_spectrum, mode_residual,
+                          susy_partners, windowed_singular_modes)
 from zml.zeromodes import SECTOR_B, build_mode_1d
 
 
@@ -172,6 +176,100 @@ class TestSusyPartners:
         assert null_m + null_p == int(np.sum(np.abs(spec.eigenvalues) < tau))
 
 
+# the zero tolerance and the level-1 window of a sweep at B = 1
+TAU = 0.1 * math.sqrt(2.0)
+LEVEL1 = (math.sqrt(2.0) - TAU, math.sqrt(2.0) + TAU)
+
+
+def random_operator(m, h, k, noise, seed):
+    """Channel operator with W = k plus per-site gaussian noise."""
+    rng = np.random.default_rng(seed)
+    x = h * (np.arange(m) - 0.5 * (m - 1))
+    w = k + noise * rng.standard_normal(m)
+    return DiracOperator(grid=None, k_y=k, interior_x=x, w_values=w, h=h,
+                         bmax=1.0)
+
+
+def banded_eigenvalues(op):
+    return scipy.linalg.eig_banded(op.mtm_band(), lower=True,
+                                   eigvals_only=True)
+
+
+operators = dict(m=st.integers(2, 400), h=st.floats(0.05, 0.5),
+                 k=st.floats(-3.0, 3.0), noise=st.floats(0.1, 3.0),
+                 seed=st.integers(0, 2**32 - 1))
+
+
+class TestInertiaCount:
+    @given(frac=st.floats(0.0, 1.1), neg=st.floats(0.0, 1e3), **operators)
+    def test_matches_banded_spectrum(self, frac, neg, m, h, k, noise, seed):
+        op = random_operator(m, h, k, noise, seed)
+        band = op.mtm_band()
+        ev = banded_eigenvalues(op)
+        # tau^2, both level-window edges, a random point of the spectrum and
+        # the first diagonal entry, where the first pivot is exactly zero
+        sigmas = [TAU ** 2, LEVEL1[0] ** 2, LEVEL1[1] ** 2, frac * ev[-1],
+                  band[0, 0]]
+        for sigma in sigmas:
+            if np.min(np.abs(ev - sigma)) <= 1e-6 * max(1.0, ev[-1]):
+                continue   # within the pivot floor of an eigenvalue
+            assert _count_below(band, sigma) == int(np.sum(ev < sigma))
+        # positive semidefinite: nothing lies below sigma <= 0
+        assert _count_below(band, 0.0) == 0
+        assert _count_below(band, -neg) == 0
+
+    @given(half=st.integers(1, 199), h=st.floats(0.05, 0.5))
+    def test_free_operator_null_vector(self, half, h):
+        # odd interior, zero field: (1, 0, 1, 0, ..., 1) is an exact null
+        # vector of M, and the pivot that meets it is exactly zero
+        m = 2 * half + 1
+        op = DiracOperator(grid=None, k_y=0.0, interior_x=np.arange(m) * h,
+                           w_values=np.zeros(m), h=h, bmax=0.0)
+        band = op.mtm_band()
+        ev = banded_eigenvalues(op)
+        assert abs(ev[0]) <= 1e-12 * ev[-1] < ev[1]
+        for sigma in (1e-300, 1e-20, 0.5 * ev[1]):
+            assert _count_below(band, sigma) == 1
+        assert _count_below(band, 0.0) == 0
+        for lo, hi in zip(ev[1:-1], ev[2:]):
+            if hi - lo > 1e-9 * ev[-1]:
+                mid = 0.5 * (lo + hi)
+                assert _count_below(band, mid) == int(np.sum(ev < mid))
+
+    @given(b0=st.floats(0.7, 1.4), negative=st.booleans(),
+           a=st.floats(0.8, 2.0), gauss=st.booleans(),
+           u=st.floats(-1.0, 1.0), inside=st.booleans())
+    def test_window_sharpness(self, b0, negative, a, gauss, u, inside):
+        # a channel at least 5 tau inside the window |k| < |Q|/2 has one
+        # singular value below tau, one as far outside has none (the grid
+        # rules of acceptance criterion 10)
+        b0 = -b0 if negative else b0
+        profile = truncated_gaussian(b0, a / 3.0, a) if gauss else box(b0, a)
+        q = total_flux(profile).value
+        half = 0.5 * abs(q)
+        tau = 0.1 * math.sqrt(2.0 * abs(b0))
+        layer = 5.0 * tau
+        if inside:
+            assume(half - layer > 0.1)
+            k, expected = u * (half - layer), 1
+        else:
+            k, expected = math.copysign(half + layer + abs(u), u), 0
+        extent = a + required_padding(q, k) + 1.0
+        h = min(0.25 / max(abs(k) + half, 1.0), 0.1)
+        m = int(math.ceil(2.0 * extent / h)) + 1
+        op = build_operator(profile, k, Grid1D(-extent, extent, m + 2),
+                            cap=m)
+        assert _count_below(op.mtm_band(), tau * tau) == expected
+
+
+class TestChiralPairing:
+    @given(**{**operators, "m": st.integers(2, 150)})
+    def test_dense_spectrum_is_symmetric(self, m, h, k, noise, seed):
+        op = random_operator(m, h, k, noise, seed)
+        vals = eigen_spectrum(op, tau=TAU, method="dense").eigenvalues
+        np.testing.assert_allclose(vals, -vals[::-1], rtol=0.0, atol=1e-10)
+
+
 class TestWindowedModes:
     def test_window_matches_full_spectrum(self):
         op = build_operator(box(1.0, 5.0), 0.0, Grid1D(-35.0, 35.0, 702))
@@ -181,7 +279,44 @@ class TestWindowedModes:
         np.testing.assert_allclose(np.sort(svals), np.sort(expect), atol=1e-8)
         assert vecs.shape == (op.size, svals.size)
 
+    def test_repeat_calls_bit_identical(self):
+        # ARPACK's default start vector is random; the fixed one makes the
+        # vectors, not only the basis-free weights, repeat exactly
+        op = build_operator(box(1.0, 5.0), 0.0, Grid1D(-35.0, 35.0, 702))
+        first, again = (windowed_singular_modes(op, 1.2, 1.6)
+                        for _ in range(2))
+        assert first[1].shape[1] > 1
+        assert np.array_equal(first[0], again[0])
+        assert np.array_equal(first[1], again[1])
+
     def test_empty_window(self):
         op = free_operator(102)
         svals, vecs = windowed_singular_modes(op, 1e-6, 1e-5)
         assert svals.size == 0 and vecs.shape[1] == 0
+
+    @given(start=st.floats(0.0, 1.0), width=st.integers(1, 30), **operators)
+    @example(start=0.0, width=30, m=5, h=0.1, k=2.0, noise=0.1, seed=0)
+    def test_matches_banded_select(self, start, width, m, h, k, noise, seed):
+        # the window holds singular values i..j; its edges sit halfway
+        # across gaps wider than the bulk-weight grouping tolerance, so the
+        # window and every group in it are well defined
+        op = random_operator(m, h, k, noise, seed)
+        s = np.sqrt(np.clip(banded_eigenvalues(op), 0.0, None))
+        i = int(start * (m - 1))
+        j = min(i + width, m) - 1
+        assume(s[i] >= 0.1)
+        assume(i == 0 or s[i] - s[i - 1] > 2e-3)
+        assume(j == m - 1 or s[j + 1] - s[j] > 2e-3)
+        lo = 0.5 * (s[i - 1] + s[i]) if i > 0 else 0.0
+        hi = 0.5 * (s[j] + s[j + 1]) if j < m - 1 else s[-1] + 1.0
+        ref_vals, ref_vecs = scipy.linalg.eig_banded(
+            op.mtm_band(), lower=True, select="v",
+            select_range=(lo * lo, hi * hi))
+        ref = np.sqrt(np.clip(ref_vals, 0.0, None))
+        svals, vecs = windowed_singular_modes(op, lo, hi)
+        assert svals.shape == ref.shape == (j - i + 1,)
+        assert np.all(np.diff(svals) >= 0.0)
+        np.testing.assert_allclose(svals, ref, rtol=0.0, atol=1e-10)
+        mask = (np.abs(op.interior_x) <= 0.25 * m * h).astype(float)
+        assert abs(_smooth_bulk_weight(svals, vecs, mask)
+                   - _smooth_bulk_weight(ref, ref_vecs, mask)) <= 1e-10
