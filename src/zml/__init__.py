@@ -25,9 +25,8 @@ from .zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE, Mode2D, OpenInterval,
                         count_2d_zero_modes, holomorphy_residual, scan_k,
                         sector_for_label)
 from .spectral import (DiracOperator, Spectrum, build_operator,
-                       count_near_zero, default_zero_tolerance,
-                       eigen_spectrum, mode_residual, susy_partners,
-                       windowed_singular_modes)
+                       default_zero_tolerance, eigen_spectrum, mode_residual,
+                       susy_partners, windowed_singular_modes)
 from .reduction import (ChannelVerdict, DegeneracyReport, ReductionConfig,
                         admissible_channels, constant_field_degeneracy,
                         default_n_range, degeneracy_general, quantize_ky,
@@ -56,9 +55,9 @@ __all__ = [
     "count_2d_zero_modes", "holomorphy_residual", "scan_k",
     "sector_for_label",
     # spectral
-    "DiracOperator", "Spectrum", "build_operator", "count_near_zero",
-    "default_zero_tolerance", "eigen_spectrum", "mode_residual",
-    "susy_partners", "windowed_singular_modes",
+    "DiracOperator", "Spectrum", "build_operator", "default_zero_tolerance",
+    "eigen_spectrum", "mode_residual", "susy_partners",
+    "windowed_singular_modes",
     # reduction
     "ReductionConfig", "ChannelVerdict", "DegeneracyReport",
     "admissible_channels", "constant_field_degeneracy", "default_n_range",

@@ -7,7 +7,7 @@ the JSON one echoed to stdout) with fixed number formatting and sorted keys,
 so identical configs produce byte-identical outputs.
 
 Exit codes: 0 success; 2 config/input error (parse failure, bad field,
-insufficient grid or cap); 3 numerical failure (quadrature or eigensolver
+insufficient grid); 3 numerical failure (quadrature or eigensolver
 non-convergence, unresolved level clusters).
 """
 
@@ -18,15 +18,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import (CapExceededError, ClusterResolutionError,
-                     EigenSolveError, GridError, PaddingError, ProfileError,
-                     QuadratureError)
+from .errors import (ClusterResolutionError, EigenSolveError, GridError,
+                     PaddingError, ProfileError, QuadratureError)
 from .profiles import DEFAULT_RTOL, DIM_LINE, Grid1D, make_profile, total_flux
 from .potential import lambda_1d, lambda_2d_radial
 from .reduction import ReductionConfig, admissible_channels, verify_degeneracy
 from .reports import csv_text, json_report, line_plot_svg
-from .spectral import (DENSE_CAP, build_operator, default_zero_tolerance,
-                       eigen_spectrum)
+from .spectral import build_operator, default_zero_tolerance, eigen_spectrum
 from .zeromodes import (SECTOR_A, SECTOR_B, build_mode_1d, build_mode_2d,
                         count_2d_zero_modes, scan_k)
 
@@ -54,10 +52,9 @@ _TOP_KEYS = {
     "k_gauge": "num",
     "B_const": "num",
     "L_x": "num",
-    "level": "int",
+    "level": "nonneg_int",
     "j_list": "intlist",
     "tolerances": "tolerances",
-    "dense_cap": "int",
     "out_dir": "str",
     "emit_plots": "bool",
 }
@@ -71,7 +68,8 @@ _PROFILE_KEYS = {
     "points": "pointlist",
 }
 _GRID_KEYS = {"x_lo": "num", "x_hi": "num", "n": "int"}
-_TOL_KEYS = {"quadrature_tol": "num", "zero_tol": "num", "cluster_tol": "num"}
+_TOL_KEYS = {"quadrature_tol": "positive", "zero_tol": "positive",
+             "cluster_tol": "positive"}
 
 _REQUIRED = {
     "flux": ("profile",),
@@ -93,9 +91,14 @@ def _check(value, kind, path):
     if kind == "num":
         if not _is_num(value):
             raise ConfigError(f"{path} must be a number")
-    elif kind == "int":
+    elif kind == "positive":
+        if not (_is_num(value) and math.isfinite(value) and value > 0):
+            raise ConfigError(f"{path} must be a finite number > 0")
+    elif kind in ("int", "nonneg_int"):
         if not (isinstance(value, int) and not isinstance(value, bool)):
             raise ConfigError(f"{path} must be an integer")
+        if kind == "nonneg_int" and value < 0:
+            raise ConfigError(f"{path} must be >= 0")
     elif kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"{path} must be a string")
@@ -342,8 +345,7 @@ def cmd_spectrum(cfg, out):
         raise ConfigError("'spectrum' needs a line profile")
     grid = _build_grid(cfg)
     op = build_operator(profile, cfg["k_y"], grid,
-                        rtol=_tol(cfg, "quadrature_tol", DEFAULT_RTOL),
-                        cap=cfg.get("dense_cap", DENSE_CAP))
+                        rtol=_tol(cfg, "quadrature_tol", DEFAULT_RTOL))
     tau = _tol(cfg, "zero_tol")
     if tau is None:
         try:
@@ -389,7 +391,6 @@ def cmd_verify(cfg, out):
                             cfg.get("level", 0), grid,
                             zero_tol=_tol(cfg, "zero_tol"),
                             cluster_tol=_tol(cfg, "cluster_tol"),
-                            cap=cfg.get("dense_cap", DENSE_CAP),
                             rtol=_tol(cfg, "quadrature_tol", DEFAULT_RTOL))
     doc = _degeneracy_json(rep)
     doc["level"] = rep.level
@@ -468,8 +469,7 @@ def main(argv=None):
         out = _Out(out_dir, plots)
         _HANDLERS[args.command](cfg, out)
         out.flush()
-    except (ConfigError, ProfileError, GridError, PaddingError,
-            CapExceededError) as exc:
+    except (ConfigError, ProfileError, GridError, PaddingError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureError, EigenSolveError, ClusterResolutionError) as exc:

@@ -50,7 +50,7 @@ class QuadratureError(ZmlError, ArithmeticError):
 
 
 class CapExceededError(ZmlError, ValueError):
-    """Requested operator size exceeds the dense-solver cap."""
+    """Dense assembly of an operator above the dense-assembly cap."""
 
 
 class EigenSolveError(ZmlError, ArithmeticError):

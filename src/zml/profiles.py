@@ -238,22 +238,17 @@ def _analytic_flux(profile):
     return None  # bump has no closed form
 
 
-def total_flux(profile, method="auto", rtol=DEFAULT_RTOL):
+def total_flux(profile, rtol=DEFAULT_RTOL):
     """Total flux Q = int B dx (line) or Phi = int B d^2r (radial).
 
-    method: "auto" prefers the closed form, "analytic" requires one,
-    "quadrature" forces Gauss-Kronrod quadrature at relative tolerance rtol
-    (error estimate at most rtol * int |B|; QuadratureError otherwise).
+    The closed form is used where the kind has one; otherwise Gauss-Kronrod
+    quadrature at relative tolerance rtol (error estimate at most
+    rtol * int |B|; QuadratureError otherwise).  ``Flux.method`` reports
+    which of the two ran.
     """
-    if method not in ("auto", "analytic", "quadrature"):
-        raise ValueError(f"unknown flux method {method!r}")
-    if method != "quadrature":
-        value = _analytic_flux(profile)
-        if value is not None:
-            return Flux(value=value, method="analytic")
-        if method == "analytic":
-            raise ProfileError(f"profile kind {profile.kind!r} has no "
-                               "closed-form flux")
+    value = _analytic_flux(profile)
+    if value is not None:
+        return Flux(value=value, method="analytic")
     return Flux(value=_quadrature.flux(profile, rtol), method="quadrature")
 
 

@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CapExceededError, ClusterResolutionError,
-                     PaddingError)
+from .errors import ClusterResolutionError, PaddingError
 from .potential import PADDING_FLOOR, required_padding, vector_potential_y
 from .profiles import DEFAULT_RTOL, total_flux
-from .spectral import (DENSE_CAP, DiracOperator, _check_tau, _count_below,
+from .spectral import (DiracOperator, _check_tau, _count_below,
                        eigen_spectrum, windowed_singular_modes)
 
 __all__ = [
@@ -268,7 +267,7 @@ def _smooth_bulk_weight(svals, vecs, support_mask):
 
 
 def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
-                      cluster_tol=None, cap=DENSE_CAP, rtol=DEFAULT_RTOL):
+                      cluster_tol=None, rtol=DEFAULT_RTOL):
     """Reconcile the analytic degeneracy with the spectral oracle.
 
     Level 0 sums per-channel near-zero mode counts at tolerance ``zero_tol``
@@ -280,18 +279,17 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     shift-invert Lanczos; the center comes from B_const when the config
     provides it and from gap-splitting the deepest admissible channel's full
     spectrum otherwise, and unresolvable clusters raise
-    ClusterResolutionError instead of guessing.  Channels are processed in
-    ascending n and the report is deterministic.
+    ClusterResolutionError instead of guessing.  Nothing is assembled
+    densely above 300 points, so any grid size is accepted.  Channels are
+    processed in ascending n and the report is deterministic.
     """
     if int(level) != level or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level}")
     level = int(level)
+    if cluster_tol is not None and not cluster_tol > 0.0:
+        raise ValueError(f"cluster_tol must be positive, got {cluster_tol}")
     report = admissible_channels(profile, cfg, rtol=rtol)
     q = report.Q
-    m = grid.n - 2
-    if m > cap:
-        raise CapExceededError(f"{m} interior points exceed the sweep cap "
-                               f"{cap}; coarsen the grid or raise cap=")
     min_pad = _check_sweep_padding(profile, q, cfg, report.channels, grid)
     x_int = grid.points()[1:-1]
     ay = vector_potential_y(profile, x_int, rtol=rtol)
@@ -326,8 +324,7 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
         vals = np.array([])
         if admissible:
             deepest = min(admissible, key=lambda item: item[0])[1]
-            vals = eigen_spectrum(deepest, tau=tau0,
-                                  method="banded").eigenvalues
+            vals = eigen_spectrum(deepest, tau=tau0).eigenvalues
             vals = vals[vals > 2.0 * tau0]
         center = _detect_cluster_center(vals, level, ctol)
     s_lo, s_hi = profile.support

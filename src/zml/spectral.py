@@ -14,13 +14,16 @@ operator
     H = [[0, M], [M^T, 0]],      M = D + diag(W),
 
 whose spectrum is symmetric about zero: the eigenvalues are exactly the
-+-singular values of M.  Three equivalent full-spectrum paths are provided
-by ``eigen_spectrum``:
++-singular values of M.  ``eigen_spectrum`` takes the full spectrum by one
+of two paths, chosen by size:
 
-- "dense": eigendecomposition of the assembled 2m x 2m matrix;
-- "svd": singular values of the dense M;
-- "banded": eigenvalues of the pentadiagonal M^T M (sign-split afterwards),
+- m <= 300: eigendecomposition of the assembled 2m x 2m matrix, the more
+  accurate for the smallest singular values;
+- m > 300: eigenvalues of the pentadiagonal M^T M (sign-split afterwards),
   O(m^2).
+
+Only dense assembly (``m_matrix``, ``matrix``, ``susy_partners``) is
+capped, at DENSE_CAP interior points.
 
 Channel sweeps need no full spectrum.  The number of singular values below
 s is the number of eigenvalues of M^T M below s^2, which Sylvester's law of
@@ -59,7 +62,6 @@ __all__ = [
     "DENSE_CAP",
     "build_operator",
     "eigen_spectrum",
-    "count_near_zero",
     "mode_residual",
     "susy_partners",
     "windowed_singular_modes",
@@ -152,30 +154,22 @@ class Spectrum:
         self.eigenvalues.setflags(write=False)
 
 
-def build_operator(profile, k_y, grid, rtol=DEFAULT_RTOL, cap=DENSE_CAP,
-                   enforce_padding=True, _ay=None):
+def build_operator(profile, k_y, grid, rtol=DEFAULT_RTOL,
+                   enforce_padding=True):
     """Discretize the channel k_y of a line profile on the grid interior.
 
     A_y is computed analytically through the same quadrature engine as the
-    potentials (pass a precomputed interior A_y via _ay to share it across a
-    channel sweep).  The interior size must stay within ``cap``; exceeding
-    it raises with instructions rather than thrashing the dense solver.
+    potentials.  The operator is stored by its diagonal W, so any size is
+    accepted; only dense assembly is capped (``DiracOperator.m_matrix``).
     """
     if profile.is_radial:
         raise ProfileError("build_operator needs a line profile")
-    m = grid.n - 2
-    if m < 2:
+    if grid.n - 2 < 2:
         raise GridError("operator needs at least 2 interior points")
-    if m > cap:
-        raise CapExceededError(
-            f"{m} interior points exceed the solver cap {cap}; coarsen the "
-            "grid or raise cap= explicitly")
     if enforce_padding:
         check_padding(profile, k_y, grid)
     x = grid.points()[1:-1]
-    ay = vector_potential_y(profile, x, rtol=rtol) if _ay is None else np.asarray(_ay)
-    if ay.shape != x.shape:
-        raise GridError("precomputed A_y does not match the grid interior")
+    ay = vector_potential_y(profile, x, rtol=rtol)
     return DiracOperator(grid=grid, k_y=float(k_y), interior_x=x,
                          w_values=k_y + ay, h=grid.h,
                          bmax=float(profile.max_abs()))
@@ -200,47 +194,35 @@ def _check_tau(bmax, tau):
                           "excited cluster", stacklevel=3)
 
 
-def eigen_spectrum(op, tau=None, method="auto"):
-    """Full symmetric spectrum of the channel operator.
+def eigen_spectrum(op, tau=None):
+    """Full symmetric spectrum of the channel operator, ascending.
 
-    method "dense" diagonalizes the assembled block matrix, "svd" takes
-    singular values of M, "banded" the eigenvalues of pentadiagonal M^T M;
-    the latter two reconstruct the spectrum as +-singular values, which the
-    chiral block structure makes exact.  "auto" picks dense for small
-    operators and banded for sweeps.  Ordering is ascending.
+    Up to 300 interior points the assembled block matrix is diagonalized,
+    which resolves the smallest singular values best.  Above that the
+    spectrum is the +-square roots of the eigenvalues of the pentadiagonal
+    M^T M, which the chiral block structure makes exact.
     """
     if tau is None:
         tau = default_zero_tolerance(op)
     tau = float(tau)
     _check_tau(op.bmax, tau)
-    if method == "auto":
-        method = "dense" if op.size <= 300 else "banded"
+    path = "dense" if op.size <= 300 else "banded"
     try:
-        if method == "dense":
+        if path == "dense":
             vals = scipy.linalg.eigh(op.matrix, eigvals_only=True)
-        elif method == "svd":
-            s = scipy.linalg.svdvals(op.m_matrix())
-            vals = np.sort(np.concatenate([-s, s]))
-        elif method == "banded":
+        else:
             ev = scipy.linalg.eig_banded(op.mtm_band(), lower=True,
                                          eigvals_only=True)
             s = np.sqrt(np.clip(ev, 0.0, None))
             vals = np.sort(np.concatenate([-s, s]))
-        else:
-            raise ValueError(f"unknown spectral method {method!r}")
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(
             f"symmetric eigensolver failed for channel k_y={op.k_y} "
-            f"(m={op.size}, method={method}): {exc}") from exc
+            f"(m={op.size}, {path}): {exc}") from exc
     # eigenvalues inside (-tau, tau) arrive in +-pairs (one pair per
     # near-null singular value), so halving counts zero MODES, not states
     count = int(np.sum(np.abs(vals) < tau)) // 2
     return Spectrum(eigenvalues=vals, zero_tolerance=tau, near_zero_count=count)
-
-
-def count_near_zero(spectrum):
-    """Number of near-zero modes: +-pairs of eigenvalues inside (-tau, tau)."""
-    return spectrum.near_zero_count
 
 
 def mode_residual(op, mode, drop_edge=0):

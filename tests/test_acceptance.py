@@ -87,7 +87,7 @@ def test_criterion_03_admissibility_sharpness():
 def test_criterion_04_mode_residual():
     grid = Grid1D(-17.0, 17.0, 34001)  # h = 1e-3
     profile = box(1.0, 2.0)
-    op = build_operator(profile, 0.0, grid, cap=40000)
+    op = build_operator(profile, 0.0, grid)
     mode = build_mode_1d(profile, 0.0, SECTOR_B, grid)
     box_residual = mode_residual(op, mode)
     assert box_residual <= 1e-4
@@ -98,7 +98,7 @@ def test_criterion_04_mode_residual():
     residuals = []
     for n in (19001, 38001):  # h = 2e-3 then 1e-3 on [-19, 19]
         g = Grid1D(-19.0, 19.0, n)
-        sop = build_operator(smooth, 0.0, g, cap=40000)
+        sop = build_operator(smooth, 0.0, g)
         smode = build_mode_1d(smooth, 0.0, SECTOR_B, g)
         residuals.append(mode_residual(sop, smode))
     ratio = residuals[0] / residuals[1]
@@ -135,8 +135,8 @@ def test_criterion_06_degeneracy_vs_oracle(degeneracy_sweep):
 
 def test_criterion_07_landau_level(degeneracy_sweep):
     profile, cfg, grid, _, _ = degeneracy_sweep
-    op = build_operator(profile, 0.0, grid, cap=3000)
-    vals = eigen_spectrum(op, method="banded").eigenvalues
+    op = build_operator(profile, 0.0, grid)
+    vals = eigen_spectrum(op).eigenvalues
     first = float(np.min(vals[vals > 0.5]))
     assert abs(first - math.sqrt(2.0)) / math.sqrt(2.0) <= 0.01
     report(7, f"first level at {first:.6f}, within "
@@ -198,7 +198,7 @@ def test_criterion_10_chiral_pairing_and_counts():
         pair_grid = Grid1D(-(a + 5.0), a + 5.0, 122)
         op_small = build_operator(profile, k_eff, pair_grid,
                                   enforce_padding=False)
-        vals = eigen_spectrum(op_small, tau=tau, method="dense").eigenvalues
+        vals = eigen_spectrum(op_small, tau=tau).eigenvalues
         gap = np.max(np.abs(np.sort(vals) + np.sort(-vals)[::-1]))
         worst_pairing = max(worst_pairing, float(gap))
         assert gap <= 1e-10
@@ -211,8 +211,8 @@ def test_criterion_10_chiral_pairing_and_counts():
         m = int(math.ceil(span / h)) + 1
         assert m <= 2900
         count_grid = Grid1D(-(a + pad), a + pad, m + 2)
-        op = build_operator(profile, k_eff, count_grid, cap=4000)
-        spec = eigen_spectrum(op, tau=tau, method="banded")
+        op = build_operator(profile, k_eff, count_grid)
+        spec = eigen_spectrum(op, tau=tau)
         assert spec.near_zero_count == expected, (
             case, profile.kind, q, k_eff, expected, spec.near_zero_count)
         checked += 1

@@ -203,16 +203,33 @@ class TestCountAndVerify:
         assert doc["level"] == 1
         assert any(c["level_weight"] > 0.5 for c in doc["channels"])
 
-    def test_verify_nonpositive_zero_tol(self, tmp_path, capsys):
-        # not a config error: the ValueError leaves main, so the process
-        # exits through the interpreter's uncaught-exception path
-        cfg = write_cfg(tmp_path, profile=BOX_PROFILE,
-                        grid={"x_lo": -32.0, "x_hi": 32.0, "n": 802},
-                        Ly=2 * math.pi, n_range=[-3, 3],
-                        tolerances={"zero_tol": 0.0},
-                        out_dir=str(tmp_path / "o"))
-        with pytest.raises(ValueError, match="tau must be positive"):
-            main(["verify", "--config", cfg])
+    @pytest.mark.parametrize("command, field, value", [
+        ("verify", "zero_tol", 0.0),
+        ("spectrum", "zero_tol", 0.0),
+        ("verify", "zero_tol", math.nan),
+        ("verify", "quadrature_tol", 0.0),
+        ("verify", "quadrature_tol", -1e-10),
+        ("verify", "cluster_tol", -0.1),
+        ("verify", "cluster_tol", 0.0),
+        ("verify", "level", -1),
+    ])
+    def test_verify_nonpositive_zero_tol(self, tmp_path, capsys, command,
+                                         field, value):
+        # every tolerance must be finite and > 0 and the level >= 0; a bad
+        # one is a config error naming its field, before any solve
+        cfg = {"profile": BOX_PROFILE,
+               "grid": {"x_lo": -32.0, "x_hi": 32.0, "n": 802},
+               "Ly": 2 * math.pi, "n_range": [-3, 3], "k_y": 0.0, "level": 1,
+               "out_dir": str(tmp_path / "o")}
+        if field == "level":
+            cfg["level"] = value
+        else:
+            cfg["tolerances"] = {field: value}
+        path = write_cfg(tmp_path, **cfg)
+        code, stdout, err = run_cli(capsys, command, "--config", path)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert field in err and "Traceback" not in err
 
     def test_count_radial_reports_plane_count(self, tmp_path, capsys):
         profile = {"kind": "box", "B0": 7.0 / 4.0, "a": 2.0,

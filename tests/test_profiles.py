@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from zml import _quadrature
 from zml.errors import ProfileError
-from zml.profiles import (DIM_RADIAL, Grid1D, box, bump, make_profile,
-                          piecewise_linear, sample, scale_profile, total_flux,
-                          truncated_gaussian)
+from zml.profiles import (DEFAULT_RTOL, DIM_RADIAL, Grid1D, box, bump,
+                          make_profile, piecewise_linear, sample,
+                          scale_profile, total_flux, truncated_gaussian)
 
 
 class TestMakeProfile:
@@ -120,9 +121,10 @@ class TestTotalFlux:
                   truncated_gaussian(1.1, 0.8, 2.0, dimension=DIM_RADIAL),
                   piecewise_linear([(0.0, 1.0), (1.0, 2.0), (2.0, 0.0)],
                                    dimension=DIM_RADIAL)):
-            fa = total_flux(p, method="analytic")
-            fq = total_flux(p, method="quadrature")
-            assert fq.value == pytest.approx(fa.value, rel=1e-10, abs=1e-12)
+            fa = total_flux(p)
+            assert fa.method == "analytic"
+            fq = _quadrature.flux(p, DEFAULT_RTOL)
+            assert fq == pytest.approx(fa.value, rel=1e-10, abs=1e-12)
 
     def test_bump_flux_quadrature_vs_quadpack(self):
         p = bump(1.5, 2.0)
@@ -130,8 +132,6 @@ class TestTotalFlux:
         assert f.method == "quadrature"
         ref = quad(p, -2.0, 2.0, epsabs=1e-13, epsrel=1e-13)[0]
         assert f.value == pytest.approx(ref, rel=1e-10)
-        with pytest.raises(ProfileError):
-            total_flux(p, method="analytic")
 
     def test_radial_bump_flux_vs_quadpack(self):
         p = bump(1.5, 2.0, dimension=DIM_RADIAL)

@@ -169,6 +169,13 @@ class TestVerifyDegeneracy:
             with pytest.raises(ValueError, match="tau must be positive"):
                 verify_degeneracy(profile, cfg, 0, grid, zero_tol=tau)
 
+    def test_nonpositive_cluster_tol_rejected(self, setup6):
+        # a zero window would report g_numeric = 0 without complaint
+        profile, cfg, grid = setup6
+        for ctol in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="cluster_tol must be positive"):
+                verify_degeneracy(profile, cfg, 1, grid, cluster_tol=ctol)
+
     def test_zero_tol_near_gap_warns(self, setup6):
         # half the first Landau gap is sqrt(2)/2 at B = 1
         profile, cfg, grid = setup6
