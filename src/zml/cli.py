@@ -87,12 +87,21 @@ def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v):
+    # json.loads accepts NaN and Infinity; an integer too large for a float
+    # is no more usable
+    try:
+        return _is_num(v) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _check(value, kind, path):
     if kind == "num":
-        if not _is_num(value):
-            raise ConfigError(f"{path} must be a number")
+        if not _is_finite(value):
+            raise ConfigError(f"{path} must be a finite number")
     elif kind == "positive":
-        if not (_is_num(value) and math.isfinite(value) and value > 0):
+        if not (_is_finite(value) and value > 0):
             raise ConfigError(f"{path} must be a finite number > 0")
     elif kind in ("int", "nonneg_int"):
         if not (isinstance(value, int) and not isinstance(value, bool)):
@@ -107,8 +116,9 @@ def _check(value, kind, path):
             raise ConfigError(f"{path} must be a boolean")
     elif kind == "numlist":
         if not (isinstance(value, list) and value
-                and all(_is_num(v) for v in value)):
-            raise ConfigError(f"{path} must be a non-empty list of numbers")
+                and all(_is_finite(v) for v in value)):
+            raise ConfigError(f"{path} must be a non-empty list of finite "
+                              "numbers")
     elif kind == "intlist":
         if not (isinstance(value, list) and value
                 and all(isinstance(v, int) and not isinstance(v, bool)
@@ -302,9 +312,10 @@ def cmd_modes(cfg, out):
     grid = _build_grid(cfg)
     sector = _sector(cfg)
     k = cfg.get("k", 0.0)
-    mode = build_mode_1d(profile, k, sector, grid,
-                         rtol=_tol(cfg, "quadrature_tol", DEFAULT_RTOL))
-    q = total_flux(profile).value
+    rtol = _tol(cfg, "quadrature_tol", DEFAULT_RTOL)
+    mode = build_mode_1d(profile, k, sector, grid, rtol=rtol)
+    # the flux the verdict was taken with, not one at the default tolerance
+    q = total_flux(profile, rtol=rtol).value
     out.json("modes.json", {
         "Q": q, "sector": sector.label, "k": mode.k,
         "normalizable": mode.normalizable,
@@ -324,9 +335,9 @@ def cmd_scan(cfg, out):
         raise ConfigError("'scan' needs a line profile")
     grid = _build_grid(cfg)
     sector = _sector(cfg)
-    entries = scan_k(profile, sector, cfg["k_list"], grid,
-                     rtol=_tol(cfg, "quadrature_tol", DEFAULT_RTOL))
-    q = total_flux(profile).value
+    rtol = _tol(cfg, "quadrature_tol", DEFAULT_RTOL)
+    entries = scan_k(profile, sector, cfg["k_list"], grid, rtol=rtol)
+    q = total_flux(profile, rtol=rtol).value
     out.json("scan.json", {
         "Q": q, "sector": sector.label,
         "entries": [{"k": e.k, "normalizable": e.normalizable,

@@ -6,8 +6,8 @@ byte-identical files.  Non-finite floats have no JSON representation and
 are emitted as null (JSON) or an empty cell (CSV).
 """
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 __all__ = ["fmt_float", "json_report", "csv_text", "line_plot_svg"]
 
@@ -24,17 +24,18 @@ def fmt_float(x):
 
 def _emit(obj, out, indent):
     pad = "  " * indent
-    if obj is None:
+    # float first: it is the commonest leaf, and bool is no float subclass
+    if isinstance(obj, float):
+        s = fmt_float(obj)
+        out.append("null" if s is None else s)
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, int):
         out.append(str(obj))
-    elif isinstance(obj, float):
-        s = fmt_float(obj)
-        out.append("null" if s is None else s)
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -44,7 +45,7 @@ def _emit(obj, out, indent):
         for i, key in enumerate(keys):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
-            out.append(f'{pad}  {json.dumps(key)}: ')
+            out.append(f'{pad}  {encode_basestring_ascii(key)}: ')
             _emit(obj[key], out, indent + 1)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(pad + "}")

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from zml.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from zml.profiles import bump, total_flux
 
 
 def run_cli(capsys, *args):
@@ -87,6 +88,27 @@ class TestConfigValidation:
         assert code == EXIT_CONFIG
         assert "sector" in err
 
+    @pytest.mark.parametrize("command, field, value", [
+        ("modes", "k", math.nan),
+        ("modes", "k", math.inf),
+        ("spectrum", "k_y", -math.inf),
+        ("scan", "k_list", [math.nan, math.inf, -math.inf, 0.5]),
+        ("scan", "k_list", [0.5, math.nan]),
+        ("scan", "k_list", [10 ** 400]),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, command,
+                                        field, value):
+        # json.loads reads NaN and Infinity; such a field is a config error
+        # naming the field, not a report with null where the number was
+        cfg = {"profile": BOX_PROFILE, "grid": GRID, "sector": "b", "k": 0.0,
+               "k_list": [0.5], "k_y": 0.0, "out_dir": str(tmp_path / "o")}
+        cfg[field] = value
+        path = write_cfg(tmp_path, **cfg)
+        code, stdout, err = run_cli(capsys, command, "--config", path)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert field in err and "finite" in err
+
 
 class TestModes:
     def test_normalizable_verdict_and_csv(self, tmp_path, capsys):
@@ -139,6 +161,58 @@ class TestScan:
         lines = (out / "scan.csv").read_text().splitlines()
         assert lines[0] == "k,normalizable,l2_norm"
         assert lines[1].startswith("-2.1") and lines[1].endswith(",false,")
+
+    def test_reported_q_is_the_verdicts_q(self, tmp_path, capsys):
+        # at quadrature_tol 1e-3 this bump's flux differs from the
+        # default-tolerance one in the sixth digit; k values between the two
+        # half-fluxes tell which one the verdicts used
+        profile = {"kind": "bump", "B0": 1.7, "a": 2.1}
+        tol = {"quadrature_tol": 1e-3}
+        q_tol = total_flux(bump(1.7, 2.1), rtol=1e-3).value
+        q_default = total_flux(bump(1.7, 2.1)).value
+        assert abs(q_tol - q_default) > 1e-6
+        mid = 0.25 * (q_tol + q_default)
+        cfg = write_cfg(tmp_path, profile=profile,
+                        grid={"x_lo": -30.0, "x_hi": 30.0, "n": 301},
+                        sector="b", k_list=[-mid, -1.0, 0.0, 1.0, mid],
+                        tolerances=tol, out_dir=str(tmp_path / "s"))
+        code, stdout, _ = run_cli(capsys, "scan", "--config", cfg)
+        assert code == EXIT_OK
+        doc = json.loads(stdout)
+        assert doc["Q"] == pytest.approx(q_tol, rel=1e-11)
+        for entry in doc["entries"]:
+            assert entry["normalizable"] == (abs(entry["k"]) < 0.5 * doc["Q"])
+
+        # modes and flux report the same Q at the same tolerance
+        reported = []
+        for command in ("modes", "flux"):
+            cfg = write_cfg(tmp_path, f"{command}.json", profile=profile,
+                            grid={"x_lo": -30.0, "x_hi": 30.0, "n": 301},
+                            sector="b", k=0.0, tolerances=tol,
+                            out_dir=str(tmp_path / command))
+            code, stdout, _ = run_cli(capsys, command, "--config", cfg)
+            assert code == EXIT_OK
+            reported.append(json.loads(stdout)["Q"])
+        assert reported[0] == reported[1] == doc["Q"]
+
+    def test_byte_identical_reruns(self, tmp_path, capsys):
+        # more k values than one norm block of scan_k, in and out of window
+        k_list = [round(-3.0 + 6.0 * i / 1100, 9) for i in range(1101)]
+        outs = []
+        for name in ("s1", "s2"):
+            out = tmp_path / name
+            cfg = write_cfg(tmp_path, f"{name}.json",
+                            profile={"kind": "bump", "B0": 1.5, "a": 2.0},
+                            grid={"x_lo": -20.0, "x_hi": 20.0, "n": 121},
+                            sector="b", k_list=k_list, out_dir=str(out))
+            code, stdout, _ = run_cli(capsys, "scan", "--config", cfg)
+            assert code == EXIT_OK
+            outs.append((stdout, (out / "scan.json").read_bytes(),
+                         (out / "scan.csv").read_bytes()))
+        assert outs[0] == outs[1]
+        entries = json.loads(outs[0][0])["entries"]
+        assert len(entries) == len(k_list)
+        assert 512 < sum(e["normalizable"] for e in entries) < len(k_list)
 
 
 class TestSpectrum:
@@ -209,6 +283,7 @@ class TestCountAndVerify:
         ("verify", "zero_tol", math.nan),
         ("verify", "quadrature_tol", 0.0),
         ("verify", "quadrature_tol", -1e-10),
+        ("verify", "quadrature_tol", 10 ** 400),
         ("verify", "cluster_tol", -0.1),
         ("verify", "cluster_tol", 0.0),
         ("verify", "level", -1),

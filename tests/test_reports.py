@@ -42,6 +42,43 @@ class TestJsonReport:
         doc = json.loads(text)
         assert doc == {"i": 3, "f": 0.5}
 
+    def test_golden_every_leaf_type(self):
+        # pins the bytes of every leaf kind, including the escaping of
+        # non-ASCII keys and strings and the float-subclass NumPy scalar
+        import numpy as np
+        doc = {"none": None, "yes": True, "no": False, "int": -7,
+               "float": 1.5e-300, "zeros": [0.0, -0.0], "nan": math.nan,
+               "inf": -math.inf, "text": "\u03a6/2\u03c0 \u2248 3.5 \"q\"\n",
+               "\u03a6": 1,
+               "numpy": [np.float64(-2.5), np.int64(12), np.bool_(True)],
+               "empty": {"list": [], "dict": {}, "tuple": ()}}
+        assert json_report(doc) == (
+            '{\n'
+            '  "empty": {\n'
+            '    "dict": {},\n'
+            '    "list": [],\n'
+            '    "tuple": []\n'
+            '  },\n'
+            '  "float": 1.50000000000e-300,\n'
+            '  "inf": null,\n'
+            '  "int": -7,\n'
+            '  "nan": null,\n'
+            '  "no": false,\n'
+            '  "none": null,\n'
+            '  "numpy": [\n'
+            '    -2.50000000000e+00,\n'
+            '    12,\n'
+            '    true\n'
+            '  ],\n'
+            '  "text": "\\u03a6/2\\u03c0 \\u2248 3.5 \\"q\\"\\n",\n'
+            '  "yes": true,\n'
+            '  "zeros": [\n'
+            '    0.00000000000e+00,\n'
+            '    0.00000000000e+00\n'
+            '  ],\n'
+            '  "\\u03a6": 1\n'
+            '}\n')
+
     def test_rejects_unserializable(self):
         with pytest.raises(TypeError):
             json_report({"f": object()})

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zml.profiles import DIM_RADIAL, Grid1D, box, total_flux
+from zml.profiles import (DIM_RADIAL, Grid1D, box, bump, piecewise_linear,
+                          total_flux, truncated_gaussian)
 from zml.zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE,
                            admissible_k_interval, build_mode_1d,
                            build_mode_2d, count_2d_zero_modes,
@@ -130,6 +132,89 @@ class TestScanK:
                 q = total_flux(p).value
                 if q != 0.0 and abs(k) < 0.5 * abs(q):
                     assert na or nb
+
+
+# --- the blocked scan against one mode built per k --------------------------
+
+_amplitude = st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3)
+_width = st.floats(0.2, 4.0)
+
+
+def _piecewise(start, knots):
+    x = start + np.cumsum([dx for dx, _ in knots])
+    return piecewise_linear([(xi, v) for xi, (_, v) in zip(x, knots)])
+
+
+_line_profiles = st.one_of(
+    st.builds(box, _amplitude, _width),
+    st.builds(truncated_gaussian, _amplitude, st.floats(0.2, 3.0), _width),
+    st.builds(bump, _amplitude, _width),
+    st.builds(_piecewise, st.floats(-6.0, 2.0),
+              st.lists(st.tuples(st.floats(0.05, 2.0), _amplitude),
+                       min_size=2, max_size=6)),
+)
+# a k value as a multiple of Q/2: the window edges, inside and outside it
+_k_over_half_q = st.one_of(st.sampled_from([-1.0, 1.0, 0.0]),
+                           st.floats(-2.0, 2.0))
+
+
+def _same_norm(got, want):
+    if math.isinf(want) or want == 0.0:
+        return got == want
+    return abs(got - want) <= 4 * np.spacing(want)
+
+
+def _check_against_modes(profile, sector, k_list, grid):
+    entries = scan_k(profile, sector, k_list, grid)
+    assert len(entries) == len(k_list)
+    modes = {}
+    for k, entry in zip(k_list, entries):
+        assert entry.k == float(k)
+        if k not in modes:
+            modes[k] = build_mode_1d(profile, k, sector, grid,
+                                     enforce_padding=False)
+        mode = modes[k]
+        assert entry.normalizable == mode.normalizable
+        assert _same_norm(entry.l2_norm, mode.l2_norm), (k, entry, mode.l2_norm)
+    return entries
+
+
+@settings(max_examples=40)
+@given(profile=_line_profiles,
+       fractions=st.lists(_k_over_half_q, min_size=1, max_size=8),
+       length=st.sampled_from([1, 511, 512, 513, 1025]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       container=st.sampled_from([list, tuple, np.array]),
+       n=st.integers(3, 160))
+def test_scan_matches_per_k_modes(profile, fractions, length, seed,
+                                  container, n):
+    """Across block boundaries, every scan entry of either sector has the
+    verdict of build_mode_1d at its k and its norm to 4 ulp; k values are
+    drawn from a few multiples of Q/2 (the edges exactly among them) in a
+    random order, so each distinct k needs one reference mode."""
+    half_q = 0.5 * total_flux(profile).value
+    pool = [f * half_q for f in fractions]
+    order = np.random.default_rng(seed).integers(0, len(pool), size=length)
+    k_list = container([pool[i] for i in order])
+    lo, hi = profile.support
+    grid = Grid1D(lo - 6.0, hi + 6.0, n)
+    for sector in (SECTOR_A, SECTOR_B):
+        _check_against_modes(profile, sector, k_list, grid)
+
+
+def test_scan_norm_overflows_while_normalizable():
+    # a strong positive core between two negative lobes (Q = 200) dips
+    # lambda_0 to about -1100 at the centre, so exp(-lambda) overflows
+    c = 200.0
+    profile = piecewise_linear([(-7.0, 0.0), (-6.0, -c), (-5.0, 0.0),
+                                (-1.0, 0.0), (0.0, 3.0 * c), (1.0, 0.0),
+                                (5.0, 0.0), (6.0, -c), (7.0, 0.0)])
+    grid = Grid1D(-12.0, 12.0, 121)
+    k_list = np.linspace(-120.0, 120.0, 700)
+    entries = _check_against_modes(profile, SECTOR_B, k_list, grid)
+    inside = [e for e in entries if abs(e.k) < 100.0]
+    assert inside and all(e.normalizable and e.l2_norm == math.inf
+                          for e in inside)
 
 
 class TestCount2D:
