@@ -17,13 +17,15 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import (ClusterResolutionError, EigenSolveError, GridError,
                      PaddingError, ProfileError, QuadratureError)
 from .profiles import DEFAULT_RTOL, DIM_LINE, Grid1D, make_profile, total_flux
 from .potential import lambda_1d, lambda_2d_radial
 from .reduction import ReductionConfig, admissible_channels, verify_degeneracy
-from .reports import csv_text, json_report, line_plot_svg
+from .reports import Table, csv_text, json_report, line_plot_svg
 from .spectral import build_operator, default_zero_tolerance, eigen_spectrum
 from .zeromodes import (SECTOR_A, SECTOR_B, build_mode_1d, build_mode_2d,
                         count_2d_zero_modes, scan_k)
@@ -257,8 +259,8 @@ class _Out:
         self.report_text = json_report(obj)
         self.files[name] = self.report_text
 
-    def csv(self, name, header, rows):
-        self.files[name] = csv_text(header, rows)
+    def csv(self, name, table):
+        self.files[name] = csv_text(table)
 
     def svg(self, name, xs, ys, xlabel, ylabel):
         if self.plots:
@@ -300,8 +302,7 @@ def cmd_potential(cfg, out):
         })
         axis = "x"
     x = grid.points()
-    out.csv("potential.csv", (axis, "lambda"),
-            [(float(xi), float(v)) for xi, v in zip(x, pot.values)])
+    out.csv("potential.csv", Table({axis: x, "lambda": pot.values}))
     out.svg("potential.svg", x, pot.values, axis, "lambda")
 
 
@@ -319,13 +320,11 @@ def cmd_modes(cfg, out):
     out.json("modes.json", {
         "Q": q, "sector": sector.label, "k": mode.k,
         "normalizable": mode.normalizable,
-        "l2_norm": mode.l2_norm if math.isfinite(mode.l2_norm) else None,
+        "l2_norm": mode.l2_norm,
     })
     x = grid.points()
-    rows = []
-    for xi, lv, v in zip(x, mode.log_values, mode.values):
-        rows.append((float(xi), float(lv), float(v) if math.isfinite(v) else None))
-    out.csv("modes.csv", ("x", "log_psi", "psi"), rows)
+    out.csv("modes.csv", Table({"x": x, "log_psi": mode.log_values,
+                                "psi": mode.values}))
     out.svg("modes.svg", x, mode.log_values, "x", "log_psi")
 
 
@@ -338,16 +337,12 @@ def cmd_scan(cfg, out):
     rtol = _tol(cfg, "quadrature_tol", DEFAULT_RTOL)
     entries = scan_k(profile, sector, cfg["k_list"], grid, rtol=rtol)
     q = total_flux(profile, rtol=rtol).value
-    out.json("scan.json", {
-        "Q": q, "sector": sector.label,
-        "entries": [{"k": e.k, "normalizable": e.normalizable,
-                     "l2_norm": e.l2_norm if math.isfinite(e.l2_norm) else None}
-                    for e in entries],
-    })
-    out.csv("scan.csv", ("k", "normalizable", "l2_norm"),
-            [(e.k, e.normalizable,
-              e.l2_norm if math.isfinite(e.l2_norm) else None)
-             for e in entries])
+    # one table, formatted once for both files
+    table = Table({"k": [e.k for e in entries],
+                   "normalizable": [e.normalizable for e in entries],
+                   "l2_norm": [e.l2_norm for e in entries]})
+    out.json("scan.json", {"Q": q, "sector": sector.label, "entries": table})
+    out.csv("scan.csv", table)
 
 
 def cmd_spectrum(cfg, out):
@@ -369,8 +364,10 @@ def cmd_spectrum(cfg, out):
         "near_zero_count": spec.near_zero_count,
         "n_interior": op.size,
     })
-    out.csv("spectrum.csv", ("channel_ky", "index", "eigenvalue"),
-            [(op.k_y, i, float(e)) for i, e in enumerate(spec.eigenvalues)])
+    m = len(spec.eigenvalues)
+    out.csv("spectrum.csv", Table({"channel_ky": np.full(m, op.k_y),
+                                   "index": np.arange(m),
+                                   "eigenvalue": spec.eigenvalues}))
 
 
 def cmd_count(cfg, out):
@@ -431,13 +428,13 @@ def cmd_modes2d(cfg, out):
         "modes": [{"j": m.j, "tail_exponent": m.tail_exponent,
                    "normalizable": m.normalizable} for m in modes],
     })
-    rows = []
     r = grid.points()
-    for m in modes:
-        for ri, lv, v in zip(r, m.log_values, m.values):
-            rows.append((m.j, float(ri), float(lv),
-                         float(v) if math.isfinite(v) else None))
-    out.csv("modes2d.csv", ("j", "r", "log_psi", "psi"), rows)
+    out.csv("modes2d.csv", Table({
+        "j": np.repeat([m.j for m in modes], len(r)),
+        "r": np.tile(r, len(modes)),
+        "log_psi": np.concatenate([m.log_values for m in modes]),
+        "psi": np.concatenate([m.values for m in modes]),
+    }))
 
 
 _HANDLERS = {

@@ -30,6 +30,7 @@ __all__ = [
     "DIM_LINE",
     "DIM_RADIAL",
     "DEFAULT_RTOL",
+    "MAX_GRID_POINTS",
     "Grid1D",
     "FieldProfile",
     "Flux",
@@ -47,13 +48,17 @@ DIM_LINE = "line"
 DIM_RADIAL = "radial-plane"
 DEFAULT_RTOL = 1e-10
 TWO_PI = 2.0 * math.pi
+# Ceiling on grid points: ten times the largest grids the sweeps are measured
+# on (1e5-1e6 points), and a refusal here, not a failed allocation, keeps an
+# absurd grid.n a config error.  A fixed bound, not a setting.
+MAX_GRID_POINTS = 10_000_000
 
 _KINDS = ("box", "truncated-gaussian", "bump", "piecewise-linear")
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform sampling grid with n >= 3 points on [x_lo, x_hi]."""
+    """Uniform grid of 3 <= n <= MAX_GRID_POINTS points on [x_lo, x_hi]."""
 
     x_lo: float
     x_hi: float
@@ -67,6 +72,9 @@ class Grid1D:
                             f"[{self.x_lo}, {self.x_hi}]")
         if int(self.n) != self.n or self.n < 3:
             raise GridError(f"grid needs an integer n >= 3, got {self.n}")
+        if self.n > MAX_GRID_POINTS:
+            raise GridError(f"grid n = {self.n} exceeds the ceiling "
+                            f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
         object.__setattr__(self, "n", int(self.n))
 
     @property

@@ -1,15 +1,26 @@
 """Bit-stable report formatting: JSON, CSV, and minimal SVG line plots.
 
-Every float is rendered in scientific notation with 12 significant digits,
-JSON keys are sorted, and line endings are LF, so identical inputs produce
+One format rule covers every float, scalar or column: scientific notation
+with 12 significant digits (``"{:.11e}"``), -0.0 written as 0.0.  JSON keys
+are sorted and line endings are LF, so identical inputs produce
 byte-identical files.  Non-finite floats have no JSON representation and
 are emitted as null (JSON) or an empty cell (CSV).
+
+Tabular reports are column tables (``Table``): each column is formatted in
+one call, the first time a report needs it, and the strings are kept, so a
+table written both as a JSON array of objects (``json_report``) and as CSV
+(``csv_text``) is formatted once.
 """
 
 import math
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
-__all__ = ["fmt_float", "json_report", "csv_text", "line_plot_svg"]
+import numpy as np
+
+__all__ = ["fmt_float", "Table", "json_report", "csv_text", "line_plot_svg"]
+
+_FLOAT = "{:.11e}".format
 
 
 def fmt_float(x):
@@ -17,9 +28,58 @@ def fmt_float(x):
     x = float(x)
     if not math.isfinite(x):
         return None
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return f"{x:.11e}"
+    return _FLOAT(x + 0.0)  # + 0.0 turns -0.0 into 0.0
+
+
+def _fmt_column(values):
+    """``fmt_float`` over a whole float column, as a list."""
+    a = np.asarray(values, dtype=float) + 0.0
+    cells = list(map(_FLOAT, a.tolist()))
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        cells[i] = None
+    return cells
+
+
+class Table:
+    """Named report columns of one length, each a 1-D bool, int or float array.
+
+    Column order is the CSV column order; JSON objects sort their keys.
+    A column is formatted on its first use and its strings are kept, so
+    JSON and CSV share them.
+    """
+
+    def __init__(self, columns):
+        self.columns = {name: np.asarray(values)
+                        for name, values in columns.items()}
+        lengths = {a.shape for a in self.columns.values()}
+        if len(lengths) > 1 or any(len(shape) != 1 for shape in lengths):
+            raise ValueError(f"table columns must be 1-D and of one length, "
+                             f"got shapes {sorted(lengths)}")
+        self.length = lengths.pop()[0] if lengths else 0
+        self._cells = {}
+
+    def __len__(self):
+        return self.length
+
+    def cells(self, name, missing=None):
+        """The column's strings; a non-finite float reads ``missing``."""
+        cells = self._cells.get(name)
+        if cells is None:
+            a = self.columns[name]
+            if a.dtype.kind == "f":
+                cells = _fmt_column(a)
+            elif a.dtype.kind == "b":
+                cells = ["true" if v else "false" for v in a.tolist()]
+            elif a.dtype.kind in "iu" or (
+                    # Python ints beyond int64 stay exact in an object array
+                    a.dtype.kind == "O"
+                    and all(type(v) is int for v in a.tolist())):
+                cells = list(map(str, a.tolist()))
+            else:
+                raise TypeError(f"table column {name!r} has dtype {a.dtype}; "
+                                "expected bool, int or float")
+            self._cells[name] = cells
+        return [missing if c is None else c for c in cells]
 
 
 def _emit(obj, out, indent):
@@ -28,6 +88,8 @@ def _emit(obj, out, indent):
     if isinstance(obj, float):
         s = fmt_float(obj)
         out.append("null" if s is None else s)
+    elif isinstance(obj, Table):
+        _emit_table(obj, out, indent)
     elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -67,6 +129,26 @@ def _emit(obj, out, indent):
             raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _emit_table(table, out, indent):
+    # the bytes of the equivalent list of dicts: the cells interleaved with
+    # the fixed text between them, joined once
+    if not len(table):
+        out.append("[]")
+        return
+    pad = "  " * (indent + 1)
+    names = sorted(table.columns)
+    keys = [f"{pad}  {encode_basestring_ascii(name)}: " for name in names]
+    seps = [pad + "{\n" + keys[0]]
+    seps += [",\n" + key for key in keys[1:]]
+    seps.append(f"\n{pad}}},\n")
+    parts = [repeat(seps[0])]
+    for name, sep in zip(names, seps[1:]):
+        parts += [table.cells(name, "null"), repeat(sep)]
+    out.append("[\n")
+    out.append("".join(chain.from_iterable(zip(*parts)))[:-2])
+    out.append(f"\n{pad[2:]}]")
+
+
 def json_report(obj):
     """Deterministic JSON text (sorted keys, fixed float format, LF, final newline)."""
     out = []
@@ -74,24 +156,11 @@ def json_report(obj):
     return "".join(out) + "\n"
 
 
-def _cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        s = fmt_float(v)
-        return "" if s is None else s
-    return str(v)
-
-
-def csv_text(header, rows):
-    """CSV with a header row, comma separator, LF endings."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+def csv_text(table):
+    """CSV of a ``Table``: a header row, comma separator, LF endings."""
+    cols = [table.cells(name, "") for name in table.columns]
+    lines = [",".join(table.columns)]
+    lines.extend(map(",".join, zip(*cols)))
     return "\n".join(lines) + "\n"
 
 

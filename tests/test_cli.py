@@ -6,7 +6,7 @@ import math
 import pytest
 
 from zml.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from zml.profiles import bump, total_flux
+from zml.profiles import Grid1D, bump, total_flux
 
 
 def run_cli(capsys, *args):
@@ -87,6 +87,19 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "modes", "--config", cfg)
         assert code == EXIT_CONFIG
         assert "sector" in err
+
+    def test_grid_n_above_ceiling(self, tmp_path, capsys, monkeypatch):
+        # a config error naming n, before any grid is sampled
+        monkeypatch.setattr(Grid1D, "points", None)
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE,
+                        grid={"x_lo": -17.0, "x_hi": 17.0, "n": 10 ** 12},
+                        out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, "potential", "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith("config error: grid: ")
+        assert "n = 1000000000000" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, field, value", [
         ("modes", "k", math.nan),
@@ -213,6 +226,66 @@ class TestScan:
         entries = json.loads(outs[0][0])["entries"]
         assert len(entries) == len(k_list)
         assert 512 < sum(e["normalizable"] for e in entries) < len(k_list)
+
+
+    def test_golden_bytes(self, tmp_path, capsys):
+        # -0.0, k inside the window |k| < Q/2 = 2 and one outside it, whose
+        # norm is inf: null in JSON, an empty cell in CSV
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE,
+                        grid={"x_lo": -12.0, "x_hi": 12.0, "n": 13},
+                        sector="b", k_list=[-0.0, 0.5, 3.0, -1.25],
+                        out_dir=str(out))
+        code, stdout, _ = run_cli(capsys, "scan", "--config", cfg)
+        assert code == EXIT_OK
+        golden = (
+            '{\n'
+            '  "Q": 4.00000000000e+00,\n'
+            '  "entries": [\n'
+            '    {\n'
+            '      "k": 0.00000000000e+00,\n'
+            '      "l2_norm": 1.61895911506e-01,\n'
+            '      "normalizable": true\n'
+            '    },\n'
+            '    {\n'
+            '      "k": 5.00000000000e-01,\n'
+            '      "l2_norm": 1.76522406031e-01,\n'
+            '      "normalizable": true\n'
+            '    },\n'
+            '    {\n'
+            '      "k": 3.00000000000e+00,\n'
+            '      "l2_norm": null,\n'
+            '      "normalizable": false\n'
+            '    },\n'
+            '    {\n'
+            '      "k": -1.25000000000e+00,\n'
+            '      "l2_norm": 4.01043026296e-01,\n'
+            '      "normalizable": true\n'
+            '    }\n'
+            '  ],\n'
+            '  "sector": "b"\n'
+            '}\n')
+        assert stdout == golden
+        assert (out / "scan.json").read_text() == golden
+        assert (out / "scan.csv").read_text() == (
+            "k,normalizable,l2_norm\n"
+            "0.00000000000e+00,true,1.61895911506e-01\n"
+            "5.00000000000e-01,true,1.76522406031e-01\n"
+            "3.00000000000e+00,false,\n"
+            "-1.25000000000e+00,true,4.01043026296e-01\n")
+
+        # a psi that overflows a float is an empty cell; one that
+        # underflows is zero
+        cfg = write_cfg(tmp_path, "modes.json", profile=BOX_PROFILE,
+                        grid={"x_lo": -400.0, "x_hi": 400.0, "n": 9},
+                        sector="b", k=5.0, out_dir=str(out))
+        code, _, _ = run_cli(capsys, "modes", "--config", cfg)
+        assert code == EXIT_OK
+        lines = (out / "modes.csv").read_text().split("\n")
+        assert lines[:2] == ["x,log_psi,psi",
+                             "-4.00000000000e+02,1.20000000000e+03,"]
+        assert lines[-2:] == ["4.00000000000e+02,-2.80000000000e+03,"
+                              "0.00000000000e+00", ""]
 
 
 class TestSpectrum:

@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from zml import _quadrature
-from zml.errors import ProfileError
-from zml.profiles import (DEFAULT_RTOL, DIM_RADIAL, Grid1D, box, bump,
-                          make_profile, piecewise_linear, sample,
+from zml.errors import GridError, ProfileError
+from zml.profiles import (DEFAULT_RTOL, DIM_RADIAL, MAX_GRID_POINTS, Grid1D,
+                          box, bump, make_profile, piecewise_linear, sample,
                           scale_profile, total_flux, truncated_gaussian)
 
 
@@ -72,6 +72,16 @@ class TestMakeProfile:
     def test_radial_piecewise_requires_nonnegative_radii(self):
         with pytest.raises(ProfileError):
             piecewise_linear([(-1.0, 0.0), (1.0, 1.0)], dimension=DIM_RADIAL)
+
+
+class TestGrid1D:
+    def test_point_ceiling(self, monkeypatch):
+        # refused on construction: no test here may sample such a grid
+        monkeypatch.setattr(Grid1D, "points", None)
+        assert Grid1D(-1.0, 1.0, MAX_GRID_POINTS).n == MAX_GRID_POINTS
+        for n in (MAX_GRID_POINTS + 1, 10 ** 12):
+            with pytest.raises(GridError, match=f"n = {n}"):
+                Grid1D(-1.0, 1.0, n)
 
 
 class TestSample:

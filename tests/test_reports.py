@@ -3,9 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zml.reports import csv_text, fmt_float, json_report, line_plot_svg
+from zml.reports import (Table, _fmt_column, csv_text, fmt_float, json_report,
+                         line_plot_svg)
 
 
 class TestFmtFloat:
@@ -86,8 +89,8 @@ class TestJsonReport:
 
 class TestCsvText:
     def test_cells(self):
-        text = csv_text(("a", "b", "c"),
-                        [(1, True, 0.5), (2, False, math.nan)])
+        text = csv_text(Table({"a": [1, 2], "b": [True, False],
+                               "c": [0.5, math.nan]}))
         lines = text.split("\n")
         assert lines[0] == "a,b,c"
         assert lines[1] == "1,true,5.00000000000e-01"
@@ -95,7 +98,128 @@ class TestCsvText:
         assert text.endswith("\n")
 
     def test_lf_only(self):
-        assert "\r" not in csv_text(("x",), [(1,)])
+        assert "\r" not in csv_text(Table({"x": [1]}))
+
+
+# floats whose spelling is easy to get wrong: signed zeros, non-finite
+# values, the subnormal and normal extremes, and values whose 12th
+# significant digit rounds up into the next decade
+_SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                   -5e-324, 2.2250738585072014e-308, 1e-310,
+                   1.7976931348623157e308, -1.7976931348623157e308,
+                   9.999999999995e5, 9.9999999999951e5, -9.9999999999951e5,
+                   9.9999999999949e5, 9.99999999999951e-300, 0.5, 1.0)
+_floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+# column names out of sorted order, one that needs JSON escaping and one
+# with format-string braces
+_NAMES = ("k", "normalizable", "l2_norm", "\u03a6 {x}", "index")
+
+
+def _random_column(kind, length, pool, rng):
+    if kind == "bool":
+        return rng.random(length) < 0.5
+    if kind == "int":
+        return rng.integers(-2 ** 63, 2 ** 63 - 1, length)
+    # the drawn floats, mixed with random bit patterns (every exponent and
+    # subnormals); NaNs are made quiet, as arithmetic leaves them
+    bits = rng.integers(0, 2 ** 64 - 1, length, dtype=np.uint64).view(float)
+    bits[np.isnan(bits)] = math.nan
+    return np.where(rng.random(length) < 0.5, rng.choice(pool, length), bits)
+
+
+def _row_cell(v):
+    # the row-wise spelling the column path must reproduce
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    s = fmt_float(v)
+    return "" if s is None else s
+
+
+def _random_columns(kinds, length, pool, seed):
+    rng = np.random.default_rng(seed)
+    return {name: _random_column(kind, length, pool, rng)
+            for name, kind in zip(_NAMES, kinds)}
+
+
+def _assert_same_text(got, want):
+    # names the first difference only: pytest's full diff of two long texts
+    # is too slow to run at every shrinking step
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"texts differ at {i}: {got[i - 40:i + 40]!r} != "
+                    f"{want[i - 40:i + 40]!r}")
+
+
+_columns = st.builds(
+    _random_columns,
+    kinds=st.lists(st.sampled_from(["bool", "int", "float"]), min_size=1,
+                   max_size=len(_NAMES)),
+    length=st.sampled_from([0, 1, 600]),
+    pool=st.lists(_floats, min_size=1, max_size=12),
+    seed=st.integers(0, 2 ** 32 - 1))
+
+
+class TestColumnPath:
+    @given(values=st.lists(_floats, max_size=50))
+    def test_fmt_column_matches_fmt_float(self, values):
+        values += list(_SPECIAL_FLOATS)
+        assert _fmt_column(values) == [fmt_float(v) for v in values]
+        assert _fmt_column(np.array(values)) == [fmt_float(v) for v in values]
+
+    def test_decade_round_up(self):
+        assert _fmt_column([9.9999999999951e5, 9.99999999999951e-300,
+                            -0.0]) == ["1.00000000000e+06",
+                                       "1.00000000000e-299",
+                                       "0.00000000000e+00"]
+
+    @settings(max_examples=60)
+    @given(columns=_columns, depth=st.sampled_from([0, 1, 2]))
+    def test_json_table_matches_list_of_dicts(self, columns, depth):
+        length = len(next(iter(columns.values())))
+        lists = {name: col.tolist() for name, col in columns.items()}
+        rows = [{name: col[i] for name, col in lists.items()}
+                for i in range(length)]
+        doc_table, doc_rows = Table(columns), rows
+        for level in range(depth):
+            doc_table = {"entries": doc_table, "Q": 1.5, "z": [level]}
+            doc_rows = {"entries": doc_rows, "Q": 1.5, "z": [level]}
+        _assert_same_text(json_report(doc_table), json_report(doc_rows))
+
+    @settings(max_examples=60)
+    @given(columns=_columns)
+    def test_csv_matches_row_wise_text(self, columns):
+        lists = [col.tolist() for col in columns.values()]
+        expected = [",".join(columns)]
+        expected += [",".join(map(_row_cell, row)) for row in zip(*lists)]
+        expected = "\n".join(expected) + "\n"
+        tab = Table(columns)
+        _assert_same_text(csv_text(tab), expected)
+        # a second rendering reuses the kept strings and reads the same
+        json_report(tab)
+        _assert_same_text(csv_text(tab), expected)
+
+    def test_empty_table(self):
+        assert json_report({"entries": Table({"k": []})}) == (
+            '{\n  "entries": []\n}\n')
+        assert csv_text(Table({"k": [], "n": []})) == "k,n\n"
+
+    def test_rejects_ragged_or_untyped_columns(self):
+        with pytest.raises(ValueError):
+            Table({"a": [1.0, 2.0], "b": [1.0]})
+        with pytest.raises(ValueError):
+            Table({"a": [[1.0], [2.0]]})
+        with pytest.raises(TypeError):
+            csv_text(Table({"a": ["x", "y"]}))
+        with pytest.raises(TypeError):
+            csv_text(Table({"a": [1.5, None]}))
+
+    def test_ints_beyond_int64_stay_exact(self):
+        table = Table({"j": [0, 10 ** 20]})
+        assert csv_text(table) == "j\n0\n100000000000000000000\n"
+        assert json_report(table) == json_report([{"j": 0}, {"j": 10 ** 20}])
 
 
 class TestSvg:
