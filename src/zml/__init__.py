@@ -9,12 +9,12 @@ convolution is a closed form over cumulative moments of the field, computed
 in one vectorized Gauss-Kronrod pass (``zml._quadrature``).
 """
 
-from .errors import (CapExceededError, ClusterResolutionError,
-                     EigenSolveError, GridError, PaddingError, ProfileError,
-                     QuadratureError, ZmlError)
-from .profiles import (DIM_LINE, DIM_RADIAL, FieldProfile, Flux, Grid1D, box,
-                       bump, make_profile, piecewise_linear, sample,
-                       scale_profile, total_flux, truncated_gaussian)
+from .errors import (ClusterResolutionError, EigenSolveError, GridError,
+                     PaddingError, ProfileError, QuadratureError, ZmlError)
+from .profiles import (DEFAULT_RTOL, DIM_LINE, DIM_RADIAL, MAX_GRID_POINTS,
+                       FieldProfile, Flux, Grid1D, box, bump, make_profile,
+                       piecewise_linear, sample, scale_profile, total_flux,
+                       truncated_gaussian)
 from .potential import (GaugePhase, RadialScalarPotential, ScalarPotential,
                         alpha_gauge, check_padding, lambda_1d,
                         lambda_2d_radial, poisson_residual, required_padding,
@@ -26,7 +26,7 @@ from .zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE, Mode2D, OpenInterval,
                         sector_for_label)
 from .spectral import (DiracOperator, Spectrum, build_operator,
                        default_zero_tolerance, eigen_spectrum, mode_residual,
-                       susy_partners, windowed_singular_modes)
+                       windowed_singular_modes)
 from .reduction import (ChannelVerdict, DegeneracyReport, ReductionConfig,
                         admissible_channels, constant_field_degeneracy,
                         default_n_range, degeneracy_general, quantize_ky,
@@ -38,12 +38,12 @@ __all__ = [
     "__version__",
     # errors
     "ZmlError", "ProfileError", "GridError", "PaddingError",
-    "QuadratureError", "CapExceededError", "EigenSolveError",
-    "ClusterResolutionError",
+    "QuadratureError", "EigenSolveError", "ClusterResolutionError",
     # profiles
-    "DIM_LINE", "DIM_RADIAL", "FieldProfile", "Flux", "Grid1D", "box",
-    "bump", "make_profile", "piecewise_linear", "sample", "scale_profile",
-    "total_flux", "truncated_gaussian",
+    "DEFAULT_RTOL", "DIM_LINE", "DIM_RADIAL", "MAX_GRID_POINTS",
+    "FieldProfile", "Flux", "Grid1D", "box", "bump", "make_profile",
+    "piecewise_linear", "sample", "scale_profile", "total_flux",
+    "truncated_gaussian",
     # potential
     "ScalarPotential", "RadialScalarPotential", "GaugePhase", "alpha_gauge",
     "check_padding", "lambda_1d", "lambda_2d_radial", "poisson_residual",
@@ -56,8 +56,7 @@ __all__ = [
     "sector_for_label",
     # spectral
     "DiracOperator", "Spectrum", "build_operator", "default_zero_tolerance",
-    "eigen_spectrum", "mode_residual", "susy_partners",
-    "windowed_singular_modes",
+    "eigen_spectrum", "mode_residual", "windowed_singular_modes",
     # reduction
     "ReductionConfig", "ChannelVerdict", "DegeneracyReport",
     "admissible_channels", "constant_field_degeneracy", "default_n_range",

@@ -13,7 +13,6 @@ non-convergence, unresolved level clusters).
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -89,21 +88,26 @@ def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_finite(v):
-    # json.loads accepts NaN and Infinity; an integer too large for a float
-    # is no more usable
+def _all_finite(values):
+    """Every value is an int or float (not a bool) and finite as a float.
+
+    One type pass and one ``np.isfinite``: json.loads accepts NaN and
+    Infinity, and an integer too large for a float is no more usable.
+    """
+    if not set(map(type, values)) <= {int, float}:
+        return False
     try:
-        return _is_num(v) and math.isfinite(v)
+        return bool(np.isfinite(np.array(values, dtype=float)).all())
     except OverflowError:
         return False
 
 
 def _check(value, kind, path):
     if kind == "num":
-        if not _is_finite(value):
+        if not _all_finite([value]):
             raise ConfigError(f"{path} must be a finite number")
     elif kind == "positive":
-        if not (_is_finite(value) and value > 0):
+        if not (_all_finite([value]) and value > 0):
             raise ConfigError(f"{path} must be a finite number > 0")
     elif kind in ("int", "nonneg_int"):
         if not (isinstance(value, int) and not isinstance(value, bool)):
@@ -117,8 +121,7 @@ def _check(value, kind, path):
         if not isinstance(value, bool):
             raise ConfigError(f"{path} must be a boolean")
     elif kind == "numlist":
-        if not (isinstance(value, list) and value
-                and all(_is_finite(v) for v in value)):
+        if not (isinstance(value, list) and value and _all_finite(value)):
             raise ConfigError(f"{path} must be a non-empty list of finite "
                               "numbers")
     elif kind == "intlist":

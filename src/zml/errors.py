@@ -6,7 +6,6 @@ __all__ = [
     "GridError",
     "PaddingError",
     "QuadratureError",
-    "CapExceededError",
     "EigenSolveError",
     "ClusterResolutionError",
 ]
@@ -47,10 +46,6 @@ class QuadratureError(ZmlError, ArithmeticError):
         super().__init__(message)
         self.requested = requested
         self.achieved = achieved
-
-
-class CapExceededError(ZmlError, ValueError):
-    """Dense assembly of an operator above the dense-assembly cap."""
 
 
 class EigenSolveError(ZmlError, ArithmeticError):

@@ -280,8 +280,8 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     provides it and from gap-splitting the deepest admissible channel's full
     spectrum otherwise, and unresolvable clusters raise
     ClusterResolutionError instead of guessing.  Nothing is assembled
-    densely above 300 points, so any grid size is accepted.  Channels are
-    processed in ascending n and the report is deterministic.
+    densely, so any grid size is accepted.  Channels are processed in
+    ascending n and the report is deterministic.
     """
     if int(level) != level or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level}")

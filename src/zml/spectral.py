@@ -14,16 +14,17 @@ operator
     H = [[0, M], [M^T, 0]],      M = D + diag(W),
 
 whose spectrum is symmetric about zero: the eigenvalues are exactly the
-+-singular values of M.  ``eigen_spectrum`` takes the full spectrum by one
-of two paths, chosen by size:
-
-- m <= 300: eigendecomposition of the assembled 2m x 2m matrix, the more
-  accurate for the smallest singular values;
-- m > 300: eigenvalues of the pentadiagonal M^T M (sign-split afterwards),
-  O(m^2).
-
-Only dense assembly (``m_matrix``, ``matrix``, ``susy_partners``) is
-capped, at DENSE_CAP interior points.
++-singular values of M.  ``eigen_spectrum`` takes them by one path for
+every size: the eigenvalues of the pentadiagonal M^T M (``eig_banded``,
+O(m^2)), whose square roots are the singular values.  Squaring costs a
+singular value s an absolute error of about eps ||M^T M|| / s, which
+falls on the near-null values the zero-mode count rests on, so every value
+that may lie below the zero tolerance is then refined on M itself: block
+inverse iteration gives their singular subspace in O(m) per step, and the
+values are the singular values of M restricted to it (Rayleigh-Ritz), free
+of the squaring loss (cf. Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11,
+873 (1990), on the accuracy of small singular values).  Nothing is
+assembled densely.
 
 Channel sweeps need no full spectrum.  The number of singular values below
 s is the number of eigenvalues of M^T M below s^2, which Sylvester's law of
@@ -52,22 +53,19 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import CapExceededError, EigenSolveError, GridError, ProfileError
+from .errors import EigenSolveError, GridError, ProfileError
 from .potential import check_padding, vector_potential_y
 from .profiles import DEFAULT_RTOL
 
 __all__ = [
     "DiracOperator",
     "Spectrum",
-    "DENSE_CAP",
     "build_operator",
+    "default_zero_tolerance",
     "eigen_spectrum",
     "mode_residual",
-    "susy_partners",
     "windowed_singular_modes",
 ]
-
-DENSE_CAP = 4000
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,33 +87,14 @@ class DiracOperator:
     def size(self):
         return self.w_values.size
 
-    def m_matrix(self):
-        """Dense M = D + diag(W); sub/super diagonals are -/+ 1/(2h)."""
-        m = self.size
-        if m > DENSE_CAP:
-            raise CapExceededError(
-                f"dense assembly of a {m}x{m} block refused (cap {DENSE_CAP})")
-        c = 1.0 / (2.0 * self.h)
-        mat = np.diag(self.w_values.copy())
-        idx = np.arange(m - 1)
-        mat[idx, idx + 1] = c
-        mat[idx + 1, idx] = -c
-        return mat
-
-    @property
-    def matrix(self):
-        """Dense symmetric 2m x 2m block matrix [[0, M], [M^T, 0]]."""
-        mm = self.m_matrix()
-        m = self.size
-        full = np.zeros((2 * m, 2 * m))
-        full[:m, m:] = mm
-        full[m:, :m] = mm.T
-        return full
-
     def m_matvec(self, v):
-        """(D + W) v with Dirichlet neighbours outside the interior."""
+        """(D + W) v with Dirichlet neighbours outside the interior.
+
+        ``v`` is a vector or a block of columns; the product takes its dtype
+        when that is wider than float64.
+        """
         c = 1.0 / (2.0 * self.h)
-        out = self.w_values * v
+        out = (self.w_values * v.T).T
         out[:-1] += c * v[1:]
         out[1:] -= c * v[:-1]
         return out
@@ -159,8 +138,8 @@ def build_operator(profile, k_y, grid, rtol=DEFAULT_RTOL,
     """Discretize the channel k_y of a line profile on the grid interior.
 
     A_y is computed analytically through the same quadrature engine as the
-    potentials.  The operator is stored by its diagonal W, so any size is
-    accepted; only dense assembly is capped (``DiracOperator.m_matrix``).
+    potentials.  The operator is stored by its diagonal W and never
+    assembled, so any size is accepted.
     """
     if profile.is_radial:
         raise ProfileError("build_operator needs a line profile")
@@ -197,32 +176,79 @@ def _check_tau(bmax, tau):
 def eigen_spectrum(op, tau=None):
     """Full symmetric spectrum of the channel operator, ascending.
 
-    Up to 300 interior points the assembled block matrix is diagonalized,
-    which resolves the smallest singular values best.  Above that the
-    spectrum is the +-square roots of the eigenvalues of the pentadiagonal
-    M^T M, which the chiral block structure makes exact.
+    The eigenvalues are the +- singular values of M, which are the square
+    roots of the eigenvalues of the pentadiagonal M^T M (``eig_banded``);
+    the chiral block structure makes the pairing exact.  Squaring leaves a
+    singular value s an absolute error of about eps ||M^T M|| / s, so every
+    value that may lie below tau is then refined on M itself
+    (``_refine_near_null``) before the near-zero count is taken.
     """
     if tau is None:
         tau = default_zero_tolerance(op)
     tau = float(tau)
     _check_tau(op.bmax, tau)
-    path = "dense" if op.size <= 300 else "banded"
+    band = op.mtm_band()
     try:
-        if path == "dense":
-            vals = scipy.linalg.eigh(op.matrix, eigvals_only=True)
-        else:
-            ev = scipy.linalg.eig_banded(op.mtm_band(), lower=True,
-                                         eigvals_only=True)
-            s = np.sqrt(np.clip(ev, 0.0, None))
-            vals = np.sort(np.concatenate([-s, s]))
+        ev = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)
+        s = np.sqrt(np.clip(ev, 0.0, None))
+        # every value whose square the rounding of eig_banded (far below
+        # sqrt(eps) ||M^T M||) may have put on the wrong side of tau^2
+        k = int(np.sum(ev < tau * tau + math.sqrt(np.finfo(float).eps)
+                           * _mtm_norm(band)))
+        if k:
+            s[:k] = _refine_near_null(op, band, s, k)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(
             f"symmetric eigensolver failed for channel k_y={op.k_y} "
-            f"(m={op.size}, {path}): {exc}") from exc
-    # eigenvalues inside (-tau, tau) arrive in +-pairs (one pair per
-    # near-null singular value), so halving counts zero MODES, not states
-    count = int(np.sum(np.abs(vals) < tau)) // 2
+            f"(m={op.size}): {exc}") from exc
+    s.sort()
+    # one near-null singular value is one zero MODE, one +-pair of states
+    count = int(np.sum(s < tau))
+    vals = np.concatenate([-s[::-1], s])
     return Spectrum(eigenvalues=vals, zero_tolerance=tau, near_zero_count=count)
+
+
+def _mtm_norm(band):
+    """Bound on ||M^T M|| from its lower band form (largest row sum)."""
+    return float(np.max(np.abs(band[0])) + 2.0 * np.max(np.abs(band[1]))
+                 + 2.0 * np.max(np.abs(band[2])))
+
+
+def _refine_near_null(op, band, s, k):
+    """The k smallest singular values of M, ascending, refined on M itself.
+
+    ``s`` are all singular values as square roots of the eigenvalues of
+    M^T M (band form ``band``), ascending.  Block inverse iteration with
+    (M^T M + delta I)^-1, one O(m) band Cholesky solve per step from a fixed
+    start block, converges to the singular subspace of the smallest values,
+    and the refined values are the singular values of the m x b product M V
+    (Rayleigh-Ritz on M): the squared operator only steers the subspace,
+    whose error enters the values to second order.
+
+    - The block holds the k values and every value up to the first factor
+      16 in the shifted squares s^2 + delta, so each step shrinks the rest
+      of the spectrum in V by 16 or more and eight steps converge however
+      close to tau the k-th value lies.
+    - delta = 32 eps ||M^T M|| exceeds the rounding of forming and
+      factoring M^T M, so the factorization cannot fail even for an exactly
+      singular M; the shift leaves the eigenvectors as they are.
+    - M V is formed in extended precision (``np.longdouble``) and rounded
+      once: its rows cancel down to the size of s, and forming them in
+      double leaves an error of up to about eps ||M|| in them.  Where the
+      platform's long double is double, that is the accuracy.
+    """
+    m = op.size
+    delta = 32.0 * np.finfo(float).eps * _mtm_norm(band)
+    shifted = s * s + delta
+    block = max(k, int(np.searchsorted(shifted, 16.0 * shifted[k - 1])))
+    spd = band.copy()
+    spd[0] += delta
+    factor = scipy.linalg.cholesky_banded(spd, lower=True)
+    v = np.random.default_rng(0).uniform(-1.0, 1.0, (m, block))
+    for _ in range(8):
+        v, _ = np.linalg.qr(scipy.linalg.cho_solve_banded((factor, True), v))
+    mv = op.m_matvec(v.astype(np.longdouble)).astype(float)
+    return scipy.linalg.svdvals(mv)[::-1][:k]
 
 
 def mode_residual(op, mode, drop_edge=0):
@@ -251,17 +277,6 @@ def mode_residual(op, mode, drop_edge=0):
     return float(np.linalg.norm(resid)) / denom
 
 
-def susy_partners(op):
-    """The squared chiral blocks (H_minus, H_plus) = (M^T M, M M^T).
-
-    Their nonzero spectra coincide exactly; zero modes of H_minus / H_plus
-    are the b / a sector zero modes, and the two null dimensions add up to
-    the near-zero count of the full block operator.
-    """
-    mm = op.m_matrix()
-    return mm.T @ mm, mm @ mm.T
-
-
 def _count_below(band, sigma):
     """Number of eigenvalues below sigma of the pentadiagonal M^T M.
 
@@ -280,9 +295,7 @@ def _count_below(band, sigma):
     diag = (band[0] - sigma).tolist()
     sub1 = [0.0] + band[1, :-1].tolist()         # A[i, i-1]
     sub2 = [0.0, 0.0] + band[2, :-2].tolist()    # A[i, i-2]
-    norm = float(np.max(np.abs(band[0])) + 2.0 * np.max(np.abs(band[1]))
-                 + 2.0 * np.max(np.abs(band[2])))   # bounds ||M^T M||
-    pivmin = math.sqrt(np.finfo(float).eps) * norm
+    pivmin = math.sqrt(np.finfo(float).eps) * _mtm_norm(band)
     count = 0
     d2 = d1 = 1.0    # pivots of rows i-2 and i-1
     l1 = 0.0         # L[i-1, i-2]

@@ -1,0 +1,22 @@
+"""The package namespace re-exports exactly the submodules' public names."""
+
+import importlib
+
+import zml
+
+SUBMODULES = ("errors", "profiles", "potential", "zeromodes", "spectral",
+              "reduction")
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in zml.__all__ if not hasattr(zml, name)]
+    assert missing == []
+
+
+def test_exports_are_the_submodule_exports():
+    # a name removed from its submodule cannot linger in the package
+    names = {"__version__"}
+    for sub in SUBMODULES:
+        names |= set(importlib.import_module(f"zml.{sub}").__all__)
+    assert len(zml.__all__) == len(set(zml.__all__))
+    assert set(zml.__all__) == names

@@ -108,6 +108,10 @@ class TestConfigValidation:
         ("scan", "k_list", [math.nan, math.inf, -math.inf, 0.5]),
         ("scan", "k_list", [0.5, math.nan]),
         ("scan", "k_list", [10 ** 400]),
+        ("scan", "k_list", [0.5, True]),
+        ("scan", "k_list", [0.5, "1"]),
+        ("scan", "k_list", []),
+        ("scan", "k_list", [0.5, 10 ** 400]),
     ])
     def test_non_finite_number_rejected(self, tmp_path, capsys, command,
                                         field, value):

@@ -7,15 +7,33 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, strategies as st
 
-from zml.errors import CapExceededError, GridError
+from zml.errors import GridError
 from zml.potential import required_padding
 from zml.profiles import Grid1D, box, total_flux, truncated_gaussian
 from zml.reduction import (ReductionConfig, _smooth_bulk_weight,
                            verify_degeneracy)
 from zml.spectral import (DiracOperator, _count_below, build_operator,
-                          eigen_spectrum, mode_residual, susy_partners,
+                          eigen_spectrum, mode_residual,
                           windowed_singular_modes)
 from zml.zeromodes import SECTOR_B, build_mode_1d
+
+
+def dense_m(op):
+    """Dense M = D + diag(W) of a channel operator, the reference for its
+    spectra: sub/super diagonals -/+ 1/(2h)."""
+    m = op.size
+    c = 1.0 / (2.0 * op.h)
+    mat = np.diag(op.w_values)
+    idx = np.arange(m - 1)
+    mat[idx, idx + 1] = c
+    mat[idx + 1, idx] = -c
+    return mat
+
+
+def reference_spectrum(op):
+    """Eigenvalues of [[0, M], [M^T, 0]], ascending, from a dense SVD of M."""
+    s = scipy.linalg.svdvals(dense_m(op))
+    return np.concatenate([-s, s[::-1]])
 
 
 def free_operator(n=202, half_width=10.0):
@@ -35,28 +53,35 @@ class TestBuildOperator:
         assert w[np.argmin(np.abs(x + 3.0))] == pytest.approx(-2.0, rel=1e-12)
 
     def test_matrix_is_exactly_symmetric(self):
+        # the block [[0, M], [M^T, 0]] that the matrix-free products apply
+        # is exactly symmetric, and M is the dense reference
         op = build_operator(box(1.0, 2.0), 0.7, Grid1D(-17.0, 17.0, 102),
                             enforce_padding=False)
-        h = op.matrix
+        m = op.size
+        mm = op.m_matvec(np.eye(m))
+        mt = np.column_stack([op.mt_matvec(e) for e in np.eye(m)])
+        h = np.block([[np.zeros((m, m)), mm], [mt, np.zeros((m, m))]])
         assert np.array_equal(h, h.T)
+        assert np.array_equal(mm, dense_m(op))
+        band = op.mtm_band()
+        mtm = mm.T @ mm
+        for j in range(3):
+            np.testing.assert_allclose(band[j, :m - j], np.diag(mtm, -j),
+                                       rtol=1e-14, atol=1e-12)
 
     def test_cap_enforced(self):
-        # only dense assembly is capped (m > 4000); an operator and a
-        # level-0 sweep are O(m) and take any size
+        # no size cap: an operator and a level-0 sweep are O(m), and nothing
+        # is assembled densely
         grid = Grid1D(-32.0, 32.0, 5002)
         op = build_operator(box(1.0, 2.0), 0.0, grid)
         assert op.size == 5000
-        for dense in (op.m_matrix, lambda: op.matrix,
-                      lambda: susy_partners(op)):
-            with pytest.raises(CapExceededError):
-                dense()
         cfg = ReductionConfig(L_y=2.0 * math.pi, n_range=(-3, 3))
         rep = verify_degeneracy(box(1.0, 2.0), cfg, 0, grid)
         assert rep.g_numeric == rep.admissible_count == 3
 
     def test_free_operator_matches_central_difference(self):
         op = free_operator(12)
-        m = op.m_matrix()
+        m = op.m_matvec(np.eye(op.size))
         c = 1.0 / (2.0 * op.h)
         assert np.all(np.diag(m) == 0.0)
         assert np.all(np.diag(m, 1) == c)
@@ -87,21 +112,38 @@ class TestEigenSpectrum:
                                    atol=1e-10)
 
     def test_methods_agree(self):
-        # each size's path against eigh of the assembled block: m = 160 is
-        # diagonalized densely, m = 400 through the banded M^T M.  Squaring
-        # costs the banded path ~eps ||M^T M|| / s in a singular value s,
-        # above 1e-8 only at the near-null pair of m = 400 (s = 2.7e-6,
-        # off by 1.1e-8); that loss is why small channels stay dense
-        eps = np.finfo(float).eps
+        # the whole spectrum against a dense SVD of M, for a small and a
+        # large channel
         for n in (162, 402):
             op = build_operator(box(1.0, 2.0), 0.4, Grid1D(-21.0, 21.0, n))
-            ref = scipy.linalg.eigh(op.matrix, eigvals_only=True)
             got = eigen_spectrum(op, tau=0.1).eigenvalues
-            mtm_norm = np.linalg.norm(op.m_matrix(), 2) ** 2
-            tol = np.maximum(1e-8, 10.0 * eps * mtm_norm / np.abs(ref))
-            assert np.all(np.abs(got - ref) <= tol)
-            if n == 162:
-                np.testing.assert_array_equal(got, ref)
+            np.testing.assert_allclose(got, reference_spectrum(op), rtol=0.0,
+                                       atol=1e-8)
+
+    @pytest.mark.parametrize("n", [162, 302, 402, 1002])
+    def test_near_null_value_matches_dense_svd(self, n):
+        # squaring M costs a singular value s ~eps ||M^T M|| / s: the
+        # eigenvalues of M^T M alone put this one off by 2.0e-9 at n = 1002
+        op = build_operator(box(1.0, 2.0), 0.4, Grid1D(-21.0, 21.0, n))
+        spec = eigen_spectrum(op, tau=0.1)
+        ref = scipy.linalg.svdvals(dense_m(op))[-1]
+        assert spec.near_zero_count == 1
+        assert abs(np.min(np.abs(spec.eigenvalues)) - ref) <= 1e-14
+
+    def test_near_null_value_large_grid(self):
+        # pinned from a dense SVD of the 3000 x 3000 M, which takes about
+        # 7 s, too slow for the suite.  The eigenvalues of M^T M alone put
+        # it at 0.0
+        op = build_operator(box(1.0, 2.0), 0.4, Grid1D(-21.0, 21.0, 3002))
+        smallest = np.min(np.abs(eigen_spectrum(op, tau=0.1).eigenvalues))
+        assert smallest == pytest.approx(4.7104695425e-7, rel=1e-9,
+                                         abs=0.0)
+        if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+            # M V formed in extended precision: the value of an inverse
+            # iteration run wholly in long double; rounding M V in double
+            # misses it by up to ~5e-10
+            assert smallest == pytest.approx(4.71046954025e-7,
+                                             rel=1e-11, abs=0.0)
 
     def test_counts_inside_and_outside_window(self):
         p = box(1.0, 2.0)
@@ -161,7 +203,15 @@ class TestModeResidual:
             mode_residual(op, mode)
 
 
+def susy_partners(op):
+    """The squared chiral blocks (H_minus, H_plus) = (M^T M, M M^T)."""
+    mm = dense_m(op)
+    return mm.T @ mm, mm @ mm.T
+
+
 class TestSusyPartners:
+    # zero modes of H_minus / H_plus are the b / a sector zero modes; the
+    # nonzero spectra coincide exactly
     @pytest.fixture
     def op(self):
         return build_operator(box(1.0, 5.0), 0.0, Grid1D(-35.0, 35.0, 702))
@@ -285,6 +335,36 @@ class TestChiralPairing:
         op = random_operator(m, h, k, noise, seed)
         vals = eigen_spectrum(op, tau=TAU).eigenvalues
         np.testing.assert_allclose(vals, -vals[::-1], rtol=0.0, atol=1e-10)
+
+
+class TestDenseReference:
+    @given(gauss=st.booleans(), b0=st.floats(0.5, 1.5),
+           negative=st.booleans(), a=st.floats(0.8, 2.0),
+           k=st.floats(-3.0, 3.0), m=st.integers(20, 600),
+           extent=st.floats(4.0, 20.0), frac=st.floats(0.01, 0.45))
+    @example(gauss=False, b0=1.0, negative=False, a=2.0, k=0.4, m=600,
+             extent=21.0, frac=0.05)
+    @example(gauss=True, b0=1.2, negative=True, a=1.5, k=0.3, m=301,
+             extent=15.0, frac=0.2)
+    def test_matches_dense_svd(self, gauss, b0, negative, a, k, m, extent,
+                               frac):
+        # small and large channels alike; tau runs up to just below half
+        # the first Landau gap, where counts still mean zero modes
+        b0 = -b0 if negative else b0
+        profile = truncated_gaussian(b0, a / 3.0, a) if gauss else box(b0, a)
+        op = build_operator(profile, k, Grid1D(-extent, extent, m + 2),
+                            enforce_padding=False)
+        tau = frac * math.sqrt(2.0 * abs(b0))
+        ref = scipy.linalg.svdvals(dense_m(op))[::-1]
+        spec = eigen_spectrum(op, tau=tau)
+        s = spec.eigenvalues[m:]
+        np.testing.assert_array_equal(spec.eigenvalues[:m], -s[::-1])
+        np.testing.assert_allclose(s, ref, rtol=0.0, atol=1e-8)
+        below = ref < tau
+        np.testing.assert_allclose(s[below], ref[below], rtol=0.0,
+                                   atol=1e-13)
+        if np.min(np.abs(ref - tau)) > 1e-9:
+            assert spec.near_zero_count == int(np.sum(below))
 
 
 class TestWindowedModes:
