@@ -20,7 +20,7 @@ from .potential import (GaugePhase, RadialScalarPotential, ScalarPotential,
                         lambda_2d_radial, poisson_residual, required_padding,
                         vector_potential_y)
 from .zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE, Mode2D, OpenInterval,
-                        ScanEntry, SpinSector, ZeroMode, ZeroModeCount2D,
+                        SpinSector, ZeroMode, ZeroModeCount2D,
                         admissible_k_interval, build_mode_1d, build_mode_2d,
                         count_2d_zero_modes, holomorphy_residual, scan_k,
                         sector_for_label)
@@ -50,7 +50,7 @@ __all__ = [
     "required_padding", "vector_potential_y",
     # zeromodes
     "SpinSector", "SECTOR_A", "SECTOR_B", "SECTOR_NONE", "OpenInterval",
-    "ZeroMode", "Mode2D", "ZeroModeCount2D", "ScanEntry",
+    "ZeroMode", "Mode2D", "ZeroModeCount2D",
     "admissible_k_interval", "build_mode_1d", "build_mode_2d",
     "count_2d_zero_modes", "holomorphy_residual", "scan_k",
     "sector_for_label",

@@ -341,9 +341,8 @@ def cmd_scan(cfg, out):
     entries = scan_k(profile, sector, cfg["k_list"], grid, rtol=rtol)
     q = total_flux(profile, rtol=rtol).value
     # one table, formatted once for both files
-    table = Table({"k": [e.k for e in entries],
-                   "normalizable": [e.normalizable for e in entries],
-                   "l2_norm": [e.l2_norm for e in entries]})
+    table = Table({"k": entries.k, "normalizable": entries.normalizable,
+                   "l2_norm": entries.l2_norm})
     out.json("scan.json", {"Q": q, "sector": sector.label, "entries": table})
     out.csv("scan.csv", table)
 

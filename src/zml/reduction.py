@@ -188,9 +188,10 @@ def _check_sweep_padding(profile, q, cfg, channels, grid):
             if p > need:
                 need, worst = p, ch.n
     if min(left, right) < need:
+        who = "the padding floor" if worst is None else f"channel n={worst}"
         raise PaddingError(
             f"sweep grid provides padding {left:.3g}/{right:.3g} past the "
-            f"support but channel n={worst} requires >= {need:.3g}",
+            f"support but {who} requires >= {need:.3g}",
             required=need, available=min(left, right))
     return min(left, right)
 

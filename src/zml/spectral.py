@@ -163,8 +163,9 @@ def default_zero_tolerance(op):
 
 
 def _check_tau(bmax, tau):
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    # written so that nan fails too: it would count nothing, inf everything
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if bmax > 0.0:
         gap = math.sqrt(2.0 * bmax)
         if tau >= 0.5 * gap:

@@ -38,7 +38,6 @@ __all__ = [
     "ZeroMode",
     "Mode2D",
     "ZeroModeCount2D",
-    "ScanEntry",
     "admissible_k_interval",
     "build_mode_1d",
     "scan_k",
@@ -134,13 +133,6 @@ class ZeroModeCount2D:
     integer_flux: bool        # there the strict tail rule gives n_modes - 1
 
 
-@dataclass(frozen=True)
-class ScanEntry:
-    k: float
-    normalizable: bool
-    l2_norm: float
-
-
 def _flux_value(flux):
     if isinstance(flux, Flux):
         return flux.value
@@ -224,16 +216,20 @@ def build_mode_1d(profile, k, sector, grid, rtol=DEFAULT_RTOL,
 def scan_k(profile, sector, k_list, grid, rtol=DEFAULT_RTOL):
     """Per-k normalizability verdicts and norms over a list of k values.
 
+    Returns one numpy record array in the order of k_list, so its len is
+    len(k_list).  Its fields ``k`` (float), ``normalizable`` (bool) and
+    ``l2_norm`` (float, inf where not normalizable) are 1-D columns, and
+    each row carries the same three fields as attributes.
+
     Verdicts are exact (slope test); they are true precisely on the open
     interval from admissible_k_interval.  The base convolution is built once;
     the verdicts are one array comparison, and the norms of the admissible k
     are taken in blocks of _SCAN_BLOCK values, each one (block x n) matrix of
     log samples gamma (lambda_0 + k x) and one row-wise Simpson pass, so the
     temporaries stay a few block x n arrays (0.5 MB each at n = 121) however
-    long k_list is.  Norms
-    are computed on the given grid, so near the window edges (where the
-    padding rule would demand enormous grids) they are truncation-limited;
-    the verdict is unaffected.
+    long k_list is.  Norms are computed on the given grid, so near the window
+    edges (where the padding rule would demand enormous grids) they are
+    truncation-limited; the verdict is unaffected.
     """
     if sector is SECTOR_NONE or not isinstance(sector, SpinSector):
         raise ValueError("scan_k needs sector a or b")
@@ -248,8 +244,8 @@ def scan_k(profile, sector, k_list, grid, rtol=DEFAULT_RTOL):
         rows = admissible[start:start + _SCAN_BLOCK]
         log_rows = sector.gamma * (base.values + ks[rows, None] * x)
         norms[rows] = _shifted_norms(log_rows, x)
-    return [ScanEntry(k=k, normalizable=v, l2_norm=n)
-            for k, v, n in zip(ks.tolist(), ok.tolist(), norms.tolist())]
+    return np.rec.fromarrays((ks, ok, norms),
+                             names=("k", "normalizable", "l2_norm"))
 
 
 def count_2d_zero_modes(flux):

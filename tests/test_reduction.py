@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zml.errors import ClusterResolutionError, PaddingError
+from zml.potential import PADDING_FLOOR
 from zml.profiles import Grid1D, box
 from zml.reduction import (ReductionConfig, admissible_channels,
                            constant_field_degeneracy, default_n_range,
@@ -163,9 +164,30 @@ class TestVerifyDegeneracy:
         assert [ch.n for ch in edge] == [-5, 5]
         assert [ch.near_zero_count for ch in edge] == [0, 0]
 
+    def test_continuum_limit_h_halving(self):
+        # the headline g = 10 sweep with h halved twice: discrepancy = 1 is a
+        # finite-padding effect, so the counts hold and the level-1 weights
+        # converge as h -> 0
+        profile = box(1.0, 5.0)
+        cfg = ReductionConfig(L_y=TWO_PI, n_range=(-8, 8), B_const=1.0,
+                              L_x=10.0)
+        counts, weights = [], []
+        for n in (3002, 6003, 12005):
+            grid = Grid1D(-35.0, 35.0, n)
+            rep0 = verify_degeneracy(profile, cfg, 0, grid)
+            rep1 = verify_degeneracy(profile, cfg, 1, grid)
+            assert (rep0.g_numeric, rep1.g_numeric) == (9, 9)
+            counts.append([ch.near_zero_count for ch in rep0.channels])
+            weights.append([ch.level_weight for ch in rep1.channels])
+        assert counts[0] == counts[1] == counts[2]
+        moves = np.max(np.abs(np.diff(weights, axis=0)), axis=1)
+        assert np.all(moves < 1e-2)
+        assert moves[1] < moves[0]
+
     def test_nonpositive_zero_tol_rejected(self, setup6):
         profile, cfg, grid = setup6
-        for tau in (0.0, -0.1):
+        # nan would count nothing and inf everything
+        for tau in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="tau must be positive"):
                 verify_degeneracy(profile, cfg, 0, grid, zero_tol=tau)
 
@@ -194,3 +216,14 @@ class TestVerifyDegeneracy:
         cfg = ReductionConfig(L_y=TWO_PI, n_range=(-4, 4))
         with pytest.raises(PaddingError):
             verify_degeneracy(profile, cfg, 0, Grid1D(-8.0, 8.0, 402))
+
+    def test_insufficient_padding_names_floor(self):
+        # no admissible channel needs more than the floor, so the floor
+        # sets the requirement and no channel is named
+        profile = box(0.0, 2.0)
+        cfg = ReductionConfig(L_y=TWO_PI, n_range=(-2, 2))
+        with pytest.raises(PaddingError) as info:
+            verify_degeneracy(profile, cfg, 0, Grid1D(-4.0, 4.0, 101))
+        assert "None" not in str(info.value)
+        assert "floor" in str(info.value)
+        assert info.value.required == PADDING_FLOOR == 5.0

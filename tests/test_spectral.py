@@ -163,6 +163,13 @@ class TestEigenSpectrum:
         with pytest.raises(ValueError):
             eigen_spectrum(free_operator())
 
+    def test_non_finite_tau_rejected(self):
+        # nan would report no near-zero value, inf all of them
+        op = build_operator(box(1.0, 2.0), 0.0, Grid1D(-17.0, 17.0, 102))
+        for tau in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                eigen_spectrum(op, tau=tau)
+
     def test_tau_gap_warning(self):
         op = build_operator(box(1.0, 2.0), 0.0, Grid1D(-17.0, 17.0, 102))
         with pytest.warns(UserWarning):

@@ -188,8 +188,9 @@ def _check_against_modes(profile, sector, k_list, grid):
        n=st.integers(3, 160))
 def test_scan_matches_per_k_modes(profile, fractions, length, seed,
                                   container, n):
-    """Across block boundaries, every scan entry of either sector has the
-    verdict of build_mode_1d at its k and its norm to 4 ulp; k values are
+    """Across block boundaries, every scan row of either sector has the
+    verdict of build_mode_1d at its k and its norm to 4 ulp, and the scan's
+    columns are 1-D float, bool and float arrays in k_list order; k values are
     drawn from a few multiples of Q/2 (the edges exactly among them) in a
     random order, so each distinct k needs one reference mode."""
     half_q = 0.5 * total_flux(profile).value
@@ -199,7 +200,14 @@ def test_scan_matches_per_k_modes(profile, fractions, length, seed,
     lo, hi = profile.support
     grid = Grid1D(lo - 6.0, hi + 6.0, n)
     for sector in (SECTOR_A, SECTOR_B):
-        _check_against_modes(profile, sector, k_list, grid)
+        scan = _check_against_modes(profile, sector, k_list, grid)
+        # the result is its columns: one 1-D array per field, k_list order
+        assert len(scan) == len(k_list)
+        for column, dtype in ((scan.k, float), (scan.normalizable, bool),
+                              (scan.l2_norm, float)):
+            assert isinstance(column, np.ndarray)
+            assert column.ndim == 1 and column.dtype == dtype
+        np.testing.assert_array_equal(scan.k, np.asarray(k_list, float))
 
 
 def test_scan_norm_overflows_while_normalizable():
