@@ -318,10 +318,8 @@ def cmd_modes(cfg, out):
     k = cfg.get("k", 0.0)
     rtol = _tol(cfg, "quadrature_tol", DEFAULT_RTOL)
     mode = build_mode_1d(profile, k, sector, grid, rtol=rtol)
-    # the flux the verdict was taken with, not one at the default tolerance
-    q = total_flux(profile, rtol=rtol).value
     out.json("modes.json", {
-        "Q": q, "sector": sector.label, "k": mode.k,
+        "Q": mode.flux.value, "sector": sector.label, "k": mode.k,
         "normalizable": mode.normalizable,
         "l2_norm": mode.l2_norm,
     })
@@ -338,12 +336,13 @@ def cmd_scan(cfg, out):
     grid = _build_grid(cfg)
     sector = _sector(cfg)
     rtol = _tol(cfg, "quadrature_tol", DEFAULT_RTOL)
-    entries = scan_k(profile, sector, cfg["k_list"], grid, rtol=rtol)
-    q = total_flux(profile, rtol=rtol).value
+    base = lambda_1d(profile, 0.0, grid, rtol=rtol, enforce_padding=False)
+    entries = scan_k(base, sector, cfg["k_list"])
     # one table, formatted once for both files
     table = Table({"k": entries.k, "normalizable": entries.normalizable,
                    "l2_norm": entries.l2_norm})
-    out.json("scan.json", {"Q": q, "sector": sector.label, "entries": table})
+    out.json("scan.json", {"Q": base.flux.value, "sector": sector.label,
+                           "entries": table})
     out.csv("scan.csv", table)
 
 
@@ -419,11 +418,12 @@ def cmd_modes2d(cfg, out):
     for j in cfg["j_list"]:
         if j < 0:
             raise ConfigError(f"j_list entries must be >= 0, got {j}")
-    flux = total_flux(profile, rtol=rtol)
-    count = count_2d_zero_modes(flux)
-    modes = [build_mode_2d(profile, j, grid, rtol=rtol) for j in cfg["j_list"]]
+    # one potential, one flux and one convolution, for every j
+    pot = lambda_2d_radial(profile, grid, rtol=rtol)
+    count = count_2d_zero_modes(pot.flux)
+    modes = [build_mode_2d(pot, j) for j in cfg["j_list"]]
     out.json("modes2d.json", {
-        "Phi": flux.value,
+        "Phi": pot.flux.value,
         "N": count.n_modes, "sector": count.sector.label,
         "flux_over_2pi": count.flux_over_2pi,
         "integer_flux": count.integer_flux,

@@ -23,6 +23,7 @@ degeneracy-formula total to within one unit.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -325,7 +326,11 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
         vals = np.array([])
         if admissible:
             deepest = min(admissible, key=lambda item: item[0])[1]
-            vals = eigen_spectrum(deepest, tau=tau0).eigenvalues
+            # tau0 was checked above; one warning per sweep is enough
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", message="zero tolerance .* "
+                                        "is not below half the first gap")
+                vals = eigen_spectrum(deepest, tau=tau0).eigenvalues
             vals = vals[vals > 2.0 * tau0]
         center = _detect_cluster_center(vals, level, ctol)
     s_lo, s_hi = profile.support

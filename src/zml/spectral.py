@@ -55,7 +55,7 @@ import scipy.sparse.linalg
 
 from .errors import EigenSolveError, GridError, ProfileError
 from .potential import check_padding, vector_potential_y
-from .profiles import DEFAULT_RTOL
+from .profiles import DEFAULT_RTOL, total_flux
 
 __all__ = [
     "DiracOperator",
@@ -146,7 +146,8 @@ def build_operator(profile, k_y, grid, rtol=DEFAULT_RTOL,
     if grid.n - 2 < 2:
         raise GridError("operator needs at least 2 interior points")
     if enforce_padding:
-        check_padding(profile, k_y, grid)
+        check_padding(profile, k_y, grid,
+                      Q=total_flux(profile, rtol=rtol).value)
     x = grid.points()[1:-1]
     ay = vector_potential_y(profile, x, rtol=rtol)
     return DiracOperator(grid=grid, k_y=float(k_y), interior_x=x,

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .potential import lambda_1d, lambda_2d_radial
-from .profiles import DEFAULT_RTOL, Flux, total_flux
+from .errors import ProfileError
+from .potential import RadialScalarPotential, check_padding, lambda_1d
+from .profiles import DEFAULT_RTOL, Flux
 
 __all__ = [
     "SpinSector",
@@ -91,10 +92,15 @@ class OpenInterval:
 
 @dataclass(frozen=True, eq=False)
 class ZeroMode:
-    """Candidate 1D zero mode exp(gamma lambda_k), sampled in log space."""
+    """Candidate 1D zero mode exp(gamma lambda_k), sampled in log space.
+
+    ``flux`` is the Flux of the lambda_k the mode was built from, the Q its
+    verdict was taken with.
+    """
 
     sector: SpinSector
     k: float
+    flux: Flux
     grid: object
     log_values: np.ndarray
     values: np.ndarray        # exp(log) where representable, else nan
@@ -191,30 +197,35 @@ def build_mode_1d(profile, k, sector, grid, rtol=DEFAULT_RTOL,
                   enforce_padding=True):
     """Construct the sector's candidate mode for linear coefficient k.
 
-    The normalizability verdict comes from the slope test alone;
-    the L2 norm is quadrature over the grid extent and is flagged infinite
+    lambda_k is built once; the normalizability verdict is the slope test
+    on its exact slopes alone, and its flux is kept as ``ZeroMode.flux``.
+    The L2 norm is quadrature over the grid extent and is flagged infinite
     for non-normalizable modes.
     """
     if sector is SECTOR_NONE or not isinstance(sector, SpinSector):
         raise ValueError("build_mode_1d needs sector a or b")
-    q = total_flux(profile, rtol=rtol).value
-    normalizable = _slope_test(sector, k - 0.5 * q, k + 0.5 * q)
+    pot = lambda_1d(profile, k, grid, rtol=rtol, enforce_padding=False)
+    normalizable = _slope_test(sector, pot.slope_left, pot.slope_right)
     # the padding rule protects decaying tails; a mode this sector cannot
     # normalize has none, so only normalizable builds enforce it
-    pot = lambda_1d(profile, k, grid, rtol=rtol,
-                    enforce_padding=enforce_padding and normalizable)
+    if enforce_padding and normalizable:
+        check_padding(profile, k, grid, Q=pot.flux.value)
     log_values = sector.gamma * pot.values
     if normalizable:
         norm = _shifted_norms(log_values[None, :], grid.points())[0]
     else:
         norm = math.inf
-    return ZeroMode(sector=sector, k=float(k), grid=grid,
+    return ZeroMode(sector=sector, k=float(k), flux=pot.flux, grid=grid,
                     log_values=log_values, values=_representable(log_values),
                     l2_norm=norm, normalizable=normalizable)
 
 
-def scan_k(profile, sector, k_list, grid, rtol=DEFAULT_RTOL):
+def scan_k(base, sector, k_list):
     """Per-k normalizability verdicts and norms over a list of k values.
+
+    ``base`` is lambda_0, the ScalarPotential from lambda_1d at k = 0; the
+    rows are gamma (lambda_0 + k x) on its grid, so any other k raises
+    ValueError.
 
     Returns one numpy record array in the order of k_list, so its len is
     len(k_list).  Its fields ``k`` (float), ``normalizable`` (bool) and
@@ -222,22 +233,24 @@ def scan_k(profile, sector, k_list, grid, rtol=DEFAULT_RTOL):
     each row carries the same three fields as attributes.
 
     Verdicts are exact (slope test); they are true precisely on the open
-    interval from admissible_k_interval.  The base convolution is built once;
-    the verdicts are one array comparison, and the norms of the admissible k
-    are taken in blocks of _SCAN_BLOCK values, each one (block x n) matrix of
-    log samples gamma (lambda_0 + k x) and one row-wise Simpson pass, so the
-    temporaries stay a few block x n arrays (0.5 MB each at n = 121) however
-    long k_list is.  Norms are computed on the given grid, so near the window
-    edges (where the padding rule would demand enormous grids) they are
-    truncation-limited; the verdict is unaffected.
+    interval from admissible_k_interval.  The slopes of lambda_0 + k x are
+    those of lambda_0 shifted by k, so the verdicts are one array comparison
+    on base.slope_left and base.slope_right, and the norms of the admissible
+    k are taken in blocks of _SCAN_BLOCK values, each one (block x n) matrix
+    of log samples gamma (lambda_0 + k x) and one row-wise Simpson pass, so
+    the temporaries stay a few block x n arrays (0.5 MB each at n = 121)
+    however long k_list is.  Norms are computed on base's grid, so near the
+    window edges (where the padding rule would demand enormous grids) they
+    are truncation-limited; the verdict is unaffected.
     """
     if sector is SECTOR_NONE or not isinstance(sector, SpinSector):
         raise ValueError("scan_k needs sector a or b")
-    base = lambda_1d(profile, 0.0, grid, rtol=rtol, enforce_padding=False)
-    q = base.flux.value
-    x = grid.points()
+    if base.k != 0.0:
+        raise ValueError(f"scan_k needs lambda_0 as its base, "
+                         f"got k = {base.k}")
+    x = base.grid.points()
     ks = np.asarray(k_list, dtype=float)
-    ok = _slope_test(sector, ks - 0.5 * q, ks + 0.5 * q)
+    ok = _slope_test(sector, ks + base.slope_left, ks + base.slope_right)
     norms = np.full(ks.shape, math.inf)
     admissible = np.flatnonzero(ok)
     for start in range(0, admissible.size, _SCAN_BLOCK):
@@ -252,46 +265,46 @@ def count_2d_zero_modes(flux):
     """Zero-mode count of the radially symmetric plane problem.
 
     n_modes is the integer part of |Phi|/2pi (modes j = 0 .. n_modes-1) in
-    the b sector for positive flux, a for negative.  When |Phi|/2pi is an
-    integer the topmost mode j = n_modes - 1 sits exactly on the
-    integrability boundary and the strict tail rule rejects it; such inputs
-    are flagged rather than silently resolved.
+    the sector admissible_k_interval picks for Phi: b for positive flux, a
+    for negative, none for zero.  When |Phi|/2pi is an integer the topmost
+    mode j = n_modes - 1 sits exactly on the integrability boundary and the
+    strict tail rule rejects it; such inputs are flagged rather than
+    silently resolved.
     """
     phi = _flux_value(flux)
     ratio = abs(phi) / (2.0 * math.pi)
     n = int(math.floor(ratio))
     integer_flux = ratio > 0.0 and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)
-    if phi > 0.0:
-        sector = SECTOR_B
-    elif phi < 0.0:
-        sector = SECTOR_A
-    else:
-        sector = SECTOR_NONE
+    sector, _ = admissible_k_interval(phi)
     return ZeroModeCount2D(sector=sector, n_modes=n, flux_over_2pi=ratio,
                            integer_flux=integer_flux)
 
 
-def build_mode_2d(profile, j, grid, rtol=DEFAULT_RTOL):
+def build_mode_2d(pot, j):
     """Radial mode r^j exp(gamma lambda) with its strict tail verdict.
 
-    The squared-norm integrand scales like r^tail_exponent with
+    ``pot`` is the sampled radial lambda, a RadialScalarPotential; one
+    potential serves every j, and its flux Phi fixes the tail and the
+    sector.  The squared-norm integrand scales like r^tail_exponent with
     tail_exponent = 2j + 1 - |Phi|/pi, so the mode is normalizable iff that
-    exponent is < -1.  The sector follows the flux sign (b-like decay
-    exp(-lambda) for Phi >= 0).
+    exponent is < -1.  The sector is admissible_k_interval's for Phi, with
+    b-like decay exp(-lambda) at Phi = 0.
     """
+    if not isinstance(pot, RadialScalarPotential):
+        raise ProfileError("build_mode_2d needs a radial potential "
+                           "(RadialScalarPotential)")
     if int(j) != j or j < 0:
         raise ValueError(f"j must be a non-negative integer, got {j}")
     j = int(j)
-    pot = lambda_2d_radial(profile, grid, rtol=rtol)
     phi = pot.flux.value
-    sector = SECTOR_B if phi > 0.0 else (SECTOR_A if phi < 0.0 else SECTOR_NONE)
-    gamma = sector.gamma if sector is not SECTOR_NONE else -1
-    r = grid.points()
+    sector, _ = admissible_k_interval(phi)
+    gamma = sector.gamma or -1
+    r = pot.grid.points()
     with np.errstate(divide="ignore"):
         log_r = np.log(r)
     log_values = j * log_r + gamma * pot.values if j > 0 else gamma * pot.values
     tail = 2.0 * j + 1.0 - abs(phi) / math.pi
-    return Mode2D(j=j, sector=sector, grid=grid, log_values=log_values,
+    return Mode2D(j=j, sector=sector, grid=pot.grid, log_values=log_values,
                   values=_representable(log_values), tail_exponent=tail,
                   normalizable=bool(tail < -1.0))
 

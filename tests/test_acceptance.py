@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from zml.cli import EXIT_OK, main as cli_main
-from zml.potential import (alpha_gauge, lambda_1d, poisson_residual,
-                           required_padding)
+from zml.potential import (alpha_gauge, lambda_1d, lambda_2d_radial,
+                           poisson_residual, required_padding)
 from zml.profiles import DIM_RADIAL, Grid1D, box, bump, total_flux, truncated_gaussian
 from zml.reduction import ReductionConfig, verify_degeneracy
 from zml.spectral import build_operator, eigen_spectrum, mode_residual
@@ -77,8 +77,9 @@ def test_criterion_03_admissibility_sharpness():
     profile = box(1.0, 2.0)
     grid = Grid1D(-30.0, 30.0, 601)
     ks = [-2.1, -2.0, -1.9, 0.0, 1.9, 2.0, 2.1]
-    got_b = [e.normalizable for e in scan_k(profile, SECTOR_B, ks, grid)]
-    got_a = [e.normalizable for e in scan_k(profile, SECTOR_A, ks, grid)]
+    base = lambda_1d(profile, 0.0, grid, enforce_padding=False)
+    got_b = [e.normalizable for e in scan_k(base, SECTOR_B, ks)]
+    got_a = [e.normalizable for e in scan_k(base, SECTOR_A, ks)]
     assert got_b == [False, False, True, True, True, False, False]
     assert got_a == [False] * 7
     report(3, f"scan_k verdicts sector b {got_b}, sector a all False")
@@ -156,7 +157,8 @@ def test_criterion_09_plane_counting():
     disc = box(7.0 / 4.0, 2.0, dimension=DIM_RADIAL)   # Phi = 2 pi * 3.5
     flux = total_flux(disc)
     assert flux.value == pytest.approx(TWO_PI * 3.5, rel=1e-12)
-    verdicts = [build_mode_2d(disc, j, grid).normalizable for j in range(4)]
+    pot = lambda_2d_radial(disc, grid)
+    verdicts = [build_mode_2d(pot, j).normalizable for j in range(4)]
     assert verdicts == [True, True, True, False]
     count = count_2d_zero_modes(flux)
     assert (count.sector.label, count.n_modes) == ("b", 3)

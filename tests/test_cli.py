@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from zml import _quadrature
 from zml.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from zml.profiles import Grid1D, bump, total_flux
 
@@ -434,6 +435,125 @@ class TestModes2D:
                         j_list=[0])
         code, _, err = run_cli(capsys, "modes2d", "--config", cfg)
         assert code == EXIT_CONFIG
+
+    def test_golden_bytes(self, tmp_path, capsys):
+        # Phi = 7 pi, so N = 3 in sector b; at r = 0 the j = 1 mode has
+        # log psi = -inf, an empty cell, and psi = 0
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, profile={"kind": "box", "B0": 1.75, "a": 2.0,
+                                           "dimension": "radial-plane"},
+                        grid={"x_lo": 0.0, "x_hi": 10.0, "n": 11},
+                        j_list=[0, 1], out_dir=str(out))
+        code, stdout, _ = run_cli(capsys, "modes2d", "--config", cfg)
+        assert code == EXIT_OK
+        golden = (
+            '{\n'
+            '  "N": 3,\n'
+            '  "Phi": 2.19911485751e+01,\n'
+            '  "flux_over_2pi": 3.50000000000e+00,\n'
+            '  "integer_flux": false,\n'
+            '  "modes": [\n'
+            '    {\n'
+            '      "j": 0,\n'
+            '      "normalizable": true,\n'
+            '      "tail_exponent": -6.00000000000e+00\n'
+            '    },\n'
+            '    {\n'
+            '      "j": 1,\n'
+            '      "normalizable": true,\n'
+            '      "tail_exponent": -4.00000000000e+00\n'
+            '    }\n'
+            '  ],\n'
+            '  "sector": "b"\n'
+            '}\n')
+        assert stdout == golden
+        assert (out / "modes2d.json").read_text() == golden
+        assert (out / "modes2d.csv").read_text() == (
+            "j,r,log_psi,psi\n"
+            "0,0.00000000000e+00,-6.76015131960e-01,5.08639821905e-01\n"
+            "0,1.00000000000e+00,-1.11351513196e+00,3.28402551495e-01\n"
+            "0,2.00000000000e+00,-2.42601513196e+00,8.83883476483e-02\n"
+            "0,3.00000000000e+00,-3.84514301034e+00,2.13833433033e-02\n"
+            "0,4.00000000000e+00,-4.85203026392e+00,7.81250000000e-03\n"
+            "0,5.00000000000e+00,-5.63303269352e+00,3.57770876400e-03\n"
+            "0,6.00000000000e+00,-6.27115814230e+00,1.89003838178e-03\n"
+            "0,7.00000000000e+00,-6.81068552169e+00,1.10193723909e-03\n"
+            "0,8.00000000000e+00,-7.27804539588e+00,6.90533966002e-04\n"
+            "0,9.00000000000e+00,-7.69028602068e+00,4.57247370828e-04\n"
+            "0,1.00000000000e+01,-8.05904782548e+00,3.16227766017e-04\n"
+            "1,0.00000000000e+00,,0.00000000000e+00\n"
+            "1,1.00000000000e+00,-1.11351513196e+00,3.28402551495e-01\n"
+            "1,2.00000000000e+00,-1.73286795140e+00,1.76776695297e-01\n"
+            "1,3.00000000000e+00,-2.74653072167e+00,6.41500299100e-02\n"
+            "1,4.00000000000e+00,-3.46573590280e+00,3.12500000000e-02\n"
+            "1,5.00000000000e+00,-4.02359478109e+00,1.78885438200e-02\n"
+            "1,6.00000000000e+00,-4.47939867307e+00,1.13402302907e-02\n"
+            "1,7.00000000000e+00,-4.86477537264e+00,7.71356067366e-03\n"
+            "1,8.00000000000e+00,-5.19860385420e+00,5.52427172802e-03\n"
+            "1,9.00000000000e+00,-5.49306144334e+00,4.11522633745e-03\n"
+            "1,1.00000000000e+01,-5.75646273249e+00,3.16227766017e-03\n")
+
+        # modes2d, count and flux report the same Phi at the same tolerance,
+        # which for this bump differs from the default-tolerance Phi
+        profile = {"kind": "bump", "B0": 1.7, "a": 2.1,
+                   "dimension": "radial-plane"}
+        tol = {"quadrature_tol": 1e-3}
+        reported = []
+        for command in ("modes2d", "count", "flux"):
+            cfg = write_cfg(tmp_path, f"{command}.json", profile=profile,
+                            grid={"x_lo": 0.0, "x_hi": 10.0, "n": 21},
+                            j_list=[0], tolerances=tol,
+                            out_dir=str(tmp_path / command))
+            code, stdout, _ = run_cli(capsys, command, "--config", cfg)
+            assert code == EXIT_OK
+            reported.append(json.loads(stdout)["Phi"])
+        radial = bump(1.7, 2.1, dimension="radial-plane")
+        assert abs(reported[0] - total_flux(radial).value) > 1e-7
+        assert reported[0] == reported[1] == reported[2]
+
+
+def _counting(calls, name, kernel):
+    def counted(*args):
+        calls.append((name, args[-1]))   # rtol is the last argument
+        return kernel(*args)
+    return counted
+
+
+def test_one_flux_and_one_convolution_per_stage(tmp_path, capsys,
+                                                monkeypatch):
+    # every stage takes its flux once and each convolution at most once, all
+    # at the configured quadrature_tol (bump fields: no closed-form flux)
+    calls = []
+    for name in ("flux", "convolve_abs", "convolve_sign",
+                 "convolve_log_radial"):
+        monkeypatch.setattr(_quadrature, name,
+                            _counting(calls, name, getattr(_quadrature, name)))
+    line = {"kind": "bump", "B0": 4.0, "a": 2.0}
+    radial = dict(line, dimension="radial-plane")
+    grid = {"x_lo": -45.0, "x_hi": 45.0, "n": 301}
+    stages = {
+        "flux": dict(profile=line),
+        "potential": dict(profile=line, grid=grid),
+        "modes": dict(profile=line, grid=grid, sector="b"),
+        "scan": dict(profile=line, grid=grid, sector="b",
+                     k_list=[-1.0, 0.0, 2.5, 6.0]),
+        "spectrum": dict(profile=line, grid=grid, k_y=0.0),
+        "modes2d": dict(profile=radial, j_list=[0, 1, 2, 3],
+                        grid={"x_lo": 0.0, "x_hi": 10.0, "n": 41}),
+        "count": dict(profile=radial),
+        "verify": dict(profile=line, grid=grid, Ly=2 * math.pi),
+    }
+    for command, cfg in stages.items():
+        calls.clear()
+        path = write_cfg(tmp_path, f"{command}.json",
+                         tolerances={"quadrature_tol": 1e-9},
+                         out_dir=str(tmp_path / command), **cfg)
+        code, _, err = run_cli(capsys, command, "--config", path)
+        assert code == EXIT_OK, (command, err)
+        names = [name for name, _ in calls]
+        assert names.count("flux") == 1, (command, names)
+        assert len(names) <= 2, (command, names)
+        assert all(rtol == 1e-9 for _, rtol in calls), (command, calls)
 
 
 class TestNumericalFailureExit:

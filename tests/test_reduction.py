@@ -203,6 +203,12 @@ class TestVerifyDegeneracy:
         profile, cfg, grid = setup6
         with pytest.warns(UserWarning, match="first gap"):
             verify_degeneracy(profile, cfg, 0, grid, zero_tol=0.75)
+        # level 1 without B_const takes the cluster centre from the deepest
+        # channel's spectrum at the same tau; the sweep still warns once
+        cfg = ReductionConfig(L_y=TWO_PI, n_range=(-4, 4))
+        with pytest.warns(UserWarning, match="first gap") as record:
+            verify_degeneracy(profile, cfg, 1, grid, zero_tol=0.75)
+        assert sum("first gap" in str(w.message) for w in record) == 1
 
     def test_zero_flux_counts_zero(self):
         profile = box(0.0, 2.0)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zml.errors import ProfileError
+from zml.potential import lambda_1d, lambda_2d_radial
 from zml.profiles import (DIM_RADIAL, Grid1D, box, bump, piecewise_linear,
                           total_flux, truncated_gaussian)
 from zml.zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE,
@@ -89,20 +91,29 @@ class TestScanK:
     def test_window_booleans_for_q4(self):
         g = Grid1D(-30.0, 30.0, 601)
         ks = [-2.1, -2.0, -1.9, 0.0, 1.9, 2.0, 2.1]
-        got = [e.normalizable for e in scan_k(box(1.0, 2.0), SECTOR_B, ks, g)]
+        base = lambda_1d(box(1.0, 2.0), 0.0, g, enforce_padding=False)
+        got = [e.normalizable for e in scan_k(base, SECTOR_B, ks)]
         assert got == [False, False, True, True, True, False, False]
-        got_a = [e.normalizable for e in scan_k(box(1.0, 2.0), SECTOR_A, ks, g)]
+        got_a = [e.normalizable for e in scan_k(base, SECTOR_A, ks)]
         assert got_a == [False] * 7
 
     def test_zero_flux_all_false(self):
         g = Grid1D(-10.0, 10.0, 101)
-        entries = scan_k(box(0.0, 1.0), SECTOR_B, [-1.0, 0.0, 1.0], g)
+        base = lambda_1d(box(0.0, 1.0), 0.0, g, enforce_padding=False)
+        entries = scan_k(base, SECTOR_B, [-1.0, 0.0, 1.0])
         assert all(not e.normalizable for e in entries)
         assert all(e.l2_norm == math.inf for e in entries)
 
+    def test_base_must_be_lambda_0(self):
+        g = Grid1D(-30.0, 30.0, 601)
+        base = lambda_1d(box(1.0, 2.0), 0.5, g, enforce_padding=False)
+        with pytest.raises(ValueError, match="lambda_0"):
+            scan_k(base, SECTOR_B, [0.0])
+
     def test_endpoints_excluded(self):
         g = Grid1D(-30.0, 30.0, 601)
-        entries = scan_k(box(1.0, 2.0), SECTOR_B, [-2.0, 2.0], g)
+        base = lambda_1d(box(1.0, 2.0), 0.0, g, enforce_padding=False)
+        entries = scan_k(base, SECTOR_B, [-2.0, 2.0])
         assert [e.normalizable for e in entries] == [False, False]
 
     def test_interval_sharpness_random(self, rng):
@@ -117,7 +128,8 @@ class TestScanK:
                 continue
             g = Grid1D(-a - 8.0, a + 8.0, 201)
             ks = rng.uniform(-1.5 * abs(q), 1.5 * abs(q), size=8)
-            for entry in scan_k(p, sector, ks, g):
+            base = lambda_1d(p, 0.0, g, enforce_padding=False)
+            for entry in scan_k(base, sector, ks):
                 assert entry.normalizable == iv.contains(entry.k)
 
     def test_sector_exclusivity_random(self, rng):
@@ -125,9 +137,10 @@ class TestScanK:
             b0 = float(rng.uniform(-2.0, 2.0))
             p = box(b0, 1.3)
             g = Grid1D(-12.0, 12.0, 201)
+            base = lambda_1d(p, 0.0, g, enforce_padding=False)
             for k in rng.uniform(-3.0, 3.0, size=5):
-                na = scan_k(p, SECTOR_A, [k], g)[0].normalizable
-                nb = scan_k(p, SECTOR_B, [k], g)[0].normalizable
+                na = scan_k(base, SECTOR_A, [k])[0].normalizable
+                nb = scan_k(base, SECTOR_B, [k])[0].normalizable
                 assert not (na and nb)
                 q = total_flux(p).value
                 if q != 0.0 and abs(k) < 0.5 * abs(q):
@@ -165,7 +178,8 @@ def _same_norm(got, want):
 
 
 def _check_against_modes(profile, sector, k_list, grid):
-    entries = scan_k(profile, sector, k_list, grid)
+    entries = scan_k(lambda_1d(profile, 0.0, grid, enforce_padding=False),
+                     sector, k_list)
     assert len(entries) == len(k_list)
     modes = {}
     for k, entry in zip(k_list, entries):
@@ -266,24 +280,32 @@ class TestBuildMode2D:
 
     def test_tail_exponents(self, disc35):
         g = Grid1D(0.0, 30.0, 61)
-        tails = {j: build_mode_2d(disc35, j, g) for j in range(4)}
+        pot = lambda_2d_radial(disc35, g)
+        tails = {j: build_mode_2d(pot, j) for j in range(4)}
         assert tails[2].tail_exponent == pytest.approx(-2.0, abs=1e-12)
         assert tails[3].tail_exponent == pytest.approx(0.0, abs=1e-12)
         assert [tails[j].normalizable for j in range(4)] == [True, True, True, False]
 
     def test_zero_flux_mode_never_normalizable(self):
         g = Grid1D(0.0, 10.0, 21)
-        mode = build_mode_2d(box(0.0, 1.0, dimension=DIM_RADIAL), 0, g)
+        mode = build_mode_2d(
+            lambda_2d_radial(box(0.0, 1.0, dimension=DIM_RADIAL), g), 0)
         assert mode.tail_exponent == pytest.approx(1.0)
         assert not mode.normalizable
 
+    def test_line_potential_rejected(self):
+        g = Grid1D(-10.0, 10.0, 21)
+        with pytest.raises(ProfileError, match="radial"):
+            build_mode_2d(lambda_1d(box(1.0, 2.0), 0.0, g,
+                                    enforce_padding=False), 0)
+
     def test_negative_j_rejected(self, disc35):
         with pytest.raises(ValueError):
-            build_mode_2d(disc35, -1, Grid1D(0.0, 10.0, 11))
+            build_mode_2d(lambda_2d_radial(disc35, Grid1D(0.0, 10.0, 11)), -1)
 
     def test_values_match_log(self, disc35):
         g = Grid1D(0.0, 10.0, 41)
-        mode = build_mode_2d(disc35, 2, g)
+        mode = build_mode_2d(lambda_2d_radial(disc35, g), 2)
         r = g.points()
         assert mode.values[0] == 0.0  # r^j kills the origin for j >= 1
         inner = mode.log_values[1:]
@@ -292,7 +314,7 @@ class TestBuildMode2D:
     def test_negative_flux_uses_a_sector(self):
         p = box(-1.25, 2.0, dimension=DIM_RADIAL)  # Phi = -2 pi * 2.5
         g = Grid1D(0.0, 20.0, 41)
-        mode = build_mode_2d(p, 0, g)
+        mode = build_mode_2d(lambda_2d_radial(p, g), 0)
         assert mode.sector is SECTOR_A
         assert mode.normalizable
         assert mode.tail_exponent == pytest.approx(1.0 - 5.0, abs=1e-12)
