@@ -107,22 +107,26 @@ def required_padding(Q, k):
     return PADDING_FLOOR
 
 
-def check_padding(profile, k, grid, Q=None):
-    """Raise PaddingError naming the required padding if the grid is short."""
-    if Q is None:
-        Q = total_flux(profile).value
+def check_padding(profile, k, grid, Q):
+    """Padding the grid provides past the support on its shorter side.
+
+    Raise PaddingError naming the padding ``required_padding(Q, k)`` asks
+    for if the grid provides less; the message says when the floor sets it.
+    """
     need = required_padding(Q, k)
     s_lo, s_hi = profile.support
     left = s_lo - grid.x_lo
     right = grid.x_hi - s_hi
     have = min(left, right)
     if have < need:
+        floor = " (the padding floor)" if need == PADDING_FLOOR else ""
         raise PaddingError(
             f"grid [{grid.x_lo}, {grid.x_hi}] extends only {left:.3g} (left) / "
             f"{right:.3g} (right) past the support [{s_lo}, {s_hi}]; "
-            f"k={k} with Q={Q} requires padding >= {need:.3g} on each side",
+            f"k={k} with Q={Q} requires padding >= {need:.3g} on each "
+            f"side{floor}",
             required=need, available=have)
-    return need
+    return have
 
 
 def lambda_1d(profile, k, grid, rtol=DEFAULT_RTOL, enforce_padding=True):

@@ -7,32 +7,39 @@ length |Q| centred at zero (one gauge serves every channel of a sweep), so
 the analytic degeneracy is g = floor(|Q| L_y / 2 pi); for a constant field
 over a strip of width L_x this reduces to the familiar floor(B L_x L_y/2pi).
 
-``verify_degeneracy`` reconciles that count with the spectral oracle.  Level
-zero sums near-zero mode counts per channel.  Excited levels need more care
-on a lattice with compactly supported fields, for two measured reasons:
-central differences host a staggered ("doubler") twin of every level, and
-channels near the window edge lose their excited state to the continuum
-outright (the level sits above the flat-region floor (|Q|/2 - |k_y|)^2, so
-no eigenvector is localized there; only a washed-out density remains).  The
-excited-level count is therefore taken as the bulk-projected spectral
-weight: each non-doubler eigenstate in the level window contributes its
-probability weight inside the field support.  Cleanly bound Landau states
-contribute ~1 (their weight is 1 - O(e^-30)) and the continuum contributes
-precisely the in-sample density of the dissolved states, which restores the
-degeneracy-formula total to within one unit.
+``verify_degeneracy`` reconciles that count with the spectral oracle from
+the line primitives: one ``build_operator`` at k_y = 0 gives the base
+operator, whose W is A_y, and channel n is that base with W shifted by
+k_gauge + k_y; ``admissible_k_interval`` decides the window and one
+``check_padding`` call the grid.  Level zero sums near-zero mode counts per
+channel.  Excited levels need more care on a lattice with compactly
+supported fields, for two measured reasons: central differences host a
+staggered ("doubler") twin of every level, and channels near the window edge
+lose their excited state to the continuum outright (the level sits above the
+flat-region floor (|Q|/2 - |k_y|)^2, so no eigenvector is localized there;
+only a washed-out density remains).  The excited-level count is therefore
+taken as the bulk-projected spectral weight: each non-doubler eigenstate in
+the level window contributes its probability weight inside the field
+support.  Cleanly bound Landau states contribute ~1 (their weight is 1 -
+O(e^-30)) and the continuum contributes precisely the in-sample density of
+the dissolved states, which restores the degeneracy-formula total to within
+one unit.  Without B_const the level centre is read off the deepest
+admissible channel's M^T M eigenvalues.
 """
 
+import dataclasses
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClusterResolutionError, PaddingError
-from .potential import PADDING_FLOOR, required_padding, vector_potential_y
+from .errors import ClusterResolutionError
+from .potential import check_padding
 from .profiles import DEFAULT_RTOL, total_flux
-from .spectral import (DiracOperator, _check_tau, _count_below,
-                       eigen_spectrum, windowed_singular_modes)
+from .spectral import (_check_tau, _count_below, _mtm_eigenvalues,
+                       build_operator, default_zero_tolerance,
+                       windowed_singular_modes)
+from .zeromodes import admissible_k_interval
 
 __all__ = [
     "ReductionConfig",
@@ -67,6 +74,8 @@ class ReductionConfig:
     def __post_init__(self):
         if not (math.isfinite(self.L_y) and self.L_y > 0.0):
             raise ValueError(f"L_y must be finite and positive, got {self.L_y}")
+        if not math.isfinite(self.k_gauge):
+            raise ValueError(f"k_gauge must be finite, got {self.k_gauge}")
         if self.n_range is not None:
             lo, hi = self.n_range
             if int(lo) != lo or int(hi) != hi or lo > hi:
@@ -145,14 +154,15 @@ def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
     q = total_flux(profile, rtol=rtol).value
     n_range = cfg.n_range or default_n_range(q, cfg.L_y, cfg.k_gauge)
     kys = quantize_ky(cfg.L_y, n_range)
+    window = admissible_k_interval(q)[1]
     half = 0.5 * abs(q)
     edge_tol = 1e-9 * max(1.0, half)
     channels = []
     for n, ky in zip(range(n_range[0], n_range[1] + 1), kys):
-        depth = abs(cfg.k_gauge + ky)
+        k = cfg.k_gauge + ky
         channels.append(ChannelVerdict(
-            n=n, k_y=float(ky), admissible=bool(depth < half),
-            on_window_edge=bool(abs(depth - half) <= edge_tol)))
+            n=n, k_y=float(ky), admissible=bool(window.contains(k)),
+            on_window_edge=bool(abs(abs(k) - half) <= edge_tol)))
     g_real = abs(q) * cfg.L_y / TWO_PI
     g = int(math.floor(g_real))
     report = DegeneracyReport(Q=q, L_y=cfg.L_y, g_analytic_real=g_real,
@@ -177,32 +187,12 @@ def constant_field_degeneracy(cfg):
     return int(math.floor(cfg.B_const * cfg.L_x * cfg.L_y / TWO_PI))
 
 
-def _check_sweep_padding(profile, q, cfg, channels, grid):
-    s_lo, s_hi = profile.support
-    left = s_lo - grid.x_lo
-    right = grid.x_hi - s_hi
-    need = PADDING_FLOOR
-    worst = None
-    for ch in channels:
-        if ch.admissible:
-            p = required_padding(q, cfg.k_gauge + ch.k_y)
-            if p > need:
-                need, worst = p, ch.n
-    if min(left, right) < need:
-        who = "the padding floor" if worst is None else f"channel n={worst}"
-        raise PaddingError(
-            f"sweep grid provides padding {left:.3g}/{right:.3g} past the "
-            f"support but {who} requires >= {need:.3g}",
-            required=need, available=min(left, right))
-    return min(left, right)
-
-
-def _sweep_zero_tolerance(bmax, min_pad):
+def _sweep_zero_tolerance(base, min_pad):
     # stay below both a tenth of the Landau gap and half the first rung of
     # the flat-region ladder that window-edge channels develop
     scales = [0.5 * math.pi / (4.0 * min_pad)]
-    if bmax > 0.0:
-        scales.append(0.1 * math.sqrt(2.0 * bmax))
+    if base.bmax > 0.0:
+        scales.append(default_zero_tolerance(base))
     return min(scales)
 
 
@@ -272,37 +262,46 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
                       cluster_tol=None, rtol=DEFAULT_RTOL):
     """Reconcile the analytic degeneracy with the spectral oracle.
 
-    Level 0 sums per-channel near-zero mode counts at tolerance ``zero_tol``
-    (default: below both the Landau scale and the finite-padding edge-ladder
-    scale); each count is one O(m) inertia count of M^T M at tau^2, so no
-    channel needs its full spectrum.  Level m >= 1 totals the bulk-projected
-    weight of non-doubler states within ``cluster_tol`` of the m-th level
-    center and rounds, taking each channel's windowed vectors by
+    Every channel is one base operator (``build_operator`` at k_y = 0, the
+    sweep's one A_y convolution) with W shifted by k_gauge + k_y.  The grid
+    is checked once, by ``check_padding`` at the admissible channel farthest
+    from k = 0, which needs the most padding (the floor when none is
+    admissible).  Level 0 sums per-channel near-zero mode counts at
+    tolerance ``zero_tol`` (default: below both the Landau scale and the
+    finite-padding edge-ladder scale); each count is one O(m) inertia count
+    of M^T M at tau^2, so no channel needs its full spectrum.  Level m >= 1
+    totals the bulk-projected weight of non-doubler states within
+    ``cluster_tol`` (default: a tenth of the first Landau gap) of the m-th
+    level center and rounds, taking each channel's windowed vectors by
     shift-invert Lanczos; the center comes from B_const when the config
-    provides it and from gap-splitting the deepest admissible channel's full
-    spectrum otherwise, and unresolvable clusters raise
-    ClusterResolutionError instead of guessing.  Nothing is assembled
-    densely, so any grid size is accepted.  Channels are processed in
-    ascending n and the report is deterministic.
+    provides it and otherwise from gap-splitting the singular values above
+    2 tau of the deepest admissible channel, the square roots of its M^T M
+    eigenvalues; unresolvable clusters raise ClusterResolutionError instead
+    of guessing.  Nothing is assembled densely, so any grid size is
+    accepted.  Channels are processed in ascending n and the report is
+    deterministic.
     """
     if int(level) != level or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level}")
     level = int(level)
-    if cluster_tol is not None and not cluster_tol > 0.0:
-        raise ValueError(f"cluster_tol must be positive, got {cluster_tol}")
+    # written so that nan fails too; inf would put every value in the window
+    if cluster_tol is not None and not 0.0 < cluster_tol < math.inf:
+        raise ValueError(f"cluster_tol must be positive and finite, "
+                         f"got {cluster_tol}")
     report = admissible_channels(profile, cfg, rtol=rtol)
-    q = report.Q
-    min_pad = _check_sweep_padding(profile, q, cfg, report.channels, grid)
-    x_int = grid.points()[1:-1]
-    ay = vector_potential_y(profile, x_int, rtol=rtol)
-    bmax = float(profile.max_abs())
-    tau0 = zero_tol if zero_tol is not None else _sweep_zero_tolerance(bmax, min_pad)
-    _check_tau(bmax, tau0)
+    # inside the window the padding a channel needs grows with |k|, so the
+    # admissible channel farthest from k = 0 binds; without one, the floor
+    ks = [cfg.k_gauge + ch.k_y for ch in report.channels]
+    inside = [i for i, ch in enumerate(report.channels) if ch.admissible]
+    k_bind = ks[max(inside, key=lambda i: abs(ks[i]))] if inside else ks[0]
+    min_pad = check_padding(profile, k_bind, grid, Q=report.Q)
+    base = build_operator(profile, 0.0, grid, rtol=rtol,
+                          enforce_padding=False)
+    tau0 = zero_tol if zero_tol is not None else _sweep_zero_tolerance(base, min_pad)
+    _check_tau(base.bmax, tau0)
     ops = []
-    for ch in report.channels:
-        op = DiracOperator(grid=grid, k_y=ch.k_y, interior_x=x_int,
-                           w_values=(cfg.k_gauge + ch.k_y) + ay,
-                           h=grid.h, bmax=bmax)
+    for k, ch in zip(ks, report.channels):
+        op = dataclasses.replace(base, k_y=ch.k_y, w_values=k + base.w_values)
         ch.near_zero_count = _count_below(op.mtm_band(), tau0 * tau0)
         ops.append(op)
     report.level = level
@@ -314,26 +313,24 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
 
     ctol = cluster_tol
     if ctol is None:
-        if bmax <= 0.0:
+        if base.bmax <= 0.0:
             raise ClusterResolutionError("field-free sweep has no level "
                                          "structure to cluster")
-        ctol = 0.1 * math.sqrt(2.0 * bmax)
+        ctol = default_zero_tolerance(base)
     if cfg.B_const is not None:
         center = math.sqrt(2.0 * level * cfg.B_const)
     else:
-        admissible = [(abs(cfg.k_gauge + ch.k_y), op)
-                      for ch, op in zip(report.channels, ops) if ch.admissible]
         vals = np.array([])
-        if admissible:
-            deepest = min(admissible, key=lambda item: item[0])[1]
-            # tau0 was checked above; one warning per sweep is enough
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", message="zero tolerance .* "
-                                        "is not below half the first gap")
-                vals = eigen_spectrum(deepest, tau=tau0).eigenvalues
+        if inside:
+            deepest = ops[min(inside, key=lambda i: abs(ks[i]))]
+            # the values above 2 tau are the plain square roots: the
+            # near-null refinement of eigen_spectrum never reaches them
+            ev = _mtm_eigenvalues(deepest, deepest.mtm_band())
+            vals = np.sqrt(np.clip(ev, 0.0, None))
             vals = vals[vals > 2.0 * tau0]
         center = _detect_cluster_center(vals, level, ctol)
     s_lo, s_hi = profile.support
+    x_int = base.interior_x
     support_mask = ((x_int >= s_lo) & (x_int <= s_hi)).astype(float)
     lo, hi = max(center - ctol, 0.0), center + ctol
     total = 0.0

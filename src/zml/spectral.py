@@ -190,24 +190,34 @@ def eigen_spectrum(op, tau=None):
     tau = float(tau)
     _check_tau(op.bmax, tau)
     band = op.mtm_band()
-    try:
-        ev = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)
-        s = np.sqrt(np.clip(ev, 0.0, None))
-        # every value whose square the rounding of eig_banded (far below
-        # sqrt(eps) ||M^T M||) may have put on the wrong side of tau^2
-        k = int(np.sum(ev < tau * tau + math.sqrt(np.finfo(float).eps)
-                           * _mtm_norm(band)))
-        if k:
+    ev = _mtm_eigenvalues(op, band)
+    s = np.sqrt(np.clip(ev, 0.0, None))
+    # every value whose square the rounding of eig_banded (far below
+    # sqrt(eps) ||M^T M||) may have put on the wrong side of tau^2
+    k = int(np.sum(ev < tau * tau + math.sqrt(np.finfo(float).eps)
+                       * _mtm_norm(band)))
+    if k:
+        try:
             s[:k] = _refine_near_null(op, band, s, k)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(
-            f"symmetric eigensolver failed for channel k_y={op.k_y} "
-            f"(m={op.size}): {exc}") from exc
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolveError(
+                f"near-null refinement failed for channel k_y={op.k_y} "
+                f"(m={op.size}): {exc}") from exc
     s.sort()
     # one near-null singular value is one zero MODE, one +-pair of states
     count = int(np.sum(s < tau))
     vals = np.concatenate([-s[::-1], s])
     return Spectrum(eigenvalues=vals, zero_tolerance=tau, near_zero_count=count)
+
+
+def _mtm_eigenvalues(op, band):
+    """All eigenvalues of M^T M, ascending, from its lower band form."""
+    try:
+        return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolveError(
+            f"symmetric eigensolver failed for channel k_y={op.k_y} "
+            f"(m={op.size}): {exc}") from exc
 
 
 def _mtm_norm(band):

@@ -355,6 +355,99 @@ class TestCountAndVerify:
         assert doc["level"] == 1
         assert any(c["level_weight"] > 0.5 for c in doc["channels"])
 
+    def test_verify_level1_golden_bytes(self, tmp_path, capsys):
+        # no B_const, so the cluster centre comes from the deepest channel's
+        # spectrum; k_gauge = 0.4 shifts every channel off the k_y lattice,
+        # and n = -3 (k = -2.6) sets the padding, 30 / 0.4 = 75
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, profile={"kind": "box", "B0": 1.0, "a": 3.0},
+                        grid={"x_lo": -80.0, "x_hi": 80.0, "n": 1062},
+                        Ly=2 * math.pi, n_range=[-4, 3], k_gauge=0.4,
+                        level=1, out_dir=str(out))
+        code, stdout, _ = run_cli(capsys, "verify", "--config", cfg)
+        assert code == EXIT_OK
+        golden = (
+            '{\n'
+            '  "Ly": 6.28318530718e+00,\n'
+            '  "Q": 6.00000000000e+00,\n'
+            '  "channels": [\n'
+            '    {\n'
+            '      "admissible": false,\n'
+            '      "ky": -4.00000000000e+00,\n'
+            '      "level_weight": 1.45870986784e-01,\n'
+            '      "n": -4,\n'
+            '      "near_zero_count": 0,\n'
+            '      "on_window_edge": false\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": true,\n'
+            '      "ky": -3.00000000000e+00,\n'
+            '      "level_weight": 2.27896912529e-01,\n'
+            '      "n": -3,\n'
+            '      "near_zero_count": 1,\n'
+            '      "on_window_edge": false\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": true,\n'
+            '      "ky": -2.00000000000e+00,\n'
+            '      "level_weight": 7.41304922483e-01,\n'
+            '      "n": -2,\n'
+            '      "near_zero_count": 1,\n'
+            '      "on_window_edge": false\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": true,\n'
+            '      "ky": -1.00000000000e+00,\n'
+            '      "level_weight": 9.95139176122e-01,\n'
+            '      "n": -1,\n'
+            '      "near_zero_count": 1,\n'
+            '      "on_window_edge": false\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": true,\n'
+            '      "ky": 0.00000000000e+00,\n'
+            '      "level_weight": 9.98142679626e-01,\n'
+            '      "n": 0,\n'
+            '      "near_zero_count": 1,\n'
+            '      "on_window_edge": false\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": true,\n'
+            '      "ky": 1.00000000000e+00,\n'
+            '      "level_weight": 8.54868889138e-01,\n'
+            '      "n": 1,\n'
+            '      "near_zero_count": 1,\n'
+            '      "on_window_edge": false\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": true,\n'
+            '      "ky": 2.00000000000e+00,\n'
+            '      "level_weight": 2.66337280716e-01,\n'
+            '      "n": 2,\n'
+            '      "near_zero_count": 1,\n'
+            '      "on_window_edge": false\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": false,\n'
+            '      "ky": 3.00000000000e+00,\n'
+            '      "level_weight": 1.57309197390e-01,\n'
+            '      "n": 3,\n'
+            '      "near_zero_count": 0,\n'
+            '      "on_window_edge": false\n'
+            '    }\n'
+            '  ],\n'
+            '  "cluster_center": 1.41004669519e+00,\n'
+            '  "discrepancy": 2,\n'
+            '  "g_analytic": 6,\n'
+            '  "g_analytic_real": 6.00000000000e+00,\n'
+            '  "g_numeric": 4,\n'
+            '  "level": 1,\n'
+            '  "tau": 5.09998807401e-03\n'
+            '}\n'
+        )
+        assert stdout == golden
+        assert (out / "verify.json").read_text() == golden
+
     @pytest.mark.parametrize("command, field, value", [
         ("verify", "zero_tol", 0.0),
         ("spectrum", "zero_tol", 0.0),

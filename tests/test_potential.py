@@ -111,7 +111,7 @@ class TestPadding:
         assert "15" in str(err.value)
 
     def test_check_padding_passes_on_wide_grid(self):
-        check_padding(box(1.0, 2.0), 0.0, Grid1D(-17.0, 17.0, 11))
+        check_padding(box(1.0, 2.0), 0.0, Grid1D(-17.0, 17.0, 11), Q=4.0)
 
 
 class TestLambda2DRadial:

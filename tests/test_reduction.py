@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zml.errors import ClusterResolutionError, PaddingError
-from zml.potential import PADDING_FLOOR
+from zml.potential import PADDING_FLOOR, required_padding
 from zml.profiles import Grid1D, box
 from zml.reduction import (ReductionConfig, admissible_channels,
                            constant_field_degeneracy, default_n_range,
@@ -194,9 +194,15 @@ class TestVerifyDegeneracy:
     def test_nonpositive_cluster_tol_rejected(self, setup6):
         # a zero window would report g_numeric = 0 without complaint
         profile, cfg, grid = setup6
-        for ctol in (0.0, -0.1, math.nan):
+        for ctol in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="cluster_tol must be positive"):
                 verify_degeneracy(profile, cfg, 1, grid, cluster_tol=ctol)
+
+    def test_nonfinite_k_gauge_rejected(self):
+        # nan admits no channel, so a sweep would report g_numeric = 0
+        for kg in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="k_gauge must be finite"):
+                ReductionConfig(L_y=TWO_PI, n_range=(-4, 4), k_gauge=kg)
 
     def test_zero_tol_near_gap_warns(self, setup6):
         # half the first Landau gap is sqrt(2)/2 at B = 1
@@ -218,10 +224,15 @@ class TestVerifyDegeneracy:
         assert rep.g_analytic == 0
 
     def test_insufficient_padding_names_channel(self):
+        # Q = 5: the admissible channels n = -2 and 2 lie deepest in the
+        # padding demand; the first of them, k = -2, is named
         profile = box(1.0, 2.5)
         cfg = ReductionConfig(L_y=TWO_PI, n_range=(-4, 4))
-        with pytest.raises(PaddingError):
+        with pytest.raises(PaddingError) as info:
             verify_degeneracy(profile, cfg, 0, Grid1D(-8.0, 8.0, 402))
+        k = -2.0
+        assert info.value.required == required_padding(5.0, k)
+        assert f"k={k}" in str(info.value)
 
     def test_insufficient_padding_names_floor(self):
         # no admissible channel needs more than the floor, so the floor
