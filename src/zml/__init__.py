@@ -22,14 +22,12 @@ from .potential import (GaugePhase, RadialScalarPotential, ScalarPotential,
 from .zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE, Mode2D, OpenInterval,
                         SpinSector, ZeroMode, ZeroModeCount2D,
                         admissible_k_interval, build_mode_1d, build_mode_2d,
-                        count_2d_zero_modes, holomorphy_residual, scan_k,
-                        sector_for_label)
+                        count_2d_zero_modes, scan_k)
 from .spectral import (DiracOperator, Spectrum, build_operator,
                        default_zero_tolerance, eigen_spectrum, mode_residual,
                        windowed_singular_modes)
 from .reduction import (ChannelVerdict, DegeneracyReport, ReductionConfig,
-                        admissible_channels, constant_field_degeneracy,
-                        default_n_range, degeneracy_general, quantize_ky,
+                        admissible_channels, default_n_range, quantize_ky,
                         verify_degeneracy)
 
 __version__ = "0.1.0"
@@ -52,13 +50,12 @@ __all__ = [
     "SpinSector", "SECTOR_A", "SECTOR_B", "SECTOR_NONE", "OpenInterval",
     "ZeroMode", "Mode2D", "ZeroModeCount2D",
     "admissible_k_interval", "build_mode_1d", "build_mode_2d",
-    "count_2d_zero_modes", "holomorphy_residual", "scan_k",
-    "sector_for_label",
+    "count_2d_zero_modes", "scan_k",
     # spectral
     "DiracOperator", "Spectrum", "build_operator", "default_zero_tolerance",
     "eigen_spectrum", "mode_residual", "windowed_singular_modes",
     # reduction
     "ReductionConfig", "ChannelVerdict", "DegeneracyReport",
-    "admissible_channels", "constant_field_degeneracy", "default_n_range",
-    "degeneracy_general", "quantize_ky", "verify_degeneracy",
+    "admissible_channels", "default_n_range", "quantize_ky",
+    "verify_degeneracy",
 ]

@@ -52,7 +52,7 @@ _TOP_KEYS = {
     "n_range": "intpair",
     "k_gauge": "num",
     "B_const": "num",
-    "L_x": "num",
+    "L_x": "num",   # accepted and unused: the profile gives the width
     "level": "nonneg_int",
     "j_list": "intlist",
     "tolerances": "tolerances",
@@ -225,7 +225,7 @@ def _reduction_config(cfg):
     try:
         return ReductionConfig(L_y=cfg["Ly"], k_gauge=cfg.get("k_gauge", 0.0),
                                n_range=tuple(n_range) if n_range else None,
-                               B_const=cfg.get("B_const"), L_x=cfg.get("L_x"))
+                               B_const=cfg.get("B_const"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -4,8 +4,9 @@ With periodicity L_y in the symmetry direction the transverse wavenumbers
 quantize as k_y = 2 pi n / L_y.  A channel hosts a zero mode precisely when
 its effective linear coefficient k_gauge + k_y falls in the open window of
 length |Q| centred at zero (one gauge serves every channel of a sweep), so
-the analytic degeneracy is g = floor(|Q| L_y / 2 pi); for a constant field
-over a strip of width L_x this reduces to the familiar floor(B L_x L_y/2pi).
+the analytic degeneracy is g = floor(|Q| L_y / 2 pi), which
+``admissible_channels`` reports; for a box of field B on [-a, a] it is the
+familiar Landau count floor(2 a B L_y / 2 pi).
 
 ``verify_degeneracy`` reconciles that count with the spectral oracle from
 the line primitives: one ``build_operator`` at k_y = 0 gives the base
@@ -23,8 +24,10 @@ the level window contributes its probability weight inside the field
 support.  Cleanly bound Landau states contribute ~1 (their weight is 1 -
 O(e^-30)) and the continuum contributes precisely the in-sample density of
 the dissolved states, which restores the degeneracy-formula total to within
-one unit.  Without B_const the level centre is read off the deepest
-admissible channel's M^T M eigenvalues.
+one unit.  The level centre is sqrt(2 level B_const) when the config names
+the box's field B_const, and is otherwise read off the deepest admissible
+channel's M^T M eigenvalues; either way the next level up must clear the
+window (``_check_level_separation``).
 """
 
 import dataclasses
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClusterResolutionError
+from .errors import ClusterResolutionError, ProfileError
 from .potential import check_padding
 from .profiles import DEFAULT_RTOL, total_flux
 from .spectral import (_check_tau, _count_below, _mtm_eigenvalues,
@@ -48,8 +51,6 @@ __all__ = [
     "quantize_ky",
     "default_n_range",
     "admissible_channels",
-    "degeneracy_general",
-    "constant_field_degeneracy",
     "verify_degeneracy",
 ]
 
@@ -63,13 +64,17 @@ _GROUP_TOL = 1e-3
 
 @dataclass(frozen=True)
 class ReductionConfig:
-    """Channel-sweep parameters; B_const/L_x describe the constant-field case."""
+    """Channel-sweep parameters.
+
+    ``B_const``, when given, must be the field of the line ``box`` profile
+    the sweep runs on (``admissible_channels`` checks it); a level >= 1
+    sweep then centres level l at sqrt(2 l B_const) instead of detecting it.
+    """
 
     L_y: float
     k_gauge: float = 0.0
     n_range: tuple = None
     B_const: float = None
-    L_x: float = None
 
     def __post_init__(self):
         if not (math.isfinite(self.L_y) and self.L_y > 0.0):
@@ -81,17 +86,9 @@ class ReductionConfig:
             if int(lo) != lo or int(hi) != hi or lo > hi:
                 raise ValueError(f"n_range must be integers lo <= hi, got {self.n_range}")
             object.__setattr__(self, "n_range", (int(lo), int(hi)))
-        for name in ("B_const", "L_x"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
-
-    @property
-    def l_B(self):
-        """Magnetic length 1/sqrt(B_const); None without a constant field."""
-        if self.B_const is None:
-            return None
-        return 1.0 / math.sqrt(self.B_const)
+        b = self.B_const
+        if b is not None and not (math.isfinite(b) and b > 0.0):
+            raise ValueError(f"B_const must be finite and positive, got {b}")
 
 
 @dataclass
@@ -150,7 +147,17 @@ def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
     at most one lattice point; channels on the window edge (|k_gauge + k_y|
     = |Q|/2 to relative 1e-9, as ``ZeroModeCount2D.integer_flux`` in the
     plane) are flagged, since there the count depends on rounding.
+
+    A ``cfg.B_const`` that is not the field of a line ``box`` profile raises
+    ProfileError: the sweep has one description of its field, the profile.
     """
+    b = cfg.B_const
+    if b is not None and (profile.kind != "box" or profile.is_radial
+                          or b != profile.max_abs()):
+        raise ProfileError(
+            f"B_const = {b} must be the field of a line box profile; the "
+            f"{profile.dimension} {profile.kind} has max|B| = "
+            f"{profile.max_abs()}")
     q = total_flux(profile, rtol=rtol).value
     n_range = cfg.n_range or default_n_range(q, cfg.L_y, cfg.k_gauge)
     kys = quantize_ky(cfg.L_y, n_range)
@@ -171,22 +178,6 @@ def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
     return report
 
 
-def degeneracy_general(profile, L_y, rtol=DEFAULT_RTOL):
-    """floor(Q L_y / 2 pi) for a flux-orientation-normalized profile (Q >= 0)."""
-    q = total_flux(profile, rtol=rtol).value
-    if q < 0.0:
-        raise ValueError(f"flux orientation must be normalized to Q >= 0, got {q}; "
-                         "flip the field sign first")
-    return int(math.floor(q * L_y / TWO_PI))
-
-
-def constant_field_degeneracy(cfg):
-    """floor(B L_x L_y / 2 pi), the constant-field special case."""
-    if cfg.B_const is None or cfg.L_x is None:
-        raise ValueError("constant-field degeneracy needs B_const and L_x")
-    return int(math.floor(cfg.B_const * cfg.L_x * cfg.L_y / TWO_PI))
-
-
 def _sweep_zero_tolerance(base, min_pad):
     # stay below both a tenth of the Landau gap and half the first rung of
     # the flat-region ladder that window-edge channels develop
@@ -196,12 +187,27 @@ def _sweep_zero_tolerance(base, min_pad):
     return min(scales)
 
 
+def _check_level_separation(level, top, upper, ctol):
+    """Require level + 1, starting at ``upper``, 2 ctol above ``top`` of level.
+
+    The level window reaches ctol above the level; the next level must start
+    a further ctol beyond it, or the window would take its states too.
+    """
+    sep = upper - top
+    if sep < 2.0 * ctol:
+        raise ClusterResolutionError(
+            f"levels {level} and {level + 1} are separated by only {sep:.3g} "
+            f"< {2 * ctol:.3g} (twice cluster_tol); refine the grid or lower "
+            "cluster_tol")
+
+
 def _detect_cluster_center(pooled, level, ctol):
     """Gap-split the deepest channel's singular values; median of cluster m.
 
     Only the most-admissible channel is used: channels near the window edge
     have already lost excited levels to a dense continuum comb that would
-    bury every gap.
+    bury every gap.  Cluster m + 1 must be resolved too, since it bounds
+    the level window from above.
     """
     vals = np.sort(pooled)
     if vals.size == 0:
@@ -213,22 +219,19 @@ def _detect_cluster_center(pooled, level, ctol):
         if i == vals.size or vals[i] - vals[i - 1] > ctol:
             clusters.append(vals[start:i])
             start = i
-    if level > len(clusters):
+    if level >= len(clusters):
         raise ClusterResolutionError(
-            f"asked for level {level} but only {len(clusters)} clusters are "
-            "resolved at this grid")
+            f"level {level} needs level {level + 1} above it to bound its "
+            f"window, but only {len(clusters)} clusters are resolved at this "
+            "grid")
     cluster = clusters[level - 1]
     width = float(cluster[-1] - cluster[0])
     if width > ctol:
         raise ClusterResolutionError(
             f"cluster {level} spans {width:.3g} > tolerance {ctol:.3g}; "
             "refine the grid")
-    if level < len(clusters):
-        sep = float(clusters[level][0] - cluster[-1])
-        if sep < 2.0 * ctol:
-            raise ClusterResolutionError(
-                f"clusters {level} and {level + 1} are separated by only "
-                f"{sep:.3g} < {2 * ctol:.3g}; refine the grid")
+    _check_level_separation(level, float(cluster[-1]),
+                            float(clusters[level][0]), ctol)
     return float(np.median(cluster))
 
 
@@ -263,23 +266,26 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     """Reconcile the analytic degeneracy with the spectral oracle.
 
     Every channel is one base operator (``build_operator`` at k_y = 0, the
-    sweep's one A_y convolution) with W shifted by k_gauge + k_y.  The grid
-    is checked once, by ``check_padding`` at the admissible channel farthest
-    from k = 0, which needs the most padding (the floor when none is
-    admissible).  Level 0 sums per-channel near-zero mode counts at
+    sweep's one A_y convolution) with W shifted by k_gauge + k_y, built
+    where it is used, so a sweep holds one operator however many channels
+    it has.  The grid is checked once, by ``check_padding`` at the
+    admissible channel farthest from k = 0, which needs the most padding
+    (the floor when none is admissible).  Level 0 sums per-channel near-zero mode counts at
     tolerance ``zero_tol`` (default: below both the Landau scale and the
     finite-padding edge-ladder scale); each count is one O(m) inertia count
     of M^T M at tau^2, so no channel needs its full spectrum.  Level m >= 1
     totals the bulk-projected weight of non-doubler states within
     ``cluster_tol`` (default: a tenth of the first Landau gap) of the m-th
     level center and rounds, taking each channel's windowed vectors by
-    shift-invert Lanczos; the center comes from B_const when the config
-    provides it and otherwise from gap-splitting the singular values above
-    2 tau of the deepest admissible channel, the square roots of its M^T M
-    eigenvalues; unresolvable clusters raise ClusterResolutionError instead
-    of guessing.  Nothing is assembled densely, so any grid size is
-    accepted.  Channels are processed in ascending n and the report is
-    deterministic.
+    shift-invert Lanczos; the center is sqrt(2 m B_const) when the config
+    names the box's field B_const and otherwise comes from gap-splitting the
+    singular values above 2 tau of the deepest admissible channel, the
+    square roots of its M^T M eigenvalues.  Either way level m + 1 must
+    start at least 2 ``cluster_tol`` above level m; a level that is not
+    separated so, or whose upper neighbour is not resolved, raises
+    ClusterResolutionError instead of guessing.  Nothing is assembled
+    densely, so any grid size is accepted.  Channels are processed in
+    ascending n and the report is deterministic.
     """
     if int(level) != level or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level}")
@@ -299,11 +305,14 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
                           enforce_padding=False)
     tau0 = zero_tol if zero_tol is not None else _sweep_zero_tolerance(base, min_pad)
     _check_tau(base.bmax, tau0)
-    ops = []
-    for k, ch in zip(ks, report.channels):
-        op = dataclasses.replace(base, k_y=ch.k_y, w_values=k + base.w_values)
-        ch.near_zero_count = _count_below(op.mtm_band(), tau0 * tau0)
-        ops.append(op)
+
+    def channel(i):
+        # built where it is used, so the sweep holds one operator at a time
+        return dataclasses.replace(base, k_y=report.channels[i].k_y,
+                                   w_values=ks[i] + base.w_values)
+
+    for i, ch in enumerate(report.channels):
+        ch.near_zero_count = _count_below(channel(i).mtm_band(), tau0 * tau0)
     report.level = level
     report.tau = tau0
     if level == 0:
@@ -318,11 +327,15 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
                                          "structure to cluster")
         ctol = default_zero_tolerance(base)
     if cfg.B_const is not None:
+        # admissible_channels checked that B_const is the box's field
         center = math.sqrt(2.0 * level * cfg.B_const)
+        _check_level_separation(level, center,
+                                math.sqrt(2.0 * (level + 1) * cfg.B_const),
+                                ctol)
     else:
         vals = np.array([])
         if inside:
-            deepest = ops[min(inside, key=lambda i: abs(ks[i]))]
+            deepest = channel(min(inside, key=lambda i: abs(ks[i])))
             # the values above 2 tau are the plain square roots: the
             # near-null refinement of eigen_spectrum never reaches them
             ev = _mtm_eigenvalues(deepest, deepest.mtm_band())
@@ -334,8 +347,8 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     support_mask = ((x_int >= s_lo) & (x_int <= s_hi)).astype(float)
     lo, hi = max(center - ctol, 0.0), center + ctol
     total = 0.0
-    for ch, op in zip(report.channels, ops):
-        svals, vecs = windowed_singular_modes(op, lo, hi)
+    for i, ch in enumerate(report.channels):
+        svals, vecs = windowed_singular_modes(channel(i), lo, hi)
         ch.level_weight = _smooth_bulk_weight(svals, vecs, support_mask)
         total += ch.level_weight
     report.g_numeric = int(round(total))

@@ -183,7 +183,13 @@ def eigen_spectrum(op, tau=None):
     the chiral block structure makes the pairing exact.  Squaring leaves a
     singular value s an absolute error of about eps ||M^T M|| / s, so every
     value that may lie below tau is then refined on M itself
-    (``_refine_near_null``) before the near-zero count is taken.
+    (``_refine_near_null``) before the near-zero count is taken.  With a
+    field the refinement stops at half the first gap sqrt(2 max|B|), where
+    ``_check_tau`` warns, whatever tau: the squaring loss is negligible
+    above it, and a larger tau would grow the refinement block, m doubles
+    per column, to the whole spectrum.  A field-free operator has no gap,
+    so every value below tau is refined.  The count is s < tau over all
+    values either way.
     """
     if tau is None:
         tau = default_zero_tolerance(op)
@@ -193,8 +199,9 @@ def eigen_spectrum(op, tau=None):
     ev = _mtm_eigenvalues(op, band)
     s = np.sqrt(np.clip(ev, 0.0, None))
     # every value whose square the rounding of eig_banded (far below
-    # sqrt(eps) ||M^T M||) may have put on the wrong side of tau^2
-    k = int(np.sum(ev < tau * tau + math.sqrt(np.finfo(float).eps)
+    # sqrt(eps) ||M^T M||) may have put on the wrong side of cut^2
+    cut = tau if op.bmax <= 0.0 else min(tau, 0.5 * math.sqrt(2.0 * op.bmax))
+    k = int(np.sum(ev < cut * cut + math.sqrt(np.finfo(float).eps)
                        * _mtm_norm(band)))
     if k:
         try:
@@ -237,6 +244,9 @@ def _refine_near_null(op, band, s, k):
     (Rayleigh-Ritz on M): the squared operator only steers the subspace,
     whose error enters the values to second order.
 
+    - ``eigen_spectrum`` caps k at the values below half the first gap
+      when there is a field, so the m x b block does not grow with tau
+      beyond that.
     - The block holds the k values and every value up to the first factor
       16 in the shifted squares s^2 + delta, so each step shrinks the rest
       of the spectrum in V by 16 or more and eight steps converge however

@@ -34,7 +34,6 @@ __all__ = [
     "SECTOR_A",
     "SECTOR_B",
     "SECTOR_NONE",
-    "sector_for_label",
     "OpenInterval",
     "ZeroMode",
     "Mode2D",
@@ -44,7 +43,6 @@ __all__ = [
     "scan_k",
     "count_2d_zero_modes",
     "build_mode_2d",
-    "holomorphy_residual",
 ]
 
 # exp overflows float64 above this argument
@@ -66,13 +64,6 @@ class SpinSector:
 SECTOR_A = SpinSector("a", +1)
 SECTOR_B = SpinSector("b", -1)
 SECTOR_NONE = SpinSector("none", 0)
-
-
-def sector_for_label(label):
-    for s in (SECTOR_A, SECTOR_B, SECTOR_NONE):
-        if s.label == label:
-            return s
-    raise ValueError(f"unknown sector label {label!r}")
 
 
 @dataclass(frozen=True)
@@ -308,26 +299,3 @@ def build_mode_2d(pot, j):
                   values=_representable(log_values), tail_exponent=tail,
                   normalizable=bool(tail < -1.0))
 
-
-def holomorphy_residual(j, points):
-    """Exact check that z^j (z = ix + y) is annihilated by -i d/dx - d/dy.
-
-    Both derivative terms are evaluated by exact polynomial differentiation
-    at the sample points and combined; the max modulus is zero up to
-    rounding for every j >= 0.
-    """
-    if int(j) != j or j < 0:
-        raise ValueError(f"j must be a non-negative integer, got {j}")
-    j = int(j)
-    worst = 0.0
-    for x, y in points:
-        z = 1j * x + y
-        if j == 0:
-            dx = 0.0
-            dy = 0.0
-        else:
-            dz = j * z ** (j - 1)
-            dx = 1j * dz    # d/dx z^j
-            dy = dz         # d/dy z^j
-        worst = max(worst, abs(-1j * dx - dy))
-    return worst

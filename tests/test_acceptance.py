@@ -33,7 +33,7 @@ def degeneracy_sweep():
     width-10 box (Q = 10), L_y = 2 pi, channels n in [-8, 8], 3000 interior
     points on [-35, 35] (padding 30 covers every admissible channel)."""
     profile = box(1.0, 5.0)
-    cfg = ReductionConfig(L_y=TWO_PI, n_range=(-8, 8), B_const=1.0, L_x=10.0)
+    cfg = ReductionConfig(L_y=TWO_PI, n_range=(-8, 8), B_const=1.0)
     grid = Grid1D(-35.0, 35.0, 3002)
     t0 = time.perf_counter()
     level0 = verify_degeneracy(profile, cfg, 0, grid)

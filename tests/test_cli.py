@@ -477,6 +477,38 @@ class TestCountAndVerify:
         assert stdout == ""
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["count", "verify"])
+    @pytest.mark.parametrize("profile, b_const", [
+        ({"kind": "box", "B0": 1.0, "a": 5.0}, 2.0),
+        ({"kind": "box", "B0": 1.0, "a": 5.0}, 4.5),
+        ({"kind": "bump", "B0": 1.0, "a": 5.0}, 1.0),
+    ])
+    def test_b_const_must_be_the_box_field(self, tmp_path, capsys, command,
+                                           profile, b_const):
+        cfg = write_cfg(tmp_path, profile=profile, B_const=b_const,
+                        grid={"x_lo": -35.0, "x_hi": 35.0, "n": 1002},
+                        Ly=2 * math.pi, n_range=[-8, 8], level=1,
+                        out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, command, "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert "B_const" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cluster_tol", [0.6, 3.0])
+    def test_verify_unseparated_level_exits_numerical(self, tmp_path, capsys,
+                                                      cluster_tol):
+        # levels 1 and 2 of B = 1 are 0.59 apart: the window would take both
+        cfg = write_cfg(tmp_path, profile={"kind": "box", "B0": 1.0, "a": 3.0},
+                        B_const=1.0,
+                        grid={"x_lo": -36.0, "x_hi": 36.0, "n": 1202},
+                        Ly=2 * math.pi, n_range=[-4, 4], level=1,
+                        tolerances={"cluster_tol": cluster_tol},
+                        out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, "verify", "--config", cfg)
+        assert code == EXIT_NUMERICAL
+        assert stdout == ""
+        assert "separated" in err
+
     def test_count_radial_reports_plane_count(self, tmp_path, capsys):
         profile = {"kind": "box", "B0": 7.0 / 4.0, "a": 2.0,
                    "dimension": "radial-plane"}

@@ -1,16 +1,16 @@
 """Channel quantization, analytic degeneracy, and the oracle reconciliation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from zml.errors import ClusterResolutionError, PaddingError
+from zml.errors import ClusterResolutionError, PaddingError, ProfileError
 from zml.potential import PADDING_FLOOR, required_padding
-from zml.profiles import Grid1D, box
+from zml.profiles import Grid1D, box, bump
 from zml.reduction import (ReductionConfig, admissible_channels,
-                           constant_field_degeneracy, default_n_range,
-                           degeneracy_general, quantize_ky, verify_degeneracy)
+                           default_n_range, quantize_ky, verify_degeneracy)
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,6 +85,18 @@ class TestAdmissibleChannels:
                 p, ReductionConfig(L_y=ly, k_gauge=kg, n_range=nr))
             assert abs(rep.admissible_count - rep.g_analytic) <= 1
 
+    def test_b_const_must_be_the_box_field(self):
+        # B_const restates the field; a value the profile does not have
+        # would centre the excited level on another level, or on none
+        cases = [(box(1.0, 5.0), 2.0), (box(1.0, 5.0), 4.5),
+                 (bump(1.0, 5.0), 1.0)]
+        for profile, b in cases:
+            cfg = ReductionConfig(L_y=TWO_PI, n_range=(-8, 8), B_const=b)
+            with pytest.raises(ProfileError, match="B_const"):
+                admissible_channels(profile, cfg)
+        cfg = ReductionConfig(L_y=TWO_PI, n_range=(-8, 8), B_const=1.0)
+        assert admissible_channels(box(-1.0, 5.0), cfg).g_analytic == 10
+
     def test_scaling_in_period(self, rng):
         p = box(1.0, 5.0)
         for _ in range(20):
@@ -94,31 +106,12 @@ class TestAdmissibleChannels:
             assert abs(g2 - 2 * g1) <= 1
 
 
-class TestDegeneracyGeneral:
-    def test_flux_formula(self):
-        assert degeneracy_general(box(1.0, 5.0), TWO_PI) == 10
-
-    def test_constant_field_consistency(self):
-        cfg = ReductionConfig(L_y=TWO_PI, B_const=1.0, L_x=10.0)
-        assert constant_field_degeneracy(cfg) == 10
-        assert degeneracy_general(box(1.0, 5.0), TWO_PI) == \
-            constant_field_degeneracy(cfg)
-        assert cfg.l_B == 1.0
-
-    def test_zero_flux(self):
-        assert degeneracy_general(box(0.0, 3.0), TWO_PI) == 0
-
-    def test_negative_flux_rejected(self):
-        with pytest.raises(ValueError):
-            degeneracy_general(box(-1.0, 2.0), TWO_PI)
-
-
 @pytest.fixture(scope="module")
 def setup6():
     # Q = 6 strip: integer channels sit >= 1 inside the window, so the
     # sweep padding stays at 30 and the grids stay small
     profile = box(1.0, 3.0)
-    cfg = ReductionConfig(L_y=TWO_PI, n_range=(-4, 4), B_const=1.0, L_x=6.0)
+    cfg = ReductionConfig(L_y=TWO_PI, n_range=(-4, 4), B_const=1.0)
     grid = Grid1D(-36.0, 36.0, 1202)
     return profile, cfg, grid
 
@@ -149,15 +142,25 @@ class TestVerifyDegeneracy:
         assert rep.cluster_center == pytest.approx(math.sqrt(2.0), rel=0.01)
 
     def test_unresolvable_level_raises(self, setup6):
-        profile, _, grid = setup6
+        profile, cfg_b, grid = setup6
         cfg = ReductionConfig(L_y=TWO_PI, n_range=(-4, 4))
         with pytest.raises(ClusterResolutionError):
             verify_degeneracy(profile, cfg, 40, grid)
+        # levels 1 and 2 of B = 1 lie 2 - sqrt(2) = 0.59 apart, so a window
+        # of half-width 0.6 or 3 about sqrt(2 B_const) takes level 2 too
+        for ctol in (0.6, 3.0):
+            with pytest.raises(ClusterResolutionError, match="separated"):
+                verify_degeneracy(profile, cfg_b, 1, grid, cluster_tol=ctol)
+        # one cluster holds the whole spectrum: nothing bounds level 1 from
+        # above, and the refusal comes before any windowed vector
+        t0 = time.perf_counter()
+        with pytest.raises(ClusterResolutionError, match="bound its window"):
+            verify_degeneracy(profile, cfg, 1, grid, cluster_tol=100.0)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_headline_sweep_names_edge_channels(self):
         profile = box(1.0, 5.0)
-        cfg = ReductionConfig(L_y=TWO_PI, n_range=(-8, 8), B_const=1.0,
-                              L_x=10.0)
+        cfg = ReductionConfig(L_y=TWO_PI, n_range=(-8, 8), B_const=1.0)
         rep = verify_degeneracy(profile, cfg, 0, Grid1D(-35.0, 35.0, 1002))
         assert (rep.g_analytic, rep.g_numeric, rep.discrepancy) == (10, 9, 1)
         edge = [ch for ch in rep.channels if ch.on_window_edge]
@@ -169,8 +172,7 @@ class TestVerifyDegeneracy:
         # finite-padding effect, so the counts hold and the level-1 weights
         # converge as h -> 0
         profile = box(1.0, 5.0)
-        cfg = ReductionConfig(L_y=TWO_PI, n_range=(-8, 8), B_const=1.0,
-                              L_x=10.0)
+        cfg = ReductionConfig(L_y=TWO_PI, n_range=(-8, 8), B_const=1.0)
         counts, weights = [], []
         for n in (3002, 6003, 12005):
             grid = Grid1D(-35.0, 35.0, n)

@@ -1,6 +1,7 @@
 """Spectral oracle: operator structure, eigenpaths, counts, residuals."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -174,6 +175,14 @@ class TestEigenSpectrum:
         op = build_operator(box(1.0, 2.0), 0.0, Grid1D(-17.0, 17.0, 102))
         with pytest.warns(UserWarning):
             eigen_spectrum(op, tau=1.0)
+        # a tau far above the gap still counts every value below it, but
+        # refines only those below half the gap, so the time stays bounded
+        op = build_operator(box(1.0, 2.0), 0.0, Grid1D(-30.0, 30.0, 1002))
+        t0 = time.perf_counter()
+        with pytest.warns(UserWarning):
+            spec = eigen_spectrum(op, tau=5.0)
+        assert time.perf_counter() - t0 < 0.2
+        assert spec.near_zero_count == 178
 
 
 class TestModeResidual:

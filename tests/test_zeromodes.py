@@ -12,8 +12,7 @@ from zml.profiles import (DIM_RADIAL, Grid1D, box, bump, piecewise_linear,
                           total_flux, truncated_gaussian)
 from zml.zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE,
                            admissible_k_interval, build_mode_1d,
-                           build_mode_2d, count_2d_zero_modes,
-                           holomorphy_residual, scan_k, sector_for_label)
+                           build_mode_2d, count_2d_zero_modes, scan_k)
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,7 +41,6 @@ class TestAdmissibleInterval:
     def test_gamma_convention(self):
         assert SECTOR_A.gamma == 1
         assert SECTOR_B.gamma == -1
-        assert sector_for_label("b") is SECTOR_B
 
 
 class TestBuildMode1D:
@@ -318,21 +316,3 @@ class TestBuildMode2D:
         assert mode.sector is SECTOR_A
         assert mode.normalizable
         assert mode.tail_exponent == pytest.approx(1.0 - 5.0, abs=1e-12)
-
-
-class TestHolomorphyResidual:
-    def test_linear(self):
-        assert holomorphy_residual(1, [(0.3, -1.2), (2.0, 5.0)]) == 0.0
-
-    def test_degree_five(self):
-        assert holomorphy_residual(5, [(1.0, 1.0), (2.0, -3.0)]) <= 1e-12
-
-    def test_constant(self):
-        assert holomorphy_residual(0, [(1.0, 2.0)]) == 0.0
-
-    def test_random_degrees(self, rng):
-        for _ in range(10):
-            j = int(rng.integers(0, 12))
-            pts = rng.uniform(-3, 3, size=(5, 2))
-            scale = max(1.0, 3.0 ** max(j - 1, 0) * j)
-            assert holomorphy_residual(j, pts) <= 1e-10 * scale
