@@ -26,8 +26,9 @@ O(e^-30)) and the continuum contributes precisely the in-sample density of
 the dissolved states, which restores the degeneracy-formula total to within
 one unit.  The level centre is sqrt(2 level B_const) when the config names
 the box's field B_const, and is otherwise read off the deepest admissible
-channel's M^T M eigenvalues; either way the next level up must clear the
-window (``_check_level_separation``).
+channel's singular values, the |eigenvalues| of its tridiagonal A = J M;
+either way the next level up must clear the window
+(``_check_level_separation``).
 """
 
 import dataclasses
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import ClusterResolutionError, ProfileError
 from .potential import check_padding
 from .profiles import DEFAULT_RTOL, total_flux
-from .spectral import (_check_tau, _count_below, _mtm_eigenvalues,
+from .spectral import (_check_tau, _singular_values, _sturm_count,
                        build_operator, default_zero_tolerance,
                        windowed_singular_modes)
 from .zeromodes import admissible_k_interval
@@ -272,18 +273,18 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     admissible channel farthest from k = 0, which needs the most padding
     (the floor when none is admissible).  Level 0 sums per-channel near-zero mode counts at
     tolerance ``zero_tol`` (default: below both the Landau scale and the
-    finite-padding edge-ladder scale); each count is one O(m) inertia count
-    of M^T M at tau^2, so no channel needs its full spectrum.  Level m >= 1
-    totals the bulk-projected weight of non-doubler states within
-    ``cluster_tol`` (default: a tenth of the first Landau gap) of the m-th
-    level center and rounds, taking each channel's windowed vectors by
-    shift-invert Lanczos; the center is sqrt(2 m B_const) when the config
-    names the box's field B_const and otherwise comes from gap-splitting the
-    singular values above 2 tau of the deepest admissible channel, the
-    square roots of its M^T M eigenvalues.  Either way level m + 1 must
-    start at least 2 ``cluster_tol`` above level m; a level that is not
-    separated so, or whose upper neighbour is not resolved, raises
-    ClusterResolutionError instead of guessing.  Nothing is assembled
+    finite-padding edge-ladder scale); each count is one O(m) Sturm count
+    of the channel's tridiagonal A = J M on (-tau, tau], so no channel needs
+    its full spectrum.  Level m >= 1 totals the bulk-projected weight of
+    non-doubler states within ``cluster_tol`` (default: a tenth of the
+    first Landau gap) of the m-th level center and rounds, taking each
+    channel's windowed vectors by bisection and inverse iteration on A; the
+    center is sqrt(2 m B_const) when the config names the box's field
+    B_const and otherwise comes from gap-splitting the singular values
+    above 2 tau of the deepest admissible channel, the |eigenvalues| of its
+    A.  Either way level m + 1 must start at least 2 ``cluster_tol`` above
+    level m; a level that is not separated so, or whose upper neighbour is
+    not resolved, raises ClusterResolutionError instead of guessing.  Nothing is assembled
     densely, so any grid size is accepted.  Channels are processed in
     ascending n and the report is deterministic.
     """
@@ -312,7 +313,7 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
                                    w_values=ks[i] + base.w_values)
 
     for i, ch in enumerate(report.channels):
-        ch.near_zero_count = _count_below(channel(i).mtm_band(), tau0 * tau0)
+        ch.near_zero_count = _sturm_count(channel(i), tau0)
     report.level = level
     report.tau = tau0
     if level == 0:
@@ -336,10 +337,9 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
         vals = np.array([])
         if inside:
             deepest = channel(min(inside, key=lambda i: abs(ks[i])))
-            # the values above 2 tau are the plain square roots: the
-            # near-null refinement of eigen_spectrum never reaches them
-            ev = _mtm_eigenvalues(deepest, deepest.mtm_band())
-            vals = np.sqrt(np.clip(ev, 0.0, None))
+            # the values above 2 tau need none of the near-null
+            # refinement of eigen_spectrum
+            vals = _singular_values(deepest)
             vals = vals[vals > 2.0 * tau0]
         center = _detect_cluster_center(vals, level, ctol)
     s_lo, s_hi = profile.support

@@ -14,27 +14,30 @@ operator
     H = [[0, M], [M^T, 0]],      M = D + diag(W),
 
 whose spectrum is symmetric about zero: the eigenvalues are exactly the
-+-singular values of M.  ``eigen_spectrum`` takes them by one path for
-every size: the eigenvalues of the pentadiagonal M^T M (``eig_banded``,
-O(m^2)), whose square roots are the singular values.  Squaring costs a
-singular value s an absolute error of about eps ||M^T M|| / s, which
-falls on the near-null values the zero-mode count rests on, so every value
-that may lie below the zero tolerance is then refined on M itself: block
-inverse iteration gives their singular subspace in O(m) per step, and the
-values are the singular values of M restricted to it (Rayleigh-Ritz), free
-of the squaring loss (cf. Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11,
-873 (1990), on the accuracy of small singular values).  Nothing is
-assembled densely.
++-singular values of M.  With J = diag((-1)^i), J D J = -D = D^T and
+J W J = W, so M^T = J M J and A = J M is symmetric tridiagonal, with
+diagonal (-1)^i w_i and off-diagonal (-1)^i / (2h)
+(``DiracOperator.tridiagonal``).  Since A^2 = M^T J J M = M^T M, the
+singular values of M are |eig(A)| and the eigenvectors of A are right
+singular vectors of M, with no squaring.  Every spectral primitive is one
+of LAPACK's tridiagonal routines on A, and nothing is assembled densely:
 
-Channel sweeps need no full spectrum.  The number of singular values below
-s is the number of eigenvalues of M^T M below s^2, which Sylvester's law of
-inertia reads off the negative pivots of an unpivoted LDL^T of the
-pentadiagonal M^T M - s^2 I (a Sturm count, Parlett, The Symmetric
-Eigenvalue Problem): O(m).  ``windowed_singular_modes`` takes its count from
-two such factorizations and then computes exactly that many eigenpairs by
-shift-invert Lanczos (ARPACK; Lehoucq, Sorensen & Yang, 1998) about the
-middle of the squared window, one sparse O(m) factorization plus O(m) work
-per Lanczos step.  A sweep is therefore O(m) per channel.
+- ``eigen_spectrum`` takes every eigenvalue of A from ``dsterf``
+  (implicit QL/QR, O(m^2)).  Their absolute error, about eps ||A||, still
+  falls on the near-null values the zero-mode count rests on, so every
+  value that may lie below the zero tolerance is then refined on M itself:
+  block inverse iteration gives their singular subspace in O(m) per step,
+  and the values are the singular values of M restricted to it
+  (Rayleigh-Ritz), accurate relative to their own size (cf. Demmel &
+  Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990), on the accuracy of
+  small singular values).
+- Channel sweeps need no full spectrum.  The number of singular values
+  below s is the number of eigenvalues of A in (-s, s], two Sturm counts of
+  A by ``dstebz`` (Parlett, The Symmetric Eigenvalue Problem, ch. 3): O(m).
+- ``windowed_singular_modes`` takes the eigenvalues of A in the window and
+  in its mirror image by bisection (``dstebz``) and their vectors by inverse
+  iteration (``dstein``), O(m) per value (Anderson et al., LAPACK Users'
+  Guide, 3rd ed., 1999).  A sweep is therefore O(m) per channel.
 
 Central differences carry the usual lattice artifact: M also hosts a
 staggered ("doubler") branch whose levels coincide with the partner tower.
@@ -50,8 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg import lapack
 
 from .errors import EigenSolveError, GridError, ProfileError
 from .potential import check_padding, vector_potential_y
@@ -106,6 +108,14 @@ class DiracOperator:
         out[:-1] -= c * u[1:]
         out[1:] += c * u[:-1]
         return out
+
+    def tridiagonal(self):
+        """(diagonal, off-diagonal) of A = J M, J = diag((-1)^i): the
+        symmetric tridiagonal with A^2 = M^T M."""
+        c = 1.0 / (2.0 * self.h)
+        sign = np.ones(self.size)
+        sign[1::2] = -1.0
+        return sign * self.w_values, c * sign[:-1]
 
     def mtm_band(self):
         """Lower band form (diag, 1st, 2nd subdiagonal) of the pentadiagonal M^T M."""
@@ -178,31 +188,29 @@ def _check_tau(bmax, tau):
 def eigen_spectrum(op, tau=None):
     """Full symmetric spectrum of the channel operator, ascending.
 
-    The eigenvalues are the +- singular values of M, which are the square
-    roots of the eigenvalues of the pentadiagonal M^T M (``eig_banded``);
-    the chiral block structure makes the pairing exact.  Squaring leaves a
-    singular value s an absolute error of about eps ||M^T M|| / s, so every
-    value that may lie below tau is then refined on M itself
-    (``_refine_near_null``) before the near-zero count is taken.  With a
-    field the refinement stops at half the first gap sqrt(2 max|B|), where
-    ``_check_tau`` warns, whatever tau: the squaring loss is negligible
-    above it, and a larger tau would grow the refinement block, m doubles
-    per column, to the whole spectrum.  A field-free operator has no gap,
-    so every value below tau is refined.  The count is s < tau over all
-    values either way.
+    The eigenvalues are the +- singular values of M, the |eigenvalues| of
+    the tridiagonal A = J M (``dsterf``); the chiral block structure makes
+    the pairing exact.  Their absolute error of about eps ||A|| would still
+    decide the near-null values, so every value that may lie below tau is
+    then refined on M itself (``_refine_near_null``) before the near-zero
+    count is taken.  With a field the refinement stops at half the first
+    gap sqrt(2 max|B|), where ``_check_tau`` warns, whatever tau: the
+    values above it are accurate as they are, and a larger tau would grow
+    the refinement block, m doubles per column, to the whole spectrum.  A
+    field-free operator has no gap, so every value below tau is refined.
+    The count is s < tau over all values either way.
     """
     if tau is None:
         tau = default_zero_tolerance(op)
     tau = float(tau)
     _check_tau(op.bmax, tau)
+    s = _singular_values(op)
     band = op.mtm_band()
-    ev = _mtm_eigenvalues(op, band)
-    s = np.sqrt(np.clip(ev, 0.0, None))
-    # every value whose square the rounding of eig_banded (far below
-    # sqrt(eps) ||M^T M||) may have put on the wrong side of cut^2
+    # every value whose square lies within sqrt(eps) ||M^T M|| of cut^2, a
+    # margin far above the rounding of dsterf, so none below cut is missed
     cut = tau if op.bmax <= 0.0 else min(tau, 0.5 * math.sqrt(2.0 * op.bmax))
-    k = int(np.sum(ev < cut * cut + math.sqrt(np.finfo(float).eps)
-                       * _mtm_norm(band)))
+    k = int(np.sum(s * s < cut * cut + math.sqrt(np.finfo(float).eps)
+                           * _mtm_norm(band)))
     if k:
         try:
             s[:k] = _refine_near_null(op, band, s, k)
@@ -217,14 +225,20 @@ def eigen_spectrum(op, tau=None):
     return Spectrum(eigenvalues=vals, zero_tolerance=tau, near_zero_count=count)
 
 
-def _mtm_eigenvalues(op, band):
-    """All eigenvalues of M^T M, ascending, from its lower band form."""
-    try:
-        return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)
-    except np.linalg.LinAlgError as exc:
+def _lapack_ok(op, routine, info, window=None):
+    """Raise EigenSolveError for a nonzero LAPACK ``info``."""
+    if info != 0:
+        held = "" if window is None else f", {window} values in the window"
         raise EigenSolveError(
-            f"symmetric eigensolver failed for channel k_y={op.k_y} "
-            f"(m={op.size}): {exc}") from exc
+            f"{routine} failed for channel k_y={op.k_y} "
+            f"(m={op.size}{held}): LAPACK info={info}")
+
+
+def _singular_values(op):
+    """All singular values of M, ascending: |eig(A)| by ``dsterf``."""
+    vals, info = lapack.dsterf(*op.tridiagonal())
+    _lapack_ok(op, "dsterf", info)
+    return np.sort(np.abs(vals))
 
 
 def _mtm_norm(band):
@@ -236,9 +250,10 @@ def _mtm_norm(band):
 def _refine_near_null(op, band, s, k):
     """The k smallest singular values of M, ascending, refined on M itself.
 
-    ``s`` are all singular values as square roots of the eigenvalues of
-    M^T M (band form ``band``), ascending.  Block inverse iteration with
-    (M^T M + delta I)^-1, one O(m) band Cholesky solve per step from a fixed
+    ``s`` are all singular values, ascending, as the |eigenvalues| of A
+    (``_singular_values``), with an absolute error of about eps ||A||.
+    Block inverse iteration with (M^T M + delta I)^-1, M^T M = A^2 in the
+    band form ``band``, one O(m) band Cholesky solve per step from a fixed
     start block, converges to the singular subspace of the smallest values,
     and the refined values are the singular values of the m x b product M V
     (Rayleigh-Ritz on M): the squared operator only steers the subspace,
@@ -299,77 +314,55 @@ def mode_residual(op, mode, drop_edge=0):
     return float(np.linalg.norm(resid)) / denom
 
 
-def _count_below(band, sigma):
-    """Number of eigenvalues below sigma of the pentadiagonal M^T M.
+def _sturm_count(op, s):
+    """Number of singular values of M below s: eigenvalues of A in (-s, s].
 
-    ``band`` is the lower band form of ``mtm_band``.  The count is the
-    number of negative pivots of the unpivoted LDL^T of M^T M - sigma I
-    (Sylvester's law of inertia).  A pivot smaller in magnitude than
-    sqrt(eps) ||M^T M|| is replaced by minus that size, as Sturm counts
-    replace a zero pivot by a tiny negative one.  The substitution perturbs
-    the diagonal by no more than that size, so only eigenvalues that close
-    to sigma can be miscounted, and it bounds the growth of the later pivots
-    of this band-2 factorization, which a perturbation at rounding level
-    would not.
+    ``dstebz`` counts them with two Sturm sequences of A; an absolute
+    tolerance above 2s leaves it nothing to bisect.  Only values within
+    about eps ||A|| of s can be miscounted.
     """
-    if sigma <= 0.0:
-        return 0   # M^T M is positive semidefinite
-    diag = (band[0] - sigma).tolist()
-    sub1 = [0.0] + band[1, :-1].tolist()         # A[i, i-1]
-    sub2 = [0.0, 0.0] + band[2, :-2].tolist()    # A[i, i-2]
-    pivmin = math.sqrt(np.finfo(float).eps) * _mtm_norm(band)
-    count = 0
-    d2 = d1 = 1.0    # pivots of rows i-2 and i-1
-    l1 = 0.0         # L[i-1, i-2]
-    for a, e, f in zip(diag, sub1, sub2):
-        u = e - f * l1                           # L[i, i-1] D[i-1]
-        l1 = u / d1
-        d = a - u * l1 - f * (f / d2)
-        if abs(d) < pivmin:
-            d = -pivmin
-        if d < 0.0:
-            count += 1
-        d2, d1 = d1, d
-    return count
+    if s <= 0.0:
+        return 0   # the singular values are not negative
+    d, e = op.tridiagonal()
+    count, _, _, _, info = lapack.dstebz(d, e, 1, -s, s, 0, 0, 4.0 * s, b"B")
+    _lapack_ok(op, "dstebz", info)
+    return int(count)
 
 
 def windowed_singular_modes(op, lo, hi):
     """Singular values of M in [lo, hi] with their right singular vectors.
 
-    The window's count k comes from two inertia counts of M^T M at lo^2 and
-    hi^2 (O(m) each); an empty window returns at once.  Otherwise the k
-    eigenpairs of the pentadiagonal M^T M nearest the middle of the squared
-    window, which are exactly the ones inside it, come from shift-invert
-    Lanczos (ARPACK) with a fixed start vector, so repeated runs give the
-    same vectors.  The cost is O(m) per Lanczos step rather than the O(m^2)
-    of a banded eigensolver.  Values are ascending; the vectors are the
+    The values are the eigenvalues of A in (lo, hi] and in (-hi, -lo],
+    each singular value once, found by bisection (``dstebz``); an empty
+    window costs its four Sturm counts only.  Their eigenvectors, which
+    are right singular vectors of M, come from inverse iteration on A
+    (``dstein``), deterministic and O(m) per value rather than the O(m^2)
+    of a full eigensolver.  Values are ascending; the vectors are the
     b-sector components, suitable for smooth/staggered and bulk/edge
     classification.
     """
     if not 0.0 <= lo <= hi:
         raise ValueError("need 0 <= lo <= hi for a singular-value window")
-    band = op.mtm_band()
-    m = op.size
-    lo2, hi2 = lo * lo, hi * hi
-    k = _count_below(band, hi2) - _count_below(band, lo2)
+    if lo == hi:
+        return np.empty(0), np.empty((op.size, 0))
+    d, e = op.tridiagonal()
+    vals, blocks = [], []
+    for vl, vu in ((-hi, -lo), (lo, hi)):
+        k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, vl, vu, 0, 0,
+                                                   0.0, b"B")
+        _lapack_ok(op, "dstebz", info)
+        vals.append(w[:k])
+        blocks.append(iblock[:k])
+    k = sum(v.size for v in vals)
     if k == 0:
-        return np.empty(0), np.empty((m, 0))
-    try:
-        if k >= m:   # the whole spectrum: ARPACK needs k < m
-            vals, vecs = scipy.linalg.eig_banded(band, lower=True)
-        else:
-            mtm = scipy.sparse.diags(
-                [band[2, :m - 2], band[1, :m - 1], band[0],
-                 band[1, :m - 1], band[2, :m - 2]],
-                [-2, -1, 0, 1, 2], format="csc")
-            # ARPACK's default start vector is random
-            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                mtm, k, sigma=0.5 * (lo2 + hi2), v0=v0)
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        # ArpackError and SuperLU's singular-factor error are RuntimeErrors
-        raise EigenSolveError(
-            f"windowed eigensolver failed for k_y={op.k_y} "
-            f"(m={m}, {k} values in the window): {exc}") from exc
-    order = np.argsort(vals)
-    return np.sqrt(np.clip(vals[order], 0.0, None)), vecs[:, order]
+        return np.empty(0), np.empty((op.size, 0))
+    vals, blocks = np.concatenate(vals), np.concatenate(blocks)
+    # dstein takes the values grouped by block, ascending within each,
+    # and an m-long block array of which it reads the first k entries
+    order = np.lexsort((vals, blocks))
+    iblock[:k] = blocks[order]
+    vecs, info = lapack.dstein(d, e, vals[order], iblock, isplit)
+    _lapack_ok(op, "dstein", info, k)
+    svals = np.abs(vals[order])
+    order = np.argsort(svals, kind="stable")
+    return svals[order], vecs[:, order]

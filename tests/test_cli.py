@@ -3,7 +3,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from zml import _quadrature
 from zml.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
@@ -337,9 +339,9 @@ class TestCountAndVerify:
             (out2 / "count.json").read_bytes()
 
     def test_verify_level1_byte_identical_reruns(self, tmp_path, capsys):
-        # level 1 takes windowed vectors from ARPACK, whose start vector
-        # must be fixed for reruns to agree; no B_const, so the cluster
-        # center is detected from a full spectrum as well
+        # level 1 takes windowed vectors from inverse iteration (dstein),
+        # whose fixed start vectors make reruns agree; no B_const, so the
+        # cluster center is detected from a full spectrum as well
         outs = []
         for name in ("v1", "v2"):
             out = tmp_path / name
@@ -690,6 +692,25 @@ class TestNumericalFailureExit:
         code, _, err = run_cli(capsys, "flux", "--config", cfg)
         assert code == EXIT_NUMERICAL
         assert "tolerance" in err
+
+    def test_windowed_eigensolver_failure(self, tmp_path, capsys,
+                                          monkeypatch):
+        # inverse iteration that reports unconverged vectors (LAPACK
+        # info > 0) is a numerical failure of the level-1 sweep, not a crash
+        def unconverged(d, e, w, iblock, isplit):
+            return np.zeros((d.size, w.size)), 1
+
+        monkeypatch.setattr(lapack, "dstein", unconverged)
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE,
+                        grid={"x_lo": -32.0, "x_hi": 32.0, "n": 802},
+                        Ly=2 * math.pi, n_range=[-3, 3], level=1,
+                        B_const=1.0, out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, "verify", "--config", cfg)
+        assert code == EXIT_NUMERICAL
+        assert stdout == ""
+        assert "Traceback" not in err
+        assert "numerical failure: dstein failed for channel k_y=" in err
+        assert "(m=800, " in err and "values in the window" in err
 
 
 class TestReportRoundTrip:

@@ -13,7 +13,7 @@ from zml.potential import required_padding
 from zml.profiles import Grid1D, box, total_flux, truncated_gaussian
 from zml.reduction import (ReductionConfig, _smooth_bulk_weight,
                            verify_degeneracy)
-from zml.spectral import (DiracOperator, _count_below, build_operator,
+from zml.spectral import (DiracOperator, _sturm_count, build_operator,
                           eigen_spectrum, mode_residual,
                           windowed_singular_modes)
 from zml.zeromodes import SECTOR_B, build_mode_1d
@@ -55,7 +55,8 @@ class TestBuildOperator:
 
     def test_matrix_is_exactly_symmetric(self):
         # the block [[0, M], [M^T, 0]] that the matrix-free products apply
-        # is exactly symmetric, and M is the dense reference
+        # is exactly symmetric, and M is the dense reference; A = J M with
+        # J = diag((-1)^i) is exactly symmetric too, and A^2 = M^T M
         op = build_operator(box(1.0, 2.0), 0.7, Grid1D(-17.0, 17.0, 102),
                             enforce_padding=False)
         m = op.size
@@ -68,6 +69,14 @@ class TestBuildOperator:
         mtm = mm.T @ mm
         for j in range(3):
             np.testing.assert_allclose(band[j, :m - j], np.diag(mtm, -j),
+                                       rtol=1e-14, atol=1e-12)
+        d, e = op.tridiagonal()
+        a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+        assert np.array_equal(a, sign[:, None] * mm)
+        assert np.array_equal(a, a.T)
+        for j in range(3):
+            np.testing.assert_allclose(band[j, :m - j], np.diag(a @ a, -j),
                                        rtol=1e-14, atol=1e-12)
 
     def test_cap_enforced(self):
@@ -285,40 +294,43 @@ operators = dict(m=st.integers(2, 400), h=st.floats(0.05, 0.5),
 
 
 class TestInertiaCount:
+    # thresholds are singular values s: the count of singular values below
+    # s against the eigenvalues of M^T M below s^2
     @given(frac=st.floats(0.0, 1.1), neg=st.floats(0.0, 1e3), **operators)
     def test_matches_banded_spectrum(self, frac, neg, m, h, k, noise, seed):
         op = random_operator(m, h, k, noise, seed)
         band = op.mtm_band()
         ev = banded_eigenvalues(op)
-        # tau^2, both level-window edges, a random point of the spectrum and
-        # the first diagonal entry, where the first pivot is exactly zero
+        # tau, both level-window edges, a random point of the spectrum, the
+        # first diagonal entry of M^T M and that of A, where the first
+        # Sturm pivot is exactly zero
         sigmas = [TAU ** 2, LEVEL1[0] ** 2, LEVEL1[1] ** 2, frac * ev[-1],
-                  band[0, 0]]
+                  band[0, 0], op.w_values[0] ** 2]
         for sigma in sigmas:
-            if np.min(np.abs(ev - sigma)) <= 1e-6 * max(1.0, ev[-1]):
-                continue   # within the pivot floor of an eigenvalue
-            assert _count_below(band, sigma) == int(np.sum(ev < sigma))
-        # positive semidefinite: nothing lies below sigma <= 0
-        assert _count_below(band, 0.0) == 0
-        assert _count_below(band, -neg) == 0
+            if np.min(np.abs(ev - sigma)) <= 1e-9 * max(1.0, ev[-1]):
+                continue   # within the rounding of an eigenvalue
+            assert _sturm_count(op, math.sqrt(sigma)) == int(np.sum(ev < sigma))
+        # singular values are not negative: nothing lies below s <= 0
+        assert _sturm_count(op, 0.0) == 0
+        assert _sturm_count(op, -neg) == 0
 
     @given(half=st.integers(1, 199), h=st.floats(0.05, 0.5))
     def test_free_operator_null_vector(self, half, h):
         # odd interior, zero field: (1, 0, 1, 0, ..., 1) is an exact null
-        # vector of M, and the pivot that meets it is exactly zero
+        # vector of M and of A, whose diagonal is exactly zero
         m = 2 * half + 1
         op = DiracOperator(grid=None, k_y=0.0, interior_x=np.arange(m) * h,
                            w_values=np.zeros(m), h=h, bmax=0.0)
-        band = op.mtm_band()
         ev = banded_eigenvalues(op)
         assert abs(ev[0]) <= 1e-12 * ev[-1] < ev[1]
-        for sigma in (1e-300, 1e-20, 0.5 * ev[1]):
-            assert _count_below(band, sigma) == 1
-        assert _count_below(band, 0.0) == 0
+        for s in (1e-150, 1e-10, 0.5 * math.sqrt(ev[1])):
+            assert _sturm_count(op, s) == 1
+        assert _sturm_count(op, 0.0) == 0
         for lo, hi in zip(ev[1:-1], ev[2:]):
             if hi - lo > 1e-9 * ev[-1]:
                 mid = 0.5 * (lo + hi)
-                assert _count_below(band, mid) == int(np.sum(ev < mid))
+                assert _sturm_count(op, math.sqrt(mid)) == \
+                    int(np.sum(ev < mid))
 
     @given(b0=st.floats(0.7, 1.4), negative=st.booleans(),
            a=st.floats(0.8, 2.0), gauss=st.booleans(),
@@ -342,7 +354,7 @@ class TestInertiaCount:
         h = min(0.25 / max(abs(k) + half, 1.0), 0.1)
         m = int(math.ceil(2.0 * extent / h)) + 1
         op = build_operator(profile, k, Grid1D(-extent, extent, m + 2))
-        assert _count_below(op.mtm_band(), tau * tau) == expected
+        assert _sturm_count(op, tau) == expected
 
 
 class TestChiralPairing:
@@ -393,8 +405,9 @@ class TestWindowedModes:
         assert vecs.shape == (op.size, svals.size)
 
     def test_repeat_calls_bit_identical(self):
-        # ARPACK's default start vector is random; the fixed one makes the
-        # vectors, not only the basis-free weights, repeat exactly
+        # bisection and inverse iteration (dstein, whose start vectors are
+        # fixed) repeat exactly: the vectors, not only the basis-free
+        # weights
         op = build_operator(box(1.0, 5.0), 0.0, Grid1D(-35.0, 35.0, 702))
         first, again = (windowed_singular_modes(op, 1.2, 1.6)
                         for _ in range(2))
