@@ -202,6 +202,15 @@ def _check_level_separation(level, top, upper, ctol):
             "cluster_tol")
 
 
+def _gap_runs(vals, tol):
+    """Slices of the ascending ``vals`` split wherever a gap exceeds tol."""
+    if vals.size == 0:
+        return []
+    cuts = (np.flatnonzero(np.diff(vals) > tol) + 1).tolist()
+    edges = [0, *cuts, vals.size]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
 def _detect_cluster_center(pooled, level, ctol):
     """Gap-split the deepest channel's singular values; median of cluster m.
 
@@ -214,12 +223,7 @@ def _detect_cluster_center(pooled, level, ctol):
     if vals.size == 0:
         raise ClusterResolutionError("no spectral values to cluster; "
                                      "is the sweep admissible at all?")
-    clusters = []
-    start = 0
-    for i in range(1, vals.size + 1):
-        if i == vals.size or vals[i] - vals[i - 1] > ctol:
-            clusters.append(vals[start:i])
-            start = i
+    clusters = [vals[run] for run in _gap_runs(vals, ctol)]
     if level >= len(clusters):
         raise ClusterResolutionError(
             f"level {level} needs level {level + 1} above it to bound its "
@@ -246,19 +250,14 @@ def _smooth_bulk_weight(svals, vecs, support_mask):
     and each contributes its probability weight inside the field support.
     """
     weight = 0.0
-    i = 0
-    while i < svals.size:
-        j = i + 1
-        while j < svals.size and svals[j] - svals[j - 1] <= _GROUP_TOL:
-            j += 1
-        basis, _ = np.linalg.qr(vecs[:, i:j])
+    for run in _gap_runs(svals, _GROUP_TOL):
+        basis, _ = np.linalg.qr(vecs[:, run])
         d = np.diff(basis, axis=0)
         s = basis[1:] + basis[:-1]
         split, rot = np.linalg.eigh(d.T @ d - s.T @ s)
         smooth = basis @ rot[:, split < 0.0]
         if smooth.shape[1]:
             weight += float(np.sum((smooth * support_mask[:, None]) * smooth))
-        i = j
     return weight
 
 

@@ -26,11 +26,11 @@ of LAPACK's tridiagonal routines on A, and nothing is assembled densely:
   (implicit QL/QR, O(m^2)).  Their absolute error, about eps ||A||, still
   falls on the near-null values the zero-mode count rests on, so every
   value that may lie below the zero tolerance is then refined on M itself:
-  block inverse iteration gives their singular subspace in O(m) per step,
-  and the values are the singular values of M restricted to it
-  (Rayleigh-Ritz), accurate relative to their own size (cf. Demmel &
-  Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990), on the accuracy of
-  small singular values).
+  ``windowed_singular_modes`` gives their singular subspace from the
+  ``dstein`` eigenvectors of A, and the values are the singular values of
+  M restricted to it (Rayleigh-Ritz), accurate relative to their own size
+  (cf. Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990), on the
+  accuracy of small singular values).
 - Channel sweeps need no full spectrum.  The number of singular values
   below s is the number of eigenvalues of A in (-s, s], two Sturm counts of
   A by ``dstebz`` (Parlett, The Symmetric Eigenvalue Problem, ch. 3): O(m).
@@ -52,7 +52,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import EigenSolveError, GridError, ProfileError
@@ -117,19 +116,6 @@ class DiracOperator:
         sign[1::2] = -1.0
         return sign * self.w_values, c * sign[:-1]
 
-    def mtm_band(self):
-        """Lower band form (diag, 1st, 2nd subdiagonal) of the pentadiagonal M^T M."""
-        w = self.w_values
-        m = self.size
-        c = 1.0 / (2.0 * self.h)
-        idx = np.arange(m)
-        band = np.zeros((3, m))
-        band[0] = w * w + c * c * ((idx > 0).astype(float)
-                                   + (idx < m - 1).astype(float))
-        band[1, :m - 1] = c * (w[:-1] - w[1:])
-        band[2, :m - 2] = -c * c
-        return band
-
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -192,28 +178,37 @@ def eigen_spectrum(op, tau=None):
     the tridiagonal A = J M (``dsterf``); the chiral block structure makes
     the pairing exact.  Their absolute error of about eps ||A|| would still
     decide the near-null values, so every value that may lie below tau is
-    then refined on M itself (``_refine_near_null``) before the near-zero
-    count is taken.  With a field the refinement stops at half the first
-    gap sqrt(2 max|B|), where ``_check_tau`` warns, whatever tau: the
+    then refined on M itself before the near-zero count is taken: the
+    ``dstein`` eigenvectors V of A for those values
+    (``windowed_singular_modes``) span their right singular subspace, and
+    the refined values are the singular values of the m x k product M V
+    (Rayleigh-Ritz on M).  M V is formed in extended precision
+    (``np.longdouble``) and rounded once: its rows cancel down to the size
+    of the values, and forming them in double leaves an error of up to
+    about eps ||M|| in them.  Where the platform's long double is double,
+    that is the accuracy.  With a field the refinement stops at half the
+    first gap sqrt(2 max|B|), where ``_check_tau`` warns, whatever tau: the
     values above it are accurate as they are, and a larger tau would grow
-    the refinement block, m doubles per column, to the whole spectrum.  A
-    field-free operator has no gap, so every value below tau is refined.
-    The count is s < tau over all values either way.
+    V, m doubles per column, to the whole spectrum.  A field-free operator
+    has no gap, so every value below tau is refined.  The count is s < tau
+    over all values either way.
     """
     if tau is None:
         tau = default_zero_tolerance(op)
     tau = float(tau)
     _check_tau(op.bmax, tau)
     s = _singular_values(op)
-    band = op.mtm_band()
-    # every value whose square lies within sqrt(eps) ||M^T M|| of cut^2, a
-    # margin far above the rounding of dsterf, so none below cut is missed
+    # every value below cut + sqrt(eps) ||A||, ||A|| the largest value: a
+    # margin far above the rounding of dsterf and dstebz, so none below cut
+    # is missed
     cut = tau if op.bmax <= 0.0 else min(tau, 0.5 * math.sqrt(2.0 * op.bmax))
-    k = int(np.sum(s * s < cut * cut + math.sqrt(np.finfo(float).eps)
-                           * _mtm_norm(band)))
+    _, v = windowed_singular_modes(
+        op, 0.0, cut + math.sqrt(np.finfo(float).eps) * s[-1])
+    k = v.shape[1]
     if k:
+        mv = op.m_matvec(v.astype(np.longdouble)).astype(float)
         try:
-            s[:k] = _refine_near_null(op, band, s, k)
+            s[:k] = np.linalg.svd(mv, compute_uv=False)[::-1]
         except np.linalg.LinAlgError as exc:
             raise EigenSolveError(
                 f"near-null refinement failed for channel k_y={op.k_y} "
@@ -239,53 +234,6 @@ def _singular_values(op):
     vals, info = lapack.dsterf(*op.tridiagonal())
     _lapack_ok(op, "dsterf", info)
     return np.sort(np.abs(vals))
-
-
-def _mtm_norm(band):
-    """Bound on ||M^T M|| from its lower band form (largest row sum)."""
-    return float(np.max(np.abs(band[0])) + 2.0 * np.max(np.abs(band[1]))
-                 + 2.0 * np.max(np.abs(band[2])))
-
-
-def _refine_near_null(op, band, s, k):
-    """The k smallest singular values of M, ascending, refined on M itself.
-
-    ``s`` are all singular values, ascending, as the |eigenvalues| of A
-    (``_singular_values``), with an absolute error of about eps ||A||.
-    Block inverse iteration with (M^T M + delta I)^-1, M^T M = A^2 in the
-    band form ``band``, one O(m) band Cholesky solve per step from a fixed
-    start block, converges to the singular subspace of the smallest values,
-    and the refined values are the singular values of the m x b product M V
-    (Rayleigh-Ritz on M): the squared operator only steers the subspace,
-    whose error enters the values to second order.
-
-    - ``eigen_spectrum`` caps k at the values below half the first gap
-      when there is a field, so the m x b block does not grow with tau
-      beyond that.
-    - The block holds the k values and every value up to the first factor
-      16 in the shifted squares s^2 + delta, so each step shrinks the rest
-      of the spectrum in V by 16 or more and eight steps converge however
-      close to tau the k-th value lies.
-    - delta = 32 eps ||M^T M|| exceeds the rounding of forming and
-      factoring M^T M, so the factorization cannot fail even for an exactly
-      singular M; the shift leaves the eigenvectors as they are.
-    - M V is formed in extended precision (``np.longdouble``) and rounded
-      once: its rows cancel down to the size of s, and forming them in
-      double leaves an error of up to about eps ||M|| in them.  Where the
-      platform's long double is double, that is the accuracy.
-    """
-    m = op.size
-    delta = 32.0 * np.finfo(float).eps * _mtm_norm(band)
-    shifted = s * s + delta
-    block = max(k, int(np.searchsorted(shifted, 16.0 * shifted[k - 1])))
-    spd = band.copy()
-    spd[0] += delta
-    factor = scipy.linalg.cholesky_banded(spd, lower=True)
-    v = np.random.default_rng(0).uniform(-1.0, 1.0, (m, block))
-    for _ in range(8):
-        v, _ = np.linalg.qr(scipy.linalg.cho_solve_banded((factor, True), v))
-    mv = op.m_matvec(v.astype(np.longdouble)).astype(float)
-    return scipy.linalg.svdvals(mv)[::-1][:k]
 
 
 def mode_residual(op, mode, drop_edge=0):

@@ -696,7 +696,8 @@ class TestNumericalFailureExit:
     def test_windowed_eigensolver_failure(self, tmp_path, capsys,
                                           monkeypatch):
         # inverse iteration that reports unconverged vectors (LAPACK
-        # info > 0) is a numerical failure of the level-1 sweep, not a crash
+        # info > 0) is a numerical failure of the level-1 sweep and of the
+        # spectrum's near-null refinement, not a crash
         def unconverged(d, e, w, iblock, isplit):
             return np.zeros((d.size, w.size)), 1
 
@@ -711,6 +712,15 @@ class TestNumericalFailureExit:
         assert "Traceback" not in err
         assert "numerical failure: dstein failed for channel k_y=" in err
         assert "(m=800, " in err and "values in the window" in err
+        cfg = write_cfg(tmp_path, "spectrum.json", profile=BOX_PROFILE,
+                        grid={"x_lo": -17.0, "x_hi": 17.0, "n": 402},
+                        k_y=0.0, out_dir=str(tmp_path / "s"))
+        code, stdout, err = run_cli(capsys, "spectrum", "--config", cfg)
+        assert code == EXIT_NUMERICAL
+        assert stdout == ""
+        assert "Traceback" not in err
+        assert "numerical failure: dstein failed for channel k_y=0.0 " in err
+        assert "(m=400, 1 values in the window" in err
 
 
 class TestReportRoundTrip:

@@ -31,6 +31,21 @@ def dense_m(op):
     return mat
 
 
+def mtm_band(op):
+    """Lower band form (diag, 1st, 2nd subdiagonal) of the pentadiagonal
+    M^T M, the independent ``eig_banded`` reference for the spectra of A."""
+    w = op.w_values
+    m = op.size
+    c = 1.0 / (2.0 * op.h)
+    idx = np.arange(m)
+    band = np.zeros((3, m))
+    band[0] = w * w + c * c * ((idx > 0).astype(float)
+                               + (idx < m - 1).astype(float))
+    band[1, :m - 1] = c * (w[:-1] - w[1:])
+    band[2, :m - 2] = -c * c
+    return band
+
+
 def reference_spectrum(op):
     """Eigenvalues of [[0, M], [M^T, 0]], ascending, from a dense SVD of M."""
     s = scipy.linalg.svdvals(dense_m(op))
@@ -65,7 +80,7 @@ class TestBuildOperator:
         h = np.block([[np.zeros((m, m)), mm], [mt, np.zeros((m, m))]])
         assert np.array_equal(h, h.T)
         assert np.array_equal(mm, dense_m(op))
-        band = op.mtm_band()
+        band = mtm_band(op)
         mtm = mm.T @ mm
         for j in range(3):
             np.testing.assert_allclose(band[j, :m - j], np.diag(mtm, -j),
@@ -140,6 +155,21 @@ class TestEigenSpectrum:
         assert spec.near_zero_count == 1
         assert abs(np.min(np.abs(spec.eigenvalues)) - ref) <= 1e-14
 
+    @pytest.mark.parametrize("m", [600, 1200])
+    def test_near_null_cluster_matches_dense_svd(self, m):
+        # kink, antikink and kink in W: one value near 1e-16 and a
+        # tunnelling pair near 3e-7, all three refined together
+        x = np.linspace(-24.0, 24.0, m)
+        w = 2.0 * (np.tanh(x + 9.0) - np.tanh(x) + np.tanh(x - 9.0))
+        op = DiracOperator(grid=None, k_y=0.0, interior_x=x, w_values=w,
+                           h=x[1] - x[0], bmax=1.0)
+        spec = eigen_spectrum(op, tau=0.1)
+        ref = scipy.linalg.svdvals(dense_m(op))[::-1][:3]
+        assert ref[0] < 1e-14 and 1e-9 < ref[1] <= ref[2] < 1e-6
+        assert spec.near_zero_count == 3
+        np.testing.assert_allclose(spec.eigenvalues[m:m + 3], ref, rtol=0.0,
+                                   atol=1e-14)
+
     def test_near_null_value_large_grid(self):
         # pinned from a dense SVD of the 3000 x 3000 M, which takes about
         # 7 s, too slow for the suite.  The eigenvalues of M^T M alone put
@@ -149,9 +179,8 @@ class TestEigenSpectrum:
         assert smallest == pytest.approx(4.7104695425e-7, rel=1e-9,
                                          abs=0.0)
         if np.finfo(np.longdouble).eps < np.finfo(float).eps:
-            # M V formed in extended precision: the value of an inverse
-            # iteration run wholly in long double; rounding M V in double
-            # misses it by up to ~5e-10
+            # M V formed in extended precision and rounded once; forming
+            # it in double misses the value by up to ~5e-10
             assert smallest == pytest.approx(4.71046954025e-7,
                                              rel=1e-11, abs=0.0)
 
@@ -284,7 +313,7 @@ def random_operator(m, h, k, noise, seed):
 
 
 def banded_eigenvalues(op):
-    return scipy.linalg.eig_banded(op.mtm_band(), lower=True,
+    return scipy.linalg.eig_banded(mtm_band(op), lower=True,
                                    eigvals_only=True)
 
 
@@ -299,7 +328,7 @@ class TestInertiaCount:
     @given(frac=st.floats(0.0, 1.1), neg=st.floats(0.0, 1e3), **operators)
     def test_matches_banded_spectrum(self, frac, neg, m, h, k, noise, seed):
         op = random_operator(m, h, k, noise, seed)
-        band = op.mtm_band()
+        band = mtm_band(op)
         ev = banded_eigenvalues(op)
         # tau, both level-window edges, a random point of the spectrum, the
         # first diagonal entry of M^T M and that of A, where the first
@@ -436,7 +465,7 @@ class TestWindowedModes:
         lo = 0.5 * (s[i - 1] + s[i]) if i > 0 else 0.0
         hi = 0.5 * (s[j] + s[j + 1]) if j < m - 1 else s[-1] + 1.0
         ref_vals, ref_vecs = scipy.linalg.eig_banded(
-            op.mtm_band(), lower=True, select="v",
+            mtm_band(op), lower=True, select="v",
             select_range=(lo * lo, hi * hi))
         ref = np.sqrt(np.clip(ref_vals, 0.0, None))
         svals, vecs = windowed_singular_modes(op, lo, hi)

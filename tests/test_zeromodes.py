@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import simpson
 
 from zml.errors import ProfileError
 from zml.potential import lambda_1d, lambda_2d_radial
 from zml.profiles import (DIM_RADIAL, Grid1D, box, bump, piecewise_linear,
                           total_flux, truncated_gaussian)
-from zml.zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE,
+from zml.zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE, _simpson,
                            admissible_k_interval, build_mode_1d,
                            build_mode_2d, count_2d_zero_modes, scan_k)
 
@@ -235,6 +236,17 @@ def test_scan_norm_overflows_while_normalizable():
     inside = [e for e in entries if abs(e.k) < 100.0]
     assert inside and all(e.normalizable and e.l2_norm == math.inf
                           for e in inside)
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 11, 12, 121, 122, 1001, 1002])
+    def test_matches_scipy_exactly(self, n, rng):
+        # SciPy stays the reference: the same arithmetic bit for bit, odd
+        # and even n, on a zml grid and on uneven points, row by row
+        for x in (Grid1D(-7.3, 11.1, n).points(),
+                  np.sort(rng.uniform(-5.0, 5.0, n))):
+            y = np.exp(-rng.uniform(0.0, 5.0, (37, n)))
+            assert np.array_equal(_simpson(y, x), simpson(y, x=x, axis=-1))
 
 
 class TestCount2D:
