@@ -26,9 +26,9 @@ from .zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE, Mode2D, OpenInterval,
 from .spectral import (DiracOperator, Spectrum, build_operator,
                        default_zero_tolerance, eigen_spectrum, mode_residual,
                        windowed_singular_modes)
-from .reduction import (ChannelVerdict, DegeneracyReport, ReductionConfig,
-                        admissible_channels, default_n_range, quantize_ky,
-                        verify_degeneracy)
+from .reduction import (MAX_CHANNELS, ChannelVerdict, DegeneracyReport,
+                        ReductionConfig, admissible_channels,
+                        default_n_range, quantize_ky, verify_degeneracy)
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,7 @@ __all__ = [
     "DiracOperator", "Spectrum", "build_operator", "default_zero_tolerance",
     "eigen_spectrum", "mode_residual", "windowed_singular_modes",
     # reduction
-    "ReductionConfig", "ChannelVerdict", "DegeneracyReport",
+    "MAX_CHANNELS", "ReductionConfig", "ChannelVerdict", "DegeneracyReport",
     "admissible_channels", "default_n_range", "quantize_ky",
     "verify_degeneracy",
 ]

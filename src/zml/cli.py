@@ -1,13 +1,18 @@
-"""Config-driven command line: ``zml <subcommand> --config cfg.json``.
+"""Config-driven command line: ``zml <stage> --config cfg.json``.
 
-Subcommands: flux, potential, modes, scan, spectrum, count, verify, modes2d.
+One table, ``_STAGES``, declares each stage (flux, potential, modes, scan,
+spectrum, count, verify, modes2d) once: its handler, required config keys
+and profile dimension.  ``main`` checks the keys, builds the profile (and
+refuses one of the wrong dimension), the grid and the quadrature tolerance
+once each, and calls ``handler(cfg, profile, grid, rtol, out)``.
 One JSON config describes one run; unknown keys are rejected with the
 offending field named.  Reports are written into the output directory (and
 the JSON one echoed to stdout) with fixed number formatting and sorted keys,
 so identical configs produce byte-identical outputs.
 
 Exit codes: 0 success; 2 config/input error (parse failure, bad field,
-insufficient grid); 3 numerical failure (quadrature or eigensolver
+wrong profile dimension, insufficient or non-finite grid, non-finite flux,
+too many channels); 3 numerical failure (quadrature or eigensolver
 non-convergence, unresolved level clusters).
 """
 
@@ -21,7 +26,8 @@ import numpy as np
 from . import __version__
 from .errors import (ClusterResolutionError, EigenSolveError, GridError,
                      PaddingError, ProfileError, QuadratureError)
-from .profiles import DEFAULT_RTOL, DIM_LINE, Grid1D, make_profile, total_flux
+from .profiles import (DEFAULT_RTOL, DIM_LINE, DIM_RADIAL, Grid1D,
+                       make_profile, total_flux)
 from .potential import lambda_1d, lambda_2d_radial
 from .reduction import ReductionConfig, admissible_channels, verify_degeneracy
 from .reports import Table, csv_text, json_report, line_plot_svg
@@ -32,9 +38,6 @@ from .zeromodes import (SECTOR_A, SECTOR_B, build_mode_1d, build_mode_2d,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-COMMANDS = ("flux", "potential", "modes", "scan", "spectrum", "count",
-            "verify", "modes2d")
 
 
 class ConfigError(ValueError):
@@ -71,17 +74,6 @@ _PROFILE_KEYS = {
 _GRID_KEYS = {"x_lo": "num", "x_hi": "num", "n": "int"}
 _TOL_KEYS = {"quadrature_tol": "positive", "zero_tol": "positive",
              "cluster_tol": "positive"}
-
-_REQUIRED = {
-    "flux": ("profile",),
-    "potential": ("profile", "grid"),
-    "modes": ("profile", "grid", "sector"),
-    "scan": ("profile", "grid", "sector", "k_list"),
-    "spectrum": ("profile", "grid", "k_y"),
-    "count": ("profile",),   # Ly additionally required for line profiles
-    "verify": ("profile", "grid", "Ly"),
-    "modes2d": ("profile", "grid", "j_list"),
-}
 
 
 def _is_num(v):
@@ -172,12 +164,6 @@ def load_config(path):
     return cfg
 
 
-def _require(cfg, command):
-    for key in _REQUIRED[command]:
-        if key not in cfg:
-            raise ConfigError(f"'{command}' requires config key {key}")
-
-
 def _build_profile(cfg):
     spec = dict(cfg["profile"])
     if "kind" not in spec:
@@ -203,8 +189,8 @@ def _build_grid(cfg):
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def _tol(cfg, name, default=None):
-    return cfg.get("tolerances", {}).get(name, default)
+def _tol(cfg, name):
+    return cfg.get("tolerances", {}).get(name)
 
 
 def _sector(cfg):
@@ -216,10 +202,6 @@ def _sector(cfg):
     raise ConfigError(f"sector must be 'a' or 'b', got {label!r}")
 
 
-def _flux_key(profile):
-    return "Phi" if profile.is_radial else "Q"
-
-
 def _reduction_config(cfg):
     n_range = cfg.get("n_range")
     try:
@@ -228,6 +210,14 @@ def _reduction_config(cfg):
                                B_const=cfg.get("B_const"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _plane_count_json(flux):
+    """Plane count N = integer part of |Phi|/2pi, in one spin sector."""
+    count = count_2d_zero_modes(flux)
+    return {"Phi": flux.value, "N": count.n_modes,
+            "sector": count.sector.label, "flux_over_2pi": count.flux_over_2pi,
+            "integer_flux": count.integer_flux}
 
 
 def _degeneracy_json(rep):
@@ -276,16 +266,13 @@ class _Out:
         sys.stdout.write(self.report_text)
 
 
-def cmd_flux(cfg, out):
-    profile = _build_profile(cfg)
-    flux = total_flux(profile, rtol=_tol(cfg, "quadrature_tol", DEFAULT_RTOL))
-    out.json("flux.json", {_flux_key(profile): flux.value, "method": flux.method})
+def cmd_flux(cfg, profile, grid, rtol, out):
+    flux = total_flux(profile, rtol=rtol)
+    out.json("flux.json", {"Phi" if profile.is_radial else "Q": flux.value,
+                           "method": flux.method})
 
 
-def cmd_potential(cfg, out):
-    profile = _build_profile(cfg)
-    grid = _build_grid(cfg)
-    rtol = _tol(cfg, "quadrature_tol", DEFAULT_RTOL)
+def cmd_potential(cfg, profile, grid, rtol, out):
     if profile.is_radial:
         if cfg.get("k", 0.0) != 0.0:
             raise ConfigError("k must be 0 (or absent) for radial potentials: "
@@ -309,15 +296,9 @@ def cmd_potential(cfg, out):
     out.svg("potential.svg", x, pot.values, axis, "lambda")
 
 
-def cmd_modes(cfg, out):
-    profile = _build_profile(cfg)
-    if profile.is_radial:
-        raise ConfigError("'modes' needs a line profile; use modes2d")
-    grid = _build_grid(cfg)
+def cmd_modes(cfg, profile, grid, rtol, out):
     sector = _sector(cfg)
-    k = cfg.get("k", 0.0)
-    rtol = _tol(cfg, "quadrature_tol", DEFAULT_RTOL)
-    mode = build_mode_1d(profile, k, sector, grid, rtol=rtol)
+    mode = build_mode_1d(profile, cfg.get("k", 0.0), sector, grid, rtol=rtol)
     out.json("modes.json", {
         "Q": mode.flux.value, "sector": sector.label, "k": mode.k,
         "normalizable": mode.normalizable,
@@ -329,13 +310,8 @@ def cmd_modes(cfg, out):
     out.svg("modes.svg", x, mode.log_values, "x", "log_psi")
 
 
-def cmd_scan(cfg, out):
-    profile = _build_profile(cfg)
-    if profile.is_radial:
-        raise ConfigError("'scan' needs a line profile")
-    grid = _build_grid(cfg)
+def cmd_scan(cfg, profile, grid, rtol, out):
     sector = _sector(cfg)
-    rtol = _tol(cfg, "quadrature_tol", DEFAULT_RTOL)
     base = lambda_1d(profile, 0.0, grid, rtol=rtol, enforce_padding=False)
     entries = scan_k(base, sector, cfg["k_list"])
     # one table, formatted once for both files
@@ -346,13 +322,8 @@ def cmd_scan(cfg, out):
     out.csv("scan.csv", table)
 
 
-def cmd_spectrum(cfg, out):
-    profile = _build_profile(cfg)
-    if profile.is_radial:
-        raise ConfigError("'spectrum' needs a line profile")
-    grid = _build_grid(cfg)
-    op = build_operator(profile, cfg["k_y"], grid,
-                        rtol=_tol(cfg, "quadrature_tol", DEFAULT_RTOL))
+def cmd_spectrum(cfg, profile, grid, rtol, out):
+    op = build_operator(profile, cfg["k_y"], grid, rtol=rtol)
     tau = _tol(cfg, "zero_tol")
     if tau is None:
         try:
@@ -371,19 +342,10 @@ def cmd_spectrum(cfg, out):
                                    "eigenvalue": spec.eigenvalues}))
 
 
-def cmd_count(cfg, out):
-    profile = _build_profile(cfg)
-    rtol = _tol(cfg, "quadrature_tol", DEFAULT_RTOL)
+def cmd_count(cfg, profile, grid, rtol, out):
     if profile.is_radial:
-        # plane counting: N = integer part of |Phi|/2pi, one spin sector
         flux = total_flux(profile, rtol=rtol)
-        count = count_2d_zero_modes(flux)
-        out.json("count.json", {
-            "Phi": flux.value, "N": count.n_modes,
-            "sector": count.sector.label,
-            "flux_over_2pi": count.flux_over_2pi,
-            "integer_flux": count.integer_flux,
-        })
+        out.json("count.json", _plane_count_json(flux))
         return
     if "Ly" not in cfg:
         raise ConfigError("'count' on a line profile requires config key Ly")
@@ -391,16 +353,11 @@ def cmd_count(cfg, out):
     out.json("count.json", _degeneracy_json(rep))
 
 
-def cmd_verify(cfg, out):
-    profile = _build_profile(cfg)
-    if profile.is_radial:
-        raise ConfigError("'verify' needs a line profile")
-    grid = _build_grid(cfg)
+def cmd_verify(cfg, profile, grid, rtol, out):
     rep = verify_degeneracy(profile, _reduction_config(cfg),
                             cfg.get("level", 0), grid,
                             zero_tol=_tol(cfg, "zero_tol"),
-                            cluster_tol=_tol(cfg, "cluster_tol"),
-                            rtol=_tol(cfg, "quadrature_tol", DEFAULT_RTOL))
+                            cluster_tol=_tol(cfg, "cluster_tol"), rtol=rtol)
     doc = _degeneracy_json(rep)
     doc["level"] = rep.level
     doc["tau"] = rep.tau
@@ -409,24 +366,15 @@ def cmd_verify(cfg, out):
     out.json("verify.json", doc)
 
 
-def cmd_modes2d(cfg, out):
-    profile = _build_profile(cfg)
-    if not profile.is_radial:
-        raise ConfigError("'modes2d' needs a radial-plane profile")
-    grid = _build_grid(cfg)
-    rtol = _tol(cfg, "quadrature_tol", DEFAULT_RTOL)
+def cmd_modes2d(cfg, profile, grid, rtol, out):
     for j in cfg["j_list"]:
         if j < 0:
             raise ConfigError(f"j_list entries must be >= 0, got {j}")
     # one potential, one flux and one convolution, for every j
     pot = lambda_2d_radial(profile, grid, rtol=rtol)
-    count = count_2d_zero_modes(pot.flux)
     modes = [build_mode_2d(pot, j) for j in cfg["j_list"]]
     out.json("modes2d.json", {
-        "Phi": pot.flux.value,
-        "N": count.n_modes, "sector": count.sector.label,
-        "flux_over_2pi": count.flux_over_2pi,
-        "integer_flux": count.integer_flux,
+        **_plane_count_json(pot.flux),
         "modes": [{"j": m.j, "tail_exponent": m.tail_exponent,
                    "normalizable": m.normalizable} for m in modes],
     })
@@ -439,15 +387,16 @@ def cmd_modes2d(cfg, out):
     }))
 
 
-_HANDLERS = {
-    "flux": cmd_flux,
-    "potential": cmd_potential,
-    "modes": cmd_modes,
-    "scan": cmd_scan,
-    "spectrum": cmd_spectrum,
-    "count": cmd_count,
-    "verify": cmd_verify,
-    "modes2d": cmd_modes2d,
+# stage -> (handler, required config keys, profile dimension or None: any)
+_STAGES = {
+    "flux": (cmd_flux, ("profile",), None),
+    "potential": (cmd_potential, ("profile", "grid"), None),
+    "modes": (cmd_modes, ("profile", "grid", "sector"), DIM_LINE),
+    "scan": (cmd_scan, ("profile", "grid", "sector", "k_list"), DIM_LINE),
+    "spectrum": (cmd_spectrum, ("profile", "grid", "k_y"), DIM_LINE),
+    "count": (cmd_count, ("profile",), None),
+    "verify": (cmd_verify, ("profile", "grid", "Ly"), DIM_LINE),
+    "modes2d": (cmd_modes2d, ("profile", "grid", "j_list"), DIM_RADIAL),
 }
 
 
@@ -459,7 +408,7 @@ def build_parser():
                     "degeneracy counts.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _STAGES:
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out", default=None,
@@ -471,13 +420,21 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    stage = args.command
+    handler, required, dimension = _STAGES[stage]
     try:
         cfg = load_config(args.config)
-        _require(cfg, args.command)
-        out_dir = args.out or cfg.get("out_dir", ".")
-        plots = args.plots or cfg.get("emit_plots", False)
-        out = _Out(out_dir, plots)
-        _HANDLERS[args.command](cfg, out)
+        for key in required:
+            if key not in cfg:
+                raise ConfigError(f"'{stage}' requires config key {key}")
+        profile = _build_profile(cfg)
+        if dimension not in (None, profile.dimension):
+            raise ConfigError(f"'{stage}' needs a {dimension} profile")
+        grid = _build_grid(cfg) if "grid" in required else None
+        rtol = _tol(cfg, "quadrature_tol") or DEFAULT_RTOL
+        out = _Out(args.out or cfg.get("out_dir", "."),
+                   args.plots or cfg.get("emit_plots", False))
+        handler(cfg, profile, grid, rtol, out)
         out.flush()
     except (ConfigError, ProfileError, GridError, PaddingError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

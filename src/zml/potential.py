@@ -61,7 +61,6 @@ class ScalarPotential:
     flux: object
     slope_left: float   # k - Q/2, the affine slope for x <= support start
     slope_right: float  # k + Q/2, the affine slope for x >= support end
-    support: tuple
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -75,7 +74,6 @@ class RadialScalarPotential:
     values: np.ndarray
     flux: object
     log_coefficient: float  # Phi / (2 pi)
-    support: tuple
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -149,8 +147,7 @@ def lambda_1d(profile, k, grid, rtol=DEFAULT_RTOL, enforce_padding=True):
     values = base + k * x
     return ScalarPotential(grid=grid, values=values, k=float(k), flux=flux,
                            slope_left=k - 0.5 * flux.value,
-                           slope_right=k + 0.5 * flux.value,
-                           support=profile.support)
+                           slope_right=k + 0.5 * flux.value)
 
 
 def lambda_2d_radial(profile, grid, rtol=DEFAULT_RTOL):
@@ -167,8 +164,7 @@ def lambda_2d_radial(profile, grid, rtol=DEFAULT_RTOL):
     flux = total_flux(profile, rtol=rtol)
     values = _quadrature.convolve_log_radial(profile, grid.points(), rtol)
     return RadialScalarPotential(grid=grid, values=values, flux=flux,
-                                 log_coefficient=flux.value / TWO_PI,
-                                 support=profile.support)
+                                 log_coefficient=flux.value / TWO_PI)
 
 
 def vector_potential_y(profile, xs, rtol=DEFAULT_RTOL):

@@ -58,15 +58,19 @@ _KINDS = ("box", "truncated-gaussian", "bump", "piecewise-linear")
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid of 3 <= n <= MAX_GRID_POINTS points on [x_lo, x_hi]."""
+    """Uniform grid of 3 <= n <= MAX_GRID_POINTS points on [x_lo, x_hi].
+
+    The width x_hi - x_lo must be finite (so the bounds and h are too).
+    """
 
     x_lo: float
     x_hi: float
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi)):
-            raise GridError("grid bounds must be finite")
+        if not math.isfinite(self.x_hi - self.x_lo):
+            raise GridError(f"grid width x_hi - x_lo must be finite, got "
+                            f"[{self.x_lo}, {self.x_hi}]")
         if self.x_hi <= self.x_lo:
             raise GridError(f"grid bounds must increase, got "
                             f"[{self.x_lo}, {self.x_hi}]")
@@ -252,12 +256,17 @@ def total_flux(profile, rtol=DEFAULT_RTOL):
     The closed form is used where the kind has one; otherwise Gauss-Kronrod
     quadrature at relative tolerance rtol (error estimate at most
     rtol * int |B|; QuadratureError otherwise).  ``Flux.method`` reports
-    which of the two ran.
+    which of the two ran.  A flux that overflows raises ProfileError.
     """
-    value = _analytic_flux(profile)
-    if value is not None:
-        return Flux(value=value, method="analytic")
-    return Flux(value=_quadrature.flux(profile, rtol), method="quadrature")
+    value, method = _analytic_flux(profile), "analytic"
+    if value is None:
+        # an overflow is reported once, below, not as NumPy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, method = _quadrature.flux(profile, rtol), "quadrature"
+    if not math.isfinite(value):
+        raise ProfileError(f"the {profile.kind} profile's flux {value} is "
+                           "not finite")
+    return Flux(value=value, method=method)
 
 
 def sample(profile, grid):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClusterResolutionError, ProfileError
+from .errors import ClusterResolutionError, GridError, ProfileError
 from .potential import check_padding
 from .profiles import DEFAULT_RTOL, total_flux
 from .spectral import (_check_tau, _singular_values, _sturm_count,
@@ -46,6 +46,7 @@ from .spectral import (_check_tau, _singular_values, _sturm_count,
 from .zeromodes import admissible_k_interval
 
 __all__ = [
+    "MAX_CHANNELS",
     "ReductionConfig",
     "ChannelVerdict",
     "DegeneracyReport",
@@ -56,6 +57,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# Ceiling on the channels of one sweep: 200 times the largest measured sweep
+# (467 channels), so an absurd L_y or n_range is a config error, not a failed
+# allocation of one Python object per channel.  A fixed bound, not a setting.
+MAX_CHANNELS = 100_000
 
 # near-degenerate eigenvalues are handled as one subspace (the solver may
 # rotate their basis arbitrarily); genuine neighbours sit >= the continuum
@@ -133,11 +138,17 @@ def quantize_ky(L_y, n_range):
 
 
 def default_n_range(Q, L_y, k_gauge=0.0):
-    """Channel range covering the admissible window plus one boundary channel."""
+    """Channel range covering the admissible window plus one boundary channel.
+
+    Raises GridError if the range overflows a float.
+    """
     half = 0.5 * abs(Q)
-    lo = math.floor((-half - k_gauge) * L_y / TWO_PI) - 1
-    hi = math.ceil((half - k_gauge) * L_y / TWO_PI) + 1
-    return (int(lo), int(hi))
+    lo = (-half - k_gauge) * L_y / TWO_PI
+    hi = (half - k_gauge) * L_y / TWO_PI
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise GridError(f"channel range for Q = {Q}, L_y = {L_y}, k_gauge = "
+                        f"{k_gauge} is not finite")
+    return (math.floor(lo) - 1, math.ceil(hi) + 1)
 
 
 def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
@@ -151,6 +162,8 @@ def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
 
     A ``cfg.B_const`` that is not the field of a line ``box`` profile raises
     ProfileError: the sweep has one description of its field, the profile.
+    A g or channel range that is not finite, or a range of more than
+    MAX_CHANNELS channels, raises GridError before any channel is built.
     """
     b = cfg.B_const
     if b is not None and (profile.kind != "box" or profile.is_radial
@@ -160,7 +173,13 @@ def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
             f"{profile.dimension} {profile.kind} has max|B| = "
             f"{profile.max_abs()}")
     q = total_flux(profile, rtol=rtol).value
+    g_real = abs(q) * cfg.L_y / TWO_PI
+    if not math.isfinite(g_real):
+        raise GridError(f"g = |Q| L_y / 2pi = {g_real} is not finite")
     n_range = cfg.n_range or default_n_range(q, cfg.L_y, cfg.k_gauge)
+    if n_range[1] - n_range[0] >= MAX_CHANNELS:
+        raise GridError(f"channel range n in {list(n_range)} exceeds the "
+                        f"ceiling MAX_CHANNELS = {MAX_CHANNELS} channels")
     kys = quantize_ky(cfg.L_y, n_range)
     window = admissible_k_interval(q)[1]
     half = 0.5 * abs(q)
@@ -171,7 +190,6 @@ def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
         channels.append(ChannelVerdict(
             n=n, k_y=float(ky), admissible=bool(window.contains(k)),
             on_window_edge=bool(abs(abs(k) - half) <= edge_tol)))
-    g_real = abs(q) * cfg.L_y / TWO_PI
     g = int(math.floor(g_real))
     report = DegeneracyReport(Q=q, L_y=cfg.L_y, g_analytic_real=g_real,
                               g_analytic=g, channels=channels)

@@ -207,8 +207,7 @@ def _shifted_norms(log_rows, x):
     return norms
 
 
-def build_mode_1d(profile, k, sector, grid, rtol=DEFAULT_RTOL,
-                  enforce_padding=True):
+def build_mode_1d(profile, k, sector, grid, rtol=DEFAULT_RTOL):
     """Construct the sector's candidate mode for linear coefficient k.
 
     lambda_k is built once; the normalizability verdict is the slope test
@@ -220,12 +219,11 @@ def build_mode_1d(profile, k, sector, grid, rtol=DEFAULT_RTOL,
         raise ValueError("build_mode_1d needs sector a or b")
     pot = lambda_1d(profile, k, grid, rtol=rtol, enforce_padding=False)
     normalizable = _slope_test(sector, pot.slope_left, pot.slope_right)
-    # the padding rule protects decaying tails; a mode this sector cannot
-    # normalize has none, so only normalizable builds enforce it
-    if enforce_padding and normalizable:
-        check_padding(profile, k, grid, Q=pot.flux.value)
     log_values = sector.gamma * pot.values
     if normalizable:
+        # the padding rule protects decaying tails; a mode this sector
+        # cannot normalize has none, so only normalizable builds enforce it
+        check_padding(profile, k, grid, Q=pot.flux.value)
         norm = _shifted_norms(log_values[None, :], grid.points())[0]
     else:
         norm = math.inf

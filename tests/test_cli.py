@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from zml import _quadrature
+from zml import _quadrature, reduction
 from zml.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from zml.profiles import Grid1D, bump, total_flux
 
@@ -128,6 +128,76 @@ class TestConfigValidation:
         assert code == EXIT_CONFIG
         assert stdout == ""
         assert field in err and "finite" in err
+
+    @pytest.mark.parametrize("command, dimension", [
+        ("modes", "line"), ("scan", "line"), ("spectrum", "line"),
+        ("verify", "line"), ("modes2d", "radial-plane")])
+    def test_stage_needs_its_profile_dimension(self, tmp_path, capsys,
+                                               command, dimension):
+        # every required key is present: only the dimension is wrong
+        profile = dict(BOX_PROFILE)
+        if dimension == "line":
+            profile["dimension"] = "radial-plane"
+        cfg = write_cfg(tmp_path, profile=profile,
+                        grid={"x_lo": 0.0, "x_hi": 20.0, "n": 41},
+                        sector="b", k_list=[0.0], k_y=0.0, Ly=2 * math.pi,
+                        j_list=[0], out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, command, "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err == (f"config error: '{command}' needs a {dimension} "
+                       "profile\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_grid_width_not_finite(self, tmp_path, capsys, monkeypatch):
+        # finite bounds, but h = inf: refused before any grid is sampled
+        monkeypatch.setattr(Grid1D, "points", None)
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE,
+                        grid={"x_lo": -1e308, "x_hi": 1e308, "n": 11},
+                        out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, "potential", "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith("config error: grid: ") and "width" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("profile", [
+        {"kind": "box", "B0": 1e200, "a": 1e200},
+        {"kind": "bump", "B0": 1e300, "a": 1e10},
+    ])
+    def test_flux_not_finite(self, tmp_path, capsys, profile):
+        # a config error, not "Q": null with exit 0
+        cfg = write_cfg(tmp_path, profile=profile, out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, "flux", "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith("config error: ") and "not finite" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, fields, match", [
+        ("count", {"Ly": 1e308}, "not finite"),
+        ("count", {"Ly": 2 * math.pi, "k_gauge": 1e308}, "not finite"),
+        ("count", {"Ly": 1e10, "profile": {"kind": "box", "B0": 1e300,
+                                           "a": 1e5}}, "not finite"),
+        ("count", {"Ly": 1e9}, "MAX_CHANNELS"),
+        ("count", {"Ly": 2 * math.pi, "n_range": [-10 ** 12, 10 ** 12]},
+         "MAX_CHANNELS"),
+        ("verify", {"Ly": 1e9}, "MAX_CHANNELS"),
+        ("verify", {"Ly": 1e308}, "not finite"),
+    ])
+    def test_channel_set_refused(self, tmp_path, capsys, monkeypatch,
+                                 command, fields, match):
+        # refused before any channel is built
+        monkeypatch.setattr(reduction, "quantize_ky", None)
+        monkeypatch.setattr(reduction, "ChannelVerdict", None)
+        cfg = write_cfg(tmp_path, **{"profile": BOX_PROFILE, "grid": GRID,
+                                     "out_dir": str(tmp_path / "o"),
+                                     **fields})
+        code, stdout, err = run_cli(capsys, command, "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith("config error: ") and match in err
+        assert err.count("\n") == 1
 
 
 class TestModes:

@@ -1,6 +1,7 @@
 """Field profiles: evaluation, support exactness, fluxes, and properties."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,12 @@ class TestGrid1D:
         for n in (MAX_GRID_POINTS + 1, 10 ** 12):
             with pytest.raises(GridError, match=f"n = {n}"):
                 Grid1D(-1.0, 1.0, n)
+
+    def test_width_must_be_finite(self):
+        # finite bounds whose difference overflows would give h = inf
+        for lo, hi in ((-1e308, 1e308), (-math.inf, 1.0), (0.0, math.nan)):
+            with pytest.raises(GridError, match="width"):
+                Grid1D(lo, hi, 11)
 
 
 class TestSample:
@@ -168,3 +175,15 @@ class TestTotalFlux:
         for c in (-3.5, -1.0, 0.0, 0.25, 7.0):
             assert total_flux(scale_profile(p, c)).value == pytest.approx(
                 c * base, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("profile", [
+        box(1e200, 1e200),                        # closed form overflows
+        box(-1e200, 1e200, dimension=DIM_RADIAL),
+        bump(1e300, 1e10),                        # quadrature overflows
+    ])
+    def test_non_finite_flux_refused(self, profile):
+        # refused, not reported as a null Q, and without NumPy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProfileError, match="not finite"):
+                total_flux(profile)

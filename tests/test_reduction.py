@@ -6,10 +6,12 @@ import time
 import numpy as np
 import pytest
 
-from zml.errors import ClusterResolutionError, PaddingError, ProfileError
+from zml import reduction
+from zml.errors import (ClusterResolutionError, GridError, PaddingError,
+                        ProfileError)
 from zml.potential import PADDING_FLOOR, required_padding
 from zml.profiles import Grid1D, box, bump
-from zml.reduction import (ReductionConfig, admissible_channels,
+from zml.reduction import (MAX_CHANNELS, ReductionConfig, admissible_channels,
                            default_n_range, quantize_ky, verify_degeneracy)
 
 TWO_PI = 2.0 * math.pi
@@ -96,6 +98,36 @@ class TestAdmissibleChannels:
                 admissible_channels(profile, cfg)
         cfg = ReductionConfig(L_y=TWO_PI, n_range=(-8, 8), B_const=1.0)
         assert admissible_channels(box(-1.0, 5.0), cfg).g_analytic == 10
+
+    @pytest.mark.parametrize("q, l_y, k_gauge", [
+        (10.0, 1e308, 0.0), (4.0, TWO_PI, 1e308), (4.0, TWO_PI, -1e308)])
+    def test_default_n_range_refuses_overflow(self, q, l_y, k_gauge):
+        with pytest.raises(GridError, match="not finite"):
+            default_n_range(q, l_y, k_gauge)
+
+    @pytest.mark.parametrize("profile, cfg, match", [
+        # Q = 10: g = 1.6e9 channels by default
+        (box(1.0, 5.0), ReductionConfig(L_y=1e9), "MAX_CHANNELS"),
+        (box(1.0, 5.0), ReductionConfig(L_y=TWO_PI, n_range=(
+            -10 ** 12, 10 ** 12)), "MAX_CHANNELS"),
+        (box(1.0, 5.0), ReductionConfig(L_y=TWO_PI, n_range=(
+            0, MAX_CHANNELS)), "MAX_CHANNELS"),
+        # |Q| L_y overflows although each is finite
+        (box(1e300, 1e5), ReductionConfig(L_y=1e10), "not finite"),
+        (box(1e300, 1e5), ReductionConfig(L_y=1e10, n_range=(-3, 3)),
+         "not finite"),
+    ])
+    def test_channel_set_refused_before_any_channel(self, monkeypatch,
+                                                     profile, cfg, match):
+        monkeypatch.setattr(reduction, "quantize_ky", None)
+        monkeypatch.setattr(reduction, "ChannelVerdict", None)
+        with pytest.raises(GridError, match=match):
+            admissible_channels(profile, cfg)
+
+    def test_channel_ceiling_is_inclusive(self):
+        cfg = ReductionConfig(L_y=TWO_PI, n_range=(1, MAX_CHANNELS))
+        rep = admissible_channels(box(1.0, 5.0), cfg)
+        assert len(rep.channels) == MAX_CHANNELS
 
     def test_scaling_in_period(self, rng):
         p = box(1.0, 5.0)
