@@ -4,16 +4,17 @@ One table, ``_STAGES``, declares each stage (flux, potential, modes, scan,
 spectrum, count, verify, modes2d) once: its handler, required config keys
 and profile dimension.  ``main`` checks the keys, builds the profile (and
 refuses one of the wrong dimension), the grid and the quadrature tolerance
-once each, and calls ``handler(cfg, profile, grid, rtol, out)``.
+once each, and calls ``handler(cfg, profile, grid, rtol, out)``.  One
+argument parser takes the stage as its positional ``command``.
 One JSON config describes one run; unknown keys are rejected with the
 offending field named.  Reports are written into the output directory (and
 the JSON one echoed to stdout) with fixed number formatting and sorted keys,
 so identical configs produce byte-identical outputs.
 
 Exit codes: 0 success; 2 config/input error (parse failure, bad field,
-wrong profile dimension, insufficient or non-finite grid, non-finite flux,
-too many channels); 3 numerical failure (quadrature or eigensolver
-non-convergence, unresolved level clusters).
+wrong profile dimension, insufficient grid, non-finite grid or lambda,
+non-finite flux, too many channels); 3 numerical failure (quadrature or
+eigensolver non-convergence, unresolved level clusters).
 """
 
 import argparse
@@ -407,14 +408,12 @@ def build_parser():
                     "supported fields: potentials, admissibility, spectra, "
                     "degeneracy counts.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _STAGES:
-        p = sub.add_parser(name, help=f"run the {name} stage")
-        p.add_argument("--config", required=True, help="JSON run config")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: config out_dir or '.')")
-        p.add_argument("--plots", action="store_true",
-                       help="also write SVG line plots")
+    parser.add_argument("command", choices=list(_STAGES), help="stage to run")
+    parser.add_argument("--config", required=True, help="JSON run config")
+    parser.add_argument("--out", default=None, help="output directory "
+                        "(default: config out_dir or '.')")
+    parser.add_argument("--plots", action="store_true",
+                        help="also write SVG line plots")
     return parser
 
 

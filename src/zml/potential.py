@@ -127,6 +127,13 @@ def check_padding(profile, k, grid, Q):
     return have
 
 
+def _check_finite(values, grid):
+    """Raise GridError naming the grid if a lambda value overflowed."""
+    if not np.isfinite(values).all():
+        raise GridError("lambda overflows a float on the grid "
+                        f"[{grid.x_lo}, {grid.x_hi}]")
+
+
 def lambda_1d(profile, k, grid, rtol=DEFAULT_RTOL, enforce_padding=True):
     """Build lambda_k on the grid.
 
@@ -143,8 +150,9 @@ def lambda_1d(profile, k, grid, rtol=DEFAULT_RTOL, enforce_padding=True):
     if enforce_padding:
         check_padding(profile, k, grid, Q=flux.value)
     x = grid.points()
-    base = _quadrature.convolve_abs(profile, x, rtol)
-    values = base + k * x
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _quadrature.convolve_abs(profile, x, rtol) + k * x
+    _check_finite(values, grid)
     return ScalarPotential(grid=grid, values=values, k=float(k), flux=flux,
                            slope_left=k - 0.5 * flux.value,
                            slope_right=k + 0.5 * flux.value)
@@ -162,7 +170,9 @@ def lambda_2d_radial(profile, grid, rtol=DEFAULT_RTOL):
     if grid.x_lo < 0.0:
         raise GridError("radial grids must have x_lo >= 0")
     flux = total_flux(profile, rtol=rtol)
-    values = _quadrature.convolve_log_radial(profile, grid.points(), rtol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _quadrature.convolve_log_radial(profile, grid.points(), rtol)
+    _check_finite(values, grid)
     return RadialScalarPotential(grid=grid, values=values, flux=flux,
                                  log_coefficient=flux.value / TWO_PI)
 

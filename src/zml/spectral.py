@@ -39,6 +39,9 @@ of LAPACK's tridiagonal routines on A, and nothing is assembled densely:
   iteration (``dstein``), O(m) per value (Anderson et al., LAPACK Users'
   Guide, 3rd ed., 1999).  A sweep is therefore O(m) per channel.
 
+SciPy's LAPACK is imported by the first such call (``_lapack``), not with
+the module, so the stages that take no channel spectrum never load SciPy.
+
 Central differences carry the usual lattice artifact: M also hosts a
 staggered ("doubler") branch whose levels coincide with the partner tower.
 ``windowed_singular_modes`` exposes the right-singular vectors in a value
@@ -52,7 +55,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import EigenSolveError, GridError, ProfileError
 from .potential import check_padding, vector_potential_y
@@ -229,9 +231,15 @@ def _lapack_ok(op, routine, info, window=None):
             f"(m={op.size}{held}): LAPACK info={info}")
 
 
+def _lapack():
+    """SciPy's LAPACK wrappers, imported on the first spectral call."""
+    from scipy.linalg import lapack
+    return lapack
+
+
 def _singular_values(op):
     """All singular values of M, ascending: |eig(A)| by ``dsterf``."""
-    vals, info = lapack.dsterf(*op.tridiagonal())
+    vals, info = _lapack().dsterf(*op.tridiagonal())
     _lapack_ok(op, "dsterf", info)
     return np.sort(np.abs(vals))
 
@@ -272,7 +280,7 @@ def _sturm_count(op, s):
     if s <= 0.0:
         return 0   # the singular values are not negative
     d, e = op.tridiagonal()
-    count, _, _, _, info = lapack.dstebz(d, e, 1, -s, s, 0, 0, 4.0 * s, b"B")
+    count, _, _, _, info = _lapack().dstebz(d, e, 1, -s, s, 0, 0, 4.0 * s, b"B")
     _lapack_ok(op, "dstebz", info)
     return int(count)
 
@@ -294,6 +302,7 @@ def windowed_singular_modes(op, lo, hi):
     if lo == hi:
         return np.empty(0), np.empty((op.size, 0))
     d, e = op.tridiagonal()
+    lapack = _lapack()
     vals, blocks = [], []
     for vl, vu in ((-hi, -lo), (lo, hi)):
         k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, vl, vu, 0, 0,

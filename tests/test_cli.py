@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from zml import _quadrature, reduction
+from zml import __version__, _quadrature, reduction
 from zml.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from zml.profiles import Grid1D, bump, total_flux
 
@@ -26,6 +26,9 @@ def write_cfg(tmp_path, name="cfg.json", **cfg):
 
 BOX_PROFILE = {"kind": "box", "B0": 1.0, "a": 2.0}
 GRID = {"x_lo": -17.0, "x_hi": 17.0, "n": 341}
+# flux 4e307 pi is finite; lambda ~ Phi/2pi ln r is not on r up to 1e300
+RADIAL_HUGE = {"kind": "box", "B0": 1e307, "a": 2.0,
+               "dimension": "radial-plane"}
 
 
 class TestFlux:
@@ -56,6 +59,32 @@ class TestFlux:
         code, _, err = run_cli(capsys, "flux", "--config", cfg)
         assert code == EXIT_CONFIG
         assert "'a'" in err
+
+
+class TestParser:
+    # argparse's own refusals: exit 2 with usage on stderr, no report
+    def test_unknown_stage(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE)
+        with pytest.raises(SystemExit) as exc:
+            main(["fluxes", "--config", cfg])
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'fluxes'" in captured.err
+
+    def test_missing_config(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["flux"])
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--config" in captured.err
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out == f"{__version__}\n"
 
 
 class TestConfigValidation:
@@ -160,6 +189,36 @@ class TestConfigValidation:
         assert stdout == ""
         assert err.startswith("config error: grid: ") and "width" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, fields", [
+        ("potential", {"grid": {"x_lo": -8e307, "x_hi": 8e307, "n": 11}}),
+        ("modes", {"grid": {"x_lo": -8e307, "x_hi": 8e307, "n": 11},
+                   "sector": "b", "k": 0.5}),
+        ("potential", {"grid": {"x_lo": -1e200, "x_hi": 1e200, "n": 11},
+                       "k": 1e150}),
+        ("scan", {"grid": {"x_lo": -8e307, "x_hi": 8e307, "n": 11},
+                  "sector": "b", "k_list": [0.5]}),
+        ("potential", {"grid": {"x_lo": 0.0, "x_hi": 1e300, "n": 11},
+                       "profile": RADIAL_HUGE}),
+        ("modes2d", {"grid": {"x_lo": 0.0, "x_hi": 1e300, "n": 11},
+                     "profile": RADIAL_HUGE, "j_list": [0]}),
+    ])
+    def test_lambda_overflow_refused(self, tmp_path, capsys, command,
+                                     fields):
+        # finite grid and flux, but lambda overflows a float on the grid: a
+        # config error naming the grid, with no NumPy warning, not a report
+        # with empty lambda cells or a zero norm
+        cfg = write_cfg(tmp_path, **{"profile": BOX_PROFILE,
+                                     "out_dir": str(tmp_path / "o"),
+                                     **fields})
+        code, stdout, err = run_cli(capsys, command, "--config", cfg)
+        grid = fields["grid"]
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err == ("config error: lambda overflows a float on the grid "
+                       f"[{grid['x_lo']}, {grid['x_hi']}]\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("profile", [
         {"kind": "box", "B0": 1e200, "a": 1e200},
