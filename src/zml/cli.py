@@ -5,7 +5,9 @@ spectrum, count, verify, modes2d) once: its handler, required config keys
 and profile dimension.  ``main`` checks the keys, builds the profile (and
 refuses one of the wrong dimension), the grid and the quadrature tolerance
 once each, and calls ``handler(cfg, profile, grid, rtol, out)``.  One
-argument parser takes the stage as its positional ``command``.
+argument parser takes the stage as its positional ``command``.  The
+library builders take any grid; a stage that needs decayed tails checks
+the padding itself, with one ``check_padding`` call.
 One JSON config describes one run; unknown keys are rejected with the
 offending field named.  Reports are written into the output directory (and
 the JSON one echoed to stdout) with fixed number formatting and sorted keys,
@@ -29,7 +31,7 @@ from .errors import (ClusterResolutionError, EigenSolveError, GridError,
                      PaddingError, ProfileError, QuadratureError)
 from .profiles import (DEFAULT_RTOL, DIM_LINE, DIM_RADIAL, Grid1D,
                        make_profile, total_flux)
-from .potential import lambda_1d, lambda_2d_radial
+from .potential import check_padding, lambda_1d, lambda_2d_radial
 from .reduction import ReductionConfig, admissible_channels, verify_degeneracy
 from .reports import Table, csv_text, json_report, line_plot_svg
 from .spectral import build_operator, default_zero_tolerance, eigen_spectrum
@@ -61,7 +63,6 @@ _TOP_KEYS = {
     "j_list": "intlist",
     "tolerances": "tolerances",
     "out_dir": "str",
-    "emit_plots": "bool",
 }
 _PROFILE_KEYS = {
     "kind": "str",
@@ -110,9 +111,6 @@ def _check(value, kind, path):
     elif kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"{path} must be a string")
-    elif kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path} must be a boolean")
     elif kind == "numlist":
         if not (isinstance(value, list) and value and _all_finite(value)):
             raise ConfigError(f"{path} must be a non-empty list of finite "
@@ -285,7 +283,9 @@ def cmd_potential(cfg, profile, grid, rtol, out):
         })
         axis = "r"
     else:
-        pot = lambda_1d(profile, cfg.get("k", 0.0), grid, rtol=rtol)
+        k = cfg.get("k", 0.0)
+        pot = lambda_1d(profile, k, grid, rtol=rtol)
+        check_padding(profile, k, grid, Q=pot.flux.value)
         out.json("potential.json", {
             "Q": pot.flux.value, "flux_method": pot.flux.method,
             "k": pot.k, "slope_left": pot.slope_left,
@@ -299,7 +299,12 @@ def cmd_potential(cfg, profile, grid, rtol, out):
 
 def cmd_modes(cfg, profile, grid, rtol, out):
     sector = _sector(cfg)
-    mode = build_mode_1d(profile, cfg.get("k", 0.0), sector, grid, rtol=rtol)
+    k = cfg.get("k", 0.0)
+    mode = build_mode_1d(lambda_1d(profile, k, grid, rtol=rtol), sector)
+    if mode.normalizable:
+        # the padding rule protects decaying tails; a mode this sector
+        # cannot normalize has none
+        check_padding(profile, k, grid, Q=mode.flux.value)
     out.json("modes.json", {
         "Q": mode.flux.value, "sector": sector.label, "k": mode.k,
         "normalizable": mode.normalizable,
@@ -313,7 +318,7 @@ def cmd_modes(cfg, profile, grid, rtol, out):
 
 def cmd_scan(cfg, profile, grid, rtol, out):
     sector = _sector(cfg)
-    base = lambda_1d(profile, 0.0, grid, rtol=rtol, enforce_padding=False)
+    base = lambda_1d(profile, 0.0, grid, rtol=rtol)
     entries = scan_k(base, sector, cfg["k_list"])
     # one table, formatted once for both files
     table = Table({"k": entries.k, "normalizable": entries.normalizable,
@@ -325,6 +330,8 @@ def cmd_scan(cfg, profile, grid, rtol, out):
 
 def cmd_spectrum(cfg, profile, grid, rtol, out):
     op = build_operator(profile, cfg["k_y"], grid, rtol=rtol)
+    check_padding(profile, cfg["k_y"], grid,
+                  Q=total_flux(profile, rtol=rtol).value)
     tau = _tol(cfg, "zero_tol")
     if tau is None:
         try:
@@ -431,8 +438,7 @@ def main(argv=None):
             raise ConfigError(f"'{stage}' needs a {dimension} profile")
         grid = _build_grid(cfg) if "grid" in required else None
         rtol = _tol(cfg, "quadrature_tol") or DEFAULT_RTOL
-        out = _Out(args.out or cfg.get("out_dir", "."),
-                   args.plots or cfg.get("emit_plots", False))
+        out = _Out(args.out or cfg.get("out_dir", "."), args.plots)
         handler(cfg, profile, grid, rtol, out)
         out.flush()
     except (ConfigError, ProfileError, GridError, PaddingError) as exc:

@@ -19,7 +19,8 @@ and the transverse gauge field A_y = d lambda/dx used by the spectral module.
 
 Grids must extend past the support far enough that downstream mode tails
 decay below e^-30 before the domain ends; ``required_padding`` encodes that
-rule and the builders enforce it.
+rule and ``check_padding`` applies it.  The builders take any grid; each
+CLI stage (and ``verify_degeneracy``) checks the padding it needs.
 """
 
 import math
@@ -134,21 +135,20 @@ def _check_finite(values, grid):
                         f"[{grid.x_lo}, {grid.x_hi}]")
 
 
-def lambda_1d(profile, k, grid, rtol=DEFAULT_RTOL, enforce_padding=True):
+def lambda_1d(profile, k, grid, rtol=DEFAULT_RTOL):
     """Build lambda_k on the grid.
 
     The convolution is a closed form over the prefix moments int B and
     int t B, integrated once over the cells between the grid points, the
     profile breakpoints and the support ends (``zml._quadrature``), so it is
     exactly affine outside the support; the k x term is added afterwards so
-    that lambda_k - lambda_0 = k x holds pointwise to rounding.
+    that lambda_k - lambda_0 = k x holds pointwise to rounding.  Any grid
+    is accepted: the padding a use needs is the caller's ``check_padding``.
     """
     if profile.is_radial:
         raise ProfileError("lambda_1d needs a line profile; "
                            "use lambda_2d_radial for radial ones")
     flux = total_flux(profile, rtol=rtol)
-    if enforce_padding:
-        check_padding(profile, k, grid, Q=flux.value)
     x = grid.points()
     with np.errstate(over="ignore", invalid="ignore"):
         values = _quadrature.convolve_abs(profile, x, rtol) + k * x

@@ -22,13 +22,14 @@ only a washed-out density remains).  The excited-level count is therefore
 taken as the bulk-projected spectral weight: each non-doubler eigenstate in
 the level window contributes its probability weight inside the field
 support.  Cleanly bound Landau states contribute ~1 (their weight is 1 -
-O(e^-30)) and the continuum contributes precisely the in-sample density of
-the dissolved states, which restores the degeneracy-formula total to within
-one unit.  The level centre is sqrt(2 level B_const) when the config names
-the box's field B_const, and is otherwise read off the deepest admissible
-channel's singular values, the |eigenvalues| of its tridiagonal A = J M;
-either way the next level up must clear the window
-(``_check_level_separation``).
+O(e^-30)) and the continuum contributes the in-sample density of the
+dissolved states.  That does not always restore the degeneracy-formula
+total: on box(1, 3) with L_y = 2 pi at k_gauge 0.4, level 1 counts 4 where
+6 is expected, its near-edge channels weighing 0.14-0.29 each.  The level
+centre is sqrt(2 level B_const) when the config names the box's field
+B_const, and is otherwise read off the deepest admissible channel's
+singular values, the |eigenvalues| of its tridiagonal A = J M; either way
+the next level up must clear the window (``_check_level_separation``).
 """
 
 import dataclasses
@@ -319,8 +320,7 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     inside = [i for i, ch in enumerate(report.channels) if ch.admissible]
     k_bind = ks[max(inside, key=lambda i: abs(ks[i]))] if inside else ks[0]
     min_pad = check_padding(profile, k_bind, grid, Q=report.Q)
-    base = build_operator(profile, 0.0, grid, rtol=rtol,
-                          enforce_padding=False)
+    base = build_operator(profile, 0.0, grid, rtol=rtol)
     tau0 = zero_tol if zero_tol is not None else _sweep_zero_tolerance(base, min_pad)
     _check_tau(base.bmax, tau0)
 

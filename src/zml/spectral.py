@@ -57,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenSolveError, GridError, ProfileError
-from .potential import check_padding, vector_potential_y
-from .profiles import DEFAULT_RTOL, total_flux
+from .potential import vector_potential_y
+from .profiles import DEFAULT_RTOL
 
 __all__ = [
     "DiracOperator",
@@ -102,14 +102,6 @@ class DiracOperator:
         out[1:] -= c * v[:-1]
         return out
 
-    def mt_matvec(self, u):
-        """(D + W)^T u = (-D + W) u."""
-        c = 1.0 / (2.0 * self.h)
-        out = self.w_values * u
-        out[:-1] -= c * u[1:]
-        out[1:] += c * u[:-1]
-        return out
-
     def tridiagonal(self):
         """(diagonal, off-diagonal) of A = J M, J = diag((-1)^i): the
         symmetric tridiagonal with A^2 = M^T M."""
@@ -131,21 +123,18 @@ class Spectrum:
         self.eigenvalues.setflags(write=False)
 
 
-def build_operator(profile, k_y, grid, rtol=DEFAULT_RTOL,
-                   enforce_padding=True):
+def build_operator(profile, k_y, grid, rtol=DEFAULT_RTOL):
     """Discretize the channel k_y of a line profile on the grid interior.
 
     A_y is computed analytically through the same quadrature engine as the
     potentials.  The operator is stored by its diagonal W and never
-    assembled, so any size is accepted.
+    assembled, so any size is accepted; so is any padding, which is the
+    caller's ``check_padding``.
     """
     if profile.is_radial:
         raise ProfileError("build_operator needs a line profile")
     if grid.n - 2 < 2:
         raise GridError("operator needs at least 2 interior points")
-    if enforce_padding:
-        check_padding(profile, k_y, grid,
-                      Q=total_flux(profile, rtol=rtol).value)
     x = grid.points()[1:-1]
     ay = vector_potential_y(profile, x, rtol=rtol)
     return DiracOperator(grid=grid, k_y=float(k_y), interior_x=x,
@@ -248,8 +237,9 @@ def mode_residual(op, mode, drop_edge=0):
     """Relative discrete residual ||H psi|| / ||psi|| of an analytic mode.
 
     The mode is embedded in its spinor block (b modes produce the residual
-    M psi_b, a modes M^T psi_a).  Scaling is removed through the log samples,
-    so steep modes do not overflow.  ``drop_edge`` rows at each end can be
+    M psi_b, a modes M^T psi_a, whose norm is that of M J psi_a since
+    M^T = J M J).  Scaling is removed through the log samples, so steep
+    modes do not overflow.  ``drop_edge`` rows at each end can be
     excluded: Dirichlet rows see the missing neighbour of non-decaying modes.
     The expected decay is O(h^2) times the cubed slope scale.
     """
@@ -258,12 +248,11 @@ def mode_residual(op, mode, drop_edge=0):
         raise GridError("operator and mode live on different grids")
     logs = mode.log_values[1:-1]
     v = np.exp(logs - logs.max())
-    if mode.sector.label == "b":
-        resid = op.m_matvec(v)
-    elif mode.sector.label == "a":
-        resid = op.mt_matvec(v)
-    else:
+    if mode.sector.label == "a":
+        v[1::2] *= -1.0   # J v: a sign flip, so every norm is unchanged
+    elif mode.sector.label != "b":
         raise ValueError("mode has no spin sector")
+    resid = op.m_matvec(v)
     if drop_edge > 0:
         resid = resid[drop_edge:-drop_edge]
     denom = float(np.linalg.norm(v))

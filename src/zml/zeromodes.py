@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProfileError
-from .potential import RadialScalarPotential, check_padding, lambda_1d
-from .profiles import DEFAULT_RTOL, Flux
+from .potential import RadialScalarPotential, ScalarPotential
+from .profiles import Flux
 
 __all__ = [
     "SpinSector",
@@ -207,27 +207,28 @@ def _shifted_norms(log_rows, x):
     return norms
 
 
-def build_mode_1d(profile, k, sector, grid, rtol=DEFAULT_RTOL):
-    """Construct the sector's candidate mode for linear coefficient k.
+def build_mode_1d(pot, sector):
+    """The sector's candidate mode exp(gamma lambda_k) on pot's grid.
 
-    lambda_k is built once; the normalizability verdict is the slope test
-    on its exact slopes alone, and its flux is kept as ``ZeroMode.flux``.
-    The L2 norm is quadrature over the grid extent and is flagged infinite
-    for non-normalizable modes.
+    ``pot`` is lambda_k, a ScalarPotential from lambda_1d; its k, grid and
+    flux are the mode's (``ZeroMode.flux``).  The normalizability verdict is
+    the slope test on its exact slopes alone.  The L2 norm is quadrature
+    over the grid extent, flagged infinite for non-normalizable modes; how
+    well the grid resolves a normalizable tail is the caller's
+    ``check_padding``.
     """
+    if not isinstance(pot, ScalarPotential):
+        raise ProfileError("build_mode_1d needs a line potential "
+                           "(ScalarPotential)")
     if sector is SECTOR_NONE or not isinstance(sector, SpinSector):
         raise ValueError("build_mode_1d needs sector a or b")
-    pot = lambda_1d(profile, k, grid, rtol=rtol, enforce_padding=False)
     normalizable = _slope_test(sector, pot.slope_left, pot.slope_right)
     log_values = sector.gamma * pot.values
     if normalizable:
-        # the padding rule protects decaying tails; a mode this sector
-        # cannot normalize has none, so only normalizable builds enforce it
-        check_padding(profile, k, grid, Q=pot.flux.value)
-        norm = _shifted_norms(log_values[None, :], grid.points())[0]
+        norm = _shifted_norms(log_values[None, :], pot.grid.points())[0]
     else:
         norm = math.inf
-    return ZeroMode(sector=sector, k=float(k), flux=pot.flux, grid=grid,
+    return ZeroMode(sector=sector, k=pot.k, flux=pot.flux, grid=pot.grid,
                     log_values=log_values, values=_representable(log_values),
                     l2_norm=norm, normalizable=normalizable)
 

@@ -63,7 +63,7 @@ def test_criterion_02_poisson_h_squared():
     residuals = []
     for n in (401, 801):  # h = 2e-2 then 1e-2 on [-4, 4]
         grid = Grid1D(-4.0, 4.0, n)
-        pot = lambda_1d(profile, 0.0, grid, enforce_padding=False)
+        pot = lambda_1d(profile, 0.0, grid)
         residuals.append(poisson_residual(pot, profile))
     elapsed = time.perf_counter() - t0
     ratio = residuals[0] / residuals[1]
@@ -77,7 +77,7 @@ def test_criterion_03_admissibility_sharpness():
     profile = box(1.0, 2.0)
     grid = Grid1D(-30.0, 30.0, 601)
     ks = [-2.1, -2.0, -1.9, 0.0, 1.9, 2.0, 2.1]
-    base = lambda_1d(profile, 0.0, grid, enforce_padding=False)
+    base = lambda_1d(profile, 0.0, grid)
     got_b = [e.normalizable for e in scan_k(base, SECTOR_B, ks)]
     got_a = [e.normalizable for e in scan_k(base, SECTOR_A, ks)]
     assert got_b == [False, False, True, True, True, False, False]
@@ -89,7 +89,7 @@ def test_criterion_04_mode_residual():
     grid = Grid1D(-17.0, 17.0, 34001)  # h = 1e-3
     profile = box(1.0, 2.0)
     op = build_operator(profile, 0.0, grid)
-    mode = build_mode_1d(profile, 0.0, SECTOR_B, grid)
+    mode = build_mode_1d(lambda_1d(profile, 0.0, grid), SECTOR_B)
     box_residual = mode_residual(op, mode)
     assert box_residual <= 1e-4
     # rate check as in criterion 2, i.e. on a smooth profile: the box field
@@ -100,7 +100,7 @@ def test_criterion_04_mode_residual():
     for n in (19001, 38001):  # h = 2e-3 then 1e-3 on [-19, 19]
         g = Grid1D(-19.0, 19.0, n)
         sop = build_operator(smooth, 0.0, g)
-        smode = build_mode_1d(smooth, 0.0, SECTOR_B, g)
+        smode = build_mode_1d(lambda_1d(smooth, 0.0, g), SECTOR_B)
         residuals.append(mode_residual(sop, smode))
     ratio = residuals[0] / residuals[1]
     assert 3.0 <= ratio <= 5.0
@@ -198,8 +198,7 @@ def test_criterion_10_chiral_pairing_and_counts():
 
         # (a) chiral pairing of the dense block spectrum
         pair_grid = Grid1D(-(a + 5.0), a + 5.0, 122)
-        op_small = build_operator(profile, k_eff, pair_grid,
-                                  enforce_padding=False)
+        op_small = build_operator(profile, k_eff, pair_grid)
         vals = eigen_spectrum(op_small, tau=tau).eigenvalues
         gap = np.max(np.abs(np.sort(vals) + np.sort(-vals)[::-1]))
         worst_pairing = max(worst_pairing, float(gap))

@@ -258,6 +258,34 @@ class TestConfigValidation:
         assert err.startswith("config error: ") and match in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, fields, code", [
+        ("potential", {}, EXIT_CONFIG),
+        ("modes", {"sector": "b", "k": 0.0}, EXIT_CONFIG),
+        ("spectrum", {"k_y": 0.0}, EXIT_CONFIG),
+        ("verify", {"Ly": 2 * math.pi}, EXIT_CONFIG),
+        # a mode its sector cannot normalize has no tail to protect, and a
+        # scan's verdicts are exact: neither checks the padding
+        ("modes", {"sector": "a", "k": 0.0}, EXIT_OK),
+        ("scan", {"sector": "b", "k_list": [0.0, 0.5, 3.0]}, EXIT_OK),
+    ])
+    def test_padding_policy_per_stage(self, tmp_path, capsys, command,
+                                      fields, code):
+        # 3 past the support of box(1, 2), below the floor of 5
+        cfg = write_cfg(tmp_path, **{"profile": BOX_PROFILE,
+                                     "grid": {"x_lo": -5.0, "x_hi": 5.0,
+                                              "n": 101},
+                                     "out_dir": str(tmp_path / "o"),
+                                     **fields})
+        got, stdout, err = run_cli(capsys, command, "--config", cfg)
+        assert got == code, err
+        if code == EXIT_OK:
+            assert json.loads(stdout)["Q"] == 4.0
+            return
+        assert stdout == ""
+        assert err.startswith("config error: grid [-5.0, 5.0] extends only ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
 
 class TestModes:
     def test_normalizable_verdict_and_csv(self, tmp_path, capsys):

@@ -195,8 +195,8 @@ def test_line_convolutions_random_profiles(profile, where, k):
                                         abs=1e-9 * size)
 
     grid = Grid1D(lo - width, hi + width, 41)
-    base = lambda_1d(profile, 0.0, grid, enforce_padding=False).values
-    shifted = lambda_1d(profile, k, grid, enforce_padding=False).values
+    base = lambda_1d(profile, 0.0, grid).values
+    shifted = lambda_1d(profile, k, grid).values
     np.testing.assert_allclose(shifted - base, k * grid.points(), rtol=0,
                                atol=1e-14 * (1.0 + np.max(np.abs(shifted))))
 

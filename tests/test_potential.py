@@ -47,10 +47,10 @@ class TestLambda1D:
     def test_linear_term_exactness(self):
         g = Grid1D(-20.0, 20.0, 801)
         p = truncated_gaussian(1.0, 1.0, 3.0)
-        base = lambda_1d(p, 0.0, g, enforce_padding=False)
+        base = lambda_1d(p, 0.0, g)
         x = g.points()
         for k in (-0.9, 0.3, 1.7):
-            pot = lambda_1d(p, k, g, enforce_padding=False)
+            pot = lambda_1d(p, k, g)
             delta = pot.values - base.values
             np.testing.assert_allclose(delta, k * x, rtol=1e-12, atol=1e-12)
 
@@ -105,7 +105,7 @@ class TestPadding:
     def test_insufficient_padding_names_requirement(self):
         g = Grid1D(-5.0, 5.0, 11)
         with pytest.raises(PaddingError) as err:
-            lambda_1d(box(1.0, 2.0), 0.0, g)
+            check_padding(box(1.0, 2.0), 0.0, g, Q=4.0)
         assert err.value.required == 15.0
         assert err.value.available == 3.0
         assert "15" in str(err.value)
@@ -171,7 +171,7 @@ class TestPoissonResidual:
         res = []
         for n in (701, 1401):  # h = 2e-2 then 1e-2 on [-7, 7]
             g = Grid1D(-7.0, 7.0, n)
-            pot = lambda_1d(p, 0.0, g, rtol=1e-12, enforce_padding=False)
+            pot = lambda_1d(p, 0.0, g, rtol=1e-12)
             res.append(poisson_residual(pot, p))
         ratio = res[0] / res[1]
         assert 3.0 <= ratio <= 5.0

@@ -10,7 +10,7 @@ from zml import reduction
 from zml.errors import (ClusterResolutionError, GridError, PaddingError,
                         ProfileError)
 from zml.potential import PADDING_FLOOR, required_padding
-from zml.profiles import Grid1D, box, bump
+from zml.profiles import Grid1D, box, bump, piecewise_linear
 from zml.reduction import (MAX_CHANNELS, ReductionConfig, admissible_channels,
                            default_n_range, quantize_ky, verify_degeneracy)
 
@@ -278,3 +278,21 @@ class TestVerifyDegeneracy:
         assert "None" not in str(info.value)
         assert "floor" in str(info.value)
         assert info.value.required == PADDING_FLOOR == 5.0
+
+    @pytest.mark.xfail(strict=True, reason="level 0 counts near-null "
+                       "singular values, so a tunnelling pair between "
+                       "lumps of opposite sign counts as two zero modes")
+    def test_sign_changing_field_counts_the_window(self):
+        # three trapezoid lumps, +2 / -2 / +2 with 0.1 ramps: Q = 7.8, and
+        # all 7 channels lie inside the window.  The sweep counts
+        # [1, 3, 3, 3, 3, 1, 1] near-null values, 15 in all.
+        ramp = 0.1
+        points = []
+        for lo, hi, b in ((-7.0, -3.0, 2.0), (-2.0, 2.0, -2.0),
+                          (3.0, 7.0, 2.0)):
+            points += [(lo, 0.0), (lo + ramp, b), (hi - ramp, b), (hi, 0.0)]
+        cfg = ReductionConfig(L_y=TWO_PI, k_gauge=0.3, n_range=(-3, 3))
+        rep = verify_degeneracy(piecewise_linear(points), cfg, 0,
+                                Grid1D(-60.0, 60.0, 6001))
+        assert rep.g_analytic == rep.admissible_count == 7
+        assert rep.g_numeric == rep.g_analytic

@@ -9,14 +9,14 @@ import scipy.linalg
 from hypothesis import assume, example, given, strategies as st
 
 from zml.errors import GridError
-from zml.potential import required_padding
+from zml.potential import lambda_1d, required_padding
 from zml.profiles import Grid1D, box, total_flux, truncated_gaussian
 from zml.reduction import (ReductionConfig, _smooth_bulk_weight,
                            verify_degeneracy)
 from zml.spectral import (DiracOperator, _sturm_count, build_operator,
                           eigen_spectrum, mode_residual,
                           windowed_singular_modes)
-from zml.zeromodes import SECTOR_B, build_mode_1d
+from zml.zeromodes import SECTOR_A, SECTOR_B, build_mode_1d
 
 
 def dense_m(op):
@@ -61,7 +61,7 @@ def free_operator(n=202, half_width=10.0):
 class TestBuildOperator:
     def test_w_values_box_channel(self):
         g = Grid1D(-7.0, 7.0, 701)
-        op = build_operator(box(1.0, 2.0), 0.0, g, enforce_padding=False)
+        op = build_operator(box(1.0, 2.0), 0.0, g)
         x = op.interior_x
         w = op.w_values
         assert w[np.argmin(np.abs(x))] == pytest.approx(0.0, abs=1e-12)
@@ -69,16 +69,14 @@ class TestBuildOperator:
         assert w[np.argmin(np.abs(x + 3.0))] == pytest.approx(-2.0, rel=1e-12)
 
     def test_matrix_is_exactly_symmetric(self):
-        # the block [[0, M], [M^T, 0]] that the matrix-free products apply
-        # is exactly symmetric, and M is the dense reference; A = J M with
-        # J = diag((-1)^i) is exactly symmetric too, and A^2 = M^T M
-        op = build_operator(box(1.0, 2.0), 0.7, Grid1D(-17.0, 17.0, 102),
-                            enforce_padding=False)
+        # M is the dense reference and J M J = M^T exactly, with
+        # J = diag((-1)^i); A = J M is exactly symmetric too, and
+        # A^2 = M^T M
+        op = build_operator(box(1.0, 2.0), 0.7, Grid1D(-17.0, 17.0, 102))
         m = op.size
         mm = op.m_matvec(np.eye(m))
-        mt = np.column_stack([op.mt_matvec(e) for e in np.eye(m)])
-        h = np.block([[np.zeros((m, m)), mm], [mt, np.zeros((m, m))]])
-        assert np.array_equal(h, h.T)
+        sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+        assert np.array_equal(sign[:, None] * mm * sign, mm.T)
         assert np.array_equal(mm, dense_m(op))
         band = mtm_band(op)
         mtm = mm.T @ mm
@@ -87,7 +85,6 @@ class TestBuildOperator:
                                        rtol=1e-14, atol=1e-12)
         d, e = op.tridiagonal()
         a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
         assert np.array_equal(a, sign[:, None] * mm)
         assert np.array_equal(a, a.T)
         for j in range(3):
@@ -131,7 +128,7 @@ class TestEigenSpectrum:
 
     def test_chiral_pairing_exact(self):
         op = build_operator(truncated_gaussian(0.9, 0.8, 2.0), 0.3,
-                            Grid1D(-20.0, 20.0, 202), enforce_padding=False)
+                            Grid1D(-20.0, 20.0, 202))
         vals = eigen_spectrum(op, tau=0.1).eigenvalues
         np.testing.assert_allclose(np.sort(vals), -np.sort(-vals)[::-1],
                                    atol=1e-10)
@@ -230,7 +227,7 @@ class TestModeResidual:
         for n in (1701, 3401):  # h = 2e-2 then 1e-2
             g = Grid1D(-17.0, 17.0, n)
             op = build_operator(p, 0.0, g)
-            mode = build_mode_1d(p, 0.0, SECTOR_B, g)
+            mode = build_mode_1d(lambda_1d(p, 0.0, g), SECTOR_B)
             res.append(mode_residual(op, mode))
         assert res[1] <= 1e-2
         assert 3.0 <= res[0] / res[1] <= 5.0
@@ -252,9 +249,22 @@ class TestModeResidual:
     def test_grid_mismatch(self):
         p = box(1.0, 2.0)
         op = build_operator(p, 0.0, Grid1D(-17.0, 17.0, 401))
-        mode = build_mode_1d(p, 0.0, SECTOR_B, Grid1D(-17.0, 17.0, 301))
+        mode = build_mode_1d(lambda_1d(p, 0.0, Grid1D(-17.0, 17.0, 301)),
+                             SECTOR_B)
         with pytest.raises(GridError):
             mode_residual(op, mode)
+
+    def test_a_mode_of_mirrored_field(self):
+        # B -> -B maps psi_b to psi_a and M to -M^T, so the a-mode residual
+        # of the mirrored field is the b-mode residual, to the bit
+        g = Grid1D(-17.0, 17.0, 1701)
+        res = {}
+        for b0, sector in ((1.0, SECTOR_B), (-1.0, SECTOR_A)):
+            p = box(b0, 2.0)
+            mode = build_mode_1d(lambda_1d(p, 0.0, g), sector)
+            assert mode.normalizable
+            res[sector.label] = mode_residual(build_operator(p, 0.0, g), mode)
+        assert res["a"] == res["b"]
 
 
 def susy_partners(op):
@@ -409,8 +419,7 @@ class TestDenseReference:
         # the first Landau gap, where counts still mean zero modes
         b0 = -b0 if negative else b0
         profile = truncated_gaussian(b0, a / 3.0, a) if gauss else box(b0, a)
-        op = build_operator(profile, k, Grid1D(-extent, extent, m + 2),
-                            enforce_padding=False)
+        op = build_operator(profile, k, Grid1D(-extent, extent, m + 2))
         tau = frac * math.sqrt(2.0 * abs(b0))
         ref = scipy.linalg.svdvals(dense_m(op))[::-1]
         spec = eigen_spectrum(op, tau=tau)

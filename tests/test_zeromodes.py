@@ -1,14 +1,12 @@
 """Zero modes: admissibility windows, normalizability, plane counting."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from zml import zeromodes
 from zml.errors import ProfileError
 from zml.potential import lambda_1d, lambda_2d_radial
 from zml.profiles import (DIM_RADIAL, Grid1D, box, bump, piecewise_linear,
@@ -49,7 +47,7 @@ class TestAdmissibleInterval:
 class TestBuildMode1D:
     def test_box_b_mode_normalizable(self):
         g = Grid1D(-17.0, 17.0, 1701)
-        mode = build_mode_1d(box(1.0, 2.0), 0.0, SECTOR_B, g)
+        mode = build_mode_1d(lambda_1d(box(1.0, 2.0), 0.0, g), SECTOR_B)
         assert mode.normalizable
         x = g.points()
         i0 = np.argmin(np.abs(x))
@@ -60,31 +58,46 @@ class TestBuildMode1D:
 
     def test_outside_window_not_normalizable(self):
         g = Grid1D(-17.0, 17.0, 301)
-        mode = build_mode_1d(box(1.0, 2.0), 2.1, SECTOR_B, g)
+        mode = build_mode_1d(lambda_1d(box(1.0, 2.0), 2.1, g), SECTOR_B)
         assert not mode.normalizable
         assert mode.l2_norm == math.inf
 
     def test_a_sector_never_normalizable_for_positive_flux(self):
         g = Grid1D(-17.0, 17.0, 301)
         for k in (-1.5, 0.0, 1.5, 3.0):
-            assert not build_mode_1d(box(1.0, 2.0), k, SECTOR_A, g).normalizable
+            pot = lambda_1d(box(1.0, 2.0), k, g)
+            assert not build_mode_1d(pot, SECTOR_A).normalizable
 
     def test_sector_none_rejected(self):
         with pytest.raises(ValueError):
-            build_mode_1d(box(1.0, 2.0), 0.0, SECTOR_NONE,
-                          Grid1D(-17.0, 17.0, 101))
+            build_mode_1d(lambda_1d(box(1.0, 2.0), 0.0,
+                                    Grid1D(-17.0, 17.0, 101)), SECTOR_NONE)
+
+    def test_radial_potential_rejected(self):
+        g = Grid1D(0.0, 10.0, 21)
+        pot = lambda_2d_radial(box(1.0, 2.0, dimension=DIM_RADIAL), g)
+        with pytest.raises(ProfileError, match="line"):
+            build_mode_1d(pot, SECTOR_B)
+
+    def test_short_grid_is_built(self):
+        # 3 past the support, far below the padding rule's 15: the builder
+        # builds, and the stages that need the padding check it
+        g = Grid1D(-5.0, 5.0, 101)
+        mode = build_mode_1d(lambda_1d(box(1.0, 2.0), 0.0, g), SECTOR_B)
+        assert mode.normalizable and math.isfinite(mode.l2_norm)
 
     def test_mode_positivity_on_samples(self):
         g = Grid1D(-23.0, 23.0, 921)
-        mode = build_mode_1d(box(1.0, 2.0), 0.5, SECTOR_B, g)
+        mode = build_mode_1d(lambda_1d(box(1.0, 2.0), 0.5, g), SECTOR_B)
         finite = np.isfinite(mode.values)
         representable = mode.log_values >= -745.0
         assert np.all(mode.values[finite & representable] > 0.0)
 
     def test_norm_stable_under_domain_doubling(self):
         p = box(1.0, 2.0)
-        n1 = build_mode_1d(p, 0.0, SECTOR_B, Grid1D(-17.0, 17.0, 3401)).l2_norm
-        n2 = build_mode_1d(p, 0.0, SECTOR_B, Grid1D(-34.0, 34.0, 6801)).l2_norm
+        n1, n2 = (build_mode_1d(lambda_1d(p, 0.0, g), SECTOR_B).l2_norm
+                  for g in (Grid1D(-17.0, 17.0, 3401),
+                            Grid1D(-34.0, 34.0, 6801)))
         assert abs(n2 - n1) / n1 < 1e-8
 
 
@@ -92,7 +105,7 @@ class TestScanK:
     def test_window_booleans_for_q4(self):
         g = Grid1D(-30.0, 30.0, 601)
         ks = [-2.1, -2.0, -1.9, 0.0, 1.9, 2.0, 2.1]
-        base = lambda_1d(box(1.0, 2.0), 0.0, g, enforce_padding=False)
+        base = lambda_1d(box(1.0, 2.0), 0.0, g)
         got = [e.normalizable for e in scan_k(base, SECTOR_B, ks)]
         assert got == [False, False, True, True, True, False, False]
         got_a = [e.normalizable for e in scan_k(base, SECTOR_A, ks)]
@@ -100,20 +113,20 @@ class TestScanK:
 
     def test_zero_flux_all_false(self):
         g = Grid1D(-10.0, 10.0, 101)
-        base = lambda_1d(box(0.0, 1.0), 0.0, g, enforce_padding=False)
+        base = lambda_1d(box(0.0, 1.0), 0.0, g)
         entries = scan_k(base, SECTOR_B, [-1.0, 0.0, 1.0])
         assert all(not e.normalizable for e in entries)
         assert all(e.l2_norm == math.inf for e in entries)
 
     def test_base_must_be_lambda_0(self):
         g = Grid1D(-30.0, 30.0, 601)
-        base = lambda_1d(box(1.0, 2.0), 0.5, g, enforce_padding=False)
+        base = lambda_1d(box(1.0, 2.0), 0.5, g)
         with pytest.raises(ValueError, match="lambda_0"):
             scan_k(base, SECTOR_B, [0.0])
 
     def test_endpoints_excluded(self):
         g = Grid1D(-30.0, 30.0, 601)
-        base = lambda_1d(box(1.0, 2.0), 0.0, g, enforce_padding=False)
+        base = lambda_1d(box(1.0, 2.0), 0.0, g)
         entries = scan_k(base, SECTOR_B, [-2.0, 2.0])
         assert [e.normalizable for e in entries] == [False, False]
 
@@ -129,7 +142,7 @@ class TestScanK:
                 continue
             g = Grid1D(-a - 8.0, a + 8.0, 201)
             ks = rng.uniform(-1.5 * abs(q), 1.5 * abs(q), size=8)
-            base = lambda_1d(p, 0.0, g, enforce_padding=False)
+            base = lambda_1d(p, 0.0, g)
             for entry in scan_k(base, sector, ks):
                 assert entry.normalizable == iv.contains(entry.k)
 
@@ -138,7 +151,7 @@ class TestScanK:
             b0 = float(rng.uniform(-2.0, 2.0))
             p = box(b0, 1.3)
             g = Grid1D(-12.0, 12.0, 201)
-            base = lambda_1d(p, 0.0, g, enforce_padding=False)
+            base = lambda_1d(p, 0.0, g)
             for k in rng.uniform(-3.0, 3.0, size=5):
                 na = scan_k(base, SECTOR_A, [k])[0].normalizable
                 nb = scan_k(base, SECTOR_B, [k])[0].normalizable
@@ -179,18 +192,13 @@ def _same_norm(got, want):
 
 
 def _check_against_modes(profile, sector, k_list, grid):
-    entries = scan_k(lambda_1d(profile, 0.0, grid, enforce_padding=False),
-                     sector, k_list)
+    entries = scan_k(lambda_1d(profile, 0.0, grid), sector, k_list)
     assert len(entries) == len(k_list)
     modes = {}
     for k, entry in zip(k_list, entries):
         assert entry.k == float(k)
         if k not in modes:
-            # these grids pad by design below the padding rule, which only
-            # raises and never changes a mode, so it is switched off here
-            with mock.patch.object(zeromodes, "check_padding",
-                                   lambda *args, **kwargs: None):
-                modes[k] = build_mode_1d(profile, k, sector, grid)
+            modes[k] = build_mode_1d(lambda_1d(profile, k, grid), sector)
         mode = modes[k]
         assert entry.normalizable == mode.normalizable
         assert _same_norm(entry.l2_norm, mode.l2_norm), (k, entry, mode.l2_norm)
@@ -311,8 +319,7 @@ class TestBuildMode2D:
     def test_line_potential_rejected(self):
         g = Grid1D(-10.0, 10.0, 21)
         with pytest.raises(ProfileError, match="radial"):
-            build_mode_2d(lambda_1d(box(1.0, 2.0), 0.0, g,
-                                    enforce_padding=False), 0)
+            build_mode_2d(lambda_1d(box(1.0, 2.0), 0.0, g), 0)
 
     def test_negative_j_rejected(self, disc35):
         with pytest.raises(ValueError):
