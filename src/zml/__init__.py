@@ -18,11 +18,11 @@ from .profiles import (DEFAULT_RTOL, DIM_LINE, DIM_RADIAL, MAX_GRID_POINTS,
 from .potential import (GaugePhase, RadialScalarPotential, ScalarPotential,
                         alpha_gauge, check_padding, lambda_1d,
                         lambda_2d_radial, poisson_residual, required_padding,
-                        vector_potential_y)
-from .zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE, Mode2D, OpenInterval,
-                        SpinSector, ZeroMode, ZeroModeCount2D,
-                        admissible_k_interval, build_mode_1d, build_mode_2d,
-                        count_2d_zero_modes, scan_k)
+                        vector_potential_y, window_margin)
+from .zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE, Mode2D, SpinSector,
+                        ZeroMode, ZeroModeCount2D, build_mode_1d,
+                        build_mode_2d, count_2d_zero_modes, flux_sector,
+                        scan_k)
 from .spectral import (DiracOperator, Spectrum, build_operator,
                        default_zero_tolerance, eigen_spectrum, mode_residual,
                        windowed_singular_modes)
@@ -45,12 +45,11 @@ __all__ = [
     # potential
     "ScalarPotential", "RadialScalarPotential", "GaugePhase", "alpha_gauge",
     "check_padding", "lambda_1d", "lambda_2d_radial", "poisson_residual",
-    "required_padding", "vector_potential_y",
+    "required_padding", "vector_potential_y", "window_margin",
     # zeromodes
-    "SpinSector", "SECTOR_A", "SECTOR_B", "SECTOR_NONE", "OpenInterval",
-    "ZeroMode", "Mode2D", "ZeroModeCount2D",
-    "admissible_k_interval", "build_mode_1d", "build_mode_2d",
-    "count_2d_zero_modes", "scan_k",
+    "SpinSector", "SECTOR_A", "SECTOR_B", "SECTOR_NONE", "ZeroMode", "Mode2D",
+    "ZeroModeCount2D", "build_mode_1d", "build_mode_2d",
+    "count_2d_zero_modes", "flux_sector", "scan_k",
     # spectral
     "DiracOperator", "Spectrum", "build_operator", "default_zero_tolerance",
     "eigen_spectrum", "mode_residual", "windowed_singular_modes",

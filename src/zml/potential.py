@@ -36,6 +36,7 @@ __all__ = [
     "ScalarPotential",
     "RadialScalarPotential",
     "GaugePhase",
+    "window_margin",
     "required_padding",
     "check_padding",
     "lambda_1d",
@@ -91,18 +92,32 @@ class GaugePhase:
         self.values.setflags(write=False)
 
 
+def window_margin(Q, k):
+    """delta = |Q|/2 - |k|, elementwise: the one window rule.
+
+    The slopes k -/+ Q/2 of lambda_k have opposite signs, so one spin sector
+    has a normalizable mode at k, iff delta > 0 (a rounded difference keeps
+    the exact sign); inside the window delta is the slower tail's decay rate.
+    """
+    return 0.5 * abs(Q) - abs(k)
+
+
+def _on_edge(offset, scale):
+    # zero to relative 1e-9: on a window edge, where counts depend on rounding
+    return abs(offset) <= 1e-9 * max(1.0, scale)
+
+
 def required_padding(Q, k):
     """Padding beyond the support needed on each side for the mode at k.
 
     Inside the admissible window the slowest tail decays at rate
-    min |k -/+ Q/2|, and e^-30 suppression needs 30 over that rate.  At or
-    outside the window boundary no tail decays on both sides, so only the
-    geometric floor applies.
+    ``window_margin(Q, k)``, and e^-30 suppression needs 30 over that rate.
+    At or outside the window boundary no tail decays on both sides, so only
+    the geometric floor applies.
     """
-    half = 0.5 * abs(Q)
-    if half > 0.0 and abs(k) < half:
-        slope_min = half - abs(k)
-        return max(PADDING_FLOOR, PADDING_DECAY / slope_min)
+    margin = window_margin(Q, k)
+    if margin > 0.0:
+        return max(PADDING_FLOOR, PADDING_DECAY / margin)
     return PADDING_FLOOR
 
 

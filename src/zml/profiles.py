@@ -109,7 +109,8 @@ class FieldProfile:
         return float(values) if np.isscalar(x) else values
 
     def max_abs(self):
-        """Upper bound max |B|; exact for all kinds (attained at a node)."""
+        """Upper bound on max |B|, exact for box, bump and piecewise-linear
+        (the truncated gaussian's shift puts its maximum below |B0|)."""
         if self.kind in ("box", "truncated-gaussian", "bump"):
             return abs(self.params["B0"])
         return max(abs(v) for v in self.params["values"])
@@ -139,8 +140,8 @@ def _require_positive(name, value):
 def make_profile(kind, dimension=DIM_LINE, **params):
     """Build a validated FieldProfile from a kind tag and named parameters.
 
-    Raises ProfileError for unknown kinds, non-positive widths, NaN
-    parameters, or empty/disordered breakpoint lists.
+    Raises ProfileError for unknown kinds, non-positive widths (or a sigma
+    whose 2 sigma^2 underflows), NaN parameters or bad breakpoint lists.
     """
     if kind not in _KINDS:
         raise ProfileError(f"unknown profile kind {kind!r}; expected one of {_KINDS}")
@@ -161,6 +162,9 @@ def make_profile(kind, dimension=DIM_LINE, **params):
     if kind == "truncated-gaussian":
         b0 = _require_finite("B0", params.pop("B0"))
         sigma = _require_positive("sigma", params.pop("sigma"))
+        if 2.0 * sigma * sigma == 0.0:
+            raise ProfileError(f"parameter 'sigma' = {sigma} is too small: "
+                               "2 sigma^2 underflows to 0")
         cut = _require_positive("cutoff", params.pop("cutoff"))
         _reject_extras(params)
         support = (0.0, cut) if dimension == DIM_RADIAL else (-cut, cut)

@@ -11,7 +11,7 @@ familiar Landau count floor(2 a B L_y / 2 pi).
 ``verify_degeneracy`` reconciles that count with the spectral oracle from
 the line primitives: one ``build_operator`` at k_y = 0 gives the base
 operator, whose W is A_y, and channel n is that base with W shifted by
-k_gauge + k_y; ``admissible_k_interval`` decides the window and one
+k_gauge + k_y; ``window_margin`` decides the window and one
 ``check_padding`` call the grid.  Level zero sums near-zero mode counts per
 channel.  Excited levels need more care on a lattice with compactly
 supported fields, for two measured reasons: central differences host a
@@ -39,12 +39,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClusterResolutionError, GridError, ProfileError
-from .potential import check_padding
+from .potential import _on_edge, check_padding, window_margin
 from .profiles import DEFAULT_RTOL, total_flux
 from .spectral import (_check_tau, _singular_values, _sturm_count,
                        build_operator, default_zero_tolerance,
                        windowed_singular_modes)
-from .zeromodes import admissible_k_interval
 
 __all__ = [
     "MAX_CHANNELS",
@@ -155,10 +154,10 @@ def default_n_range(Q, L_y, k_gauge=0.0):
 def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
     """Analytic degeneracy report: per-channel window verdicts and floor(|Q| L_y/2pi).
 
-    A channel is admissible iff |k_gauge + k_y| < |Q|/2 (open window of
-    length |Q|).  The admissible count can differ from the floor formula by
-    at most one lattice point; channels on the window edge (|k_gauge + k_y|
-    = |Q|/2 to relative 1e-9, as ``ZeroModeCount2D.integer_flux`` in the
+    A channel is admissible iff ``window_margin(Q, k_gauge + k_y)`` > 0,
+    i.e. |k_gauge + k_y| < |Q|/2.  The admissible count can differ from the
+    floor formula by at most one lattice point; channels on the window edge
+    (margin 0 to relative 1e-9, as ``ZeroModeCount2D.integer_flux`` in the
     plane) are flagged, since there the count depends on rounding.
 
     A ``cfg.B_const`` that is not the field of a line ``box`` profile raises
@@ -182,15 +181,12 @@ def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
         raise GridError(f"channel range n in {list(n_range)} exceeds the "
                         f"ceiling MAX_CHANNELS = {MAX_CHANNELS} channels")
     kys = quantize_ky(cfg.L_y, n_range)
-    window = admissible_k_interval(q)[1]
-    half = 0.5 * abs(q)
-    edge_tol = 1e-9 * max(1.0, half)
     channels = []
     for n, ky in zip(range(n_range[0], n_range[1] + 1), kys):
-        k = cfg.k_gauge + ky
+        margin = window_margin(q, cfg.k_gauge + ky)
         channels.append(ChannelVerdict(
-            n=n, k_y=float(ky), admissible=bool(window.contains(k)),
-            on_window_edge=bool(abs(abs(k) - half) <= edge_tol)))
+            n=n, k_y=float(ky), admissible=bool(margin > 0.0),
+            on_window_edge=bool(_on_edge(margin, 0.5 * abs(q)))))
     g = int(math.floor(g_real))
     report = DegeneracyReport(Q=q, L_y=cfg.L_y, g_analytic_real=g_real,
                               g_analytic=g, channels=channels)

@@ -288,7 +288,7 @@ def windowed_singular_modes(op, lo, hi):
     """
     if not 0.0 <= lo <= hi:
         raise ValueError("need 0 <= lo <= hi for a singular-value window")
-    if lo == hi:
+    if lo == hi:  # dstebz refuses an empty interval (info -5)
         return np.empty(0), np.empty((op.size, 0))
     d, e = op.tridiagonal()
     lapack = _lapack()

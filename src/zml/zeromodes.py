@@ -2,11 +2,11 @@
 
 On the line the candidate modes are exp(-lambda_k) (lower / "b" component)
 and exp(+lambda_k) (upper / "a" component).  Square-integrability is decided
-purely by the exact asymptotic slopes of lambda_k: the b mode needs
-slope_right > 0 and slope_left < 0, the a mode the reverse.  That slope test
-reproduces the open admissibility window |k| < |Q|/2 in exactly one spin
-sector, fixed by the sign of the flux; quadrature of the sampled mode is
-only a consistency check, never the verdict.
+purely by the exact asymptotic slopes k -/+ Q/2 of lambda_k: a mode is
+normalizable iff it lies in the sector ``flux_sector`` picks from the sign
+of the flux and ``window_margin(Q, k)`` = |Q|/2 - |k| > 0, the open window
+|k| < |Q|/2; quadrature of the sampled mode is only a consistency check,
+never the verdict.
 
 In the radially symmetric plane the candidates are r^j exp(-lambda) (or the
 mirrored sector for negative flux) whose squared-norm integrand behaves like
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProfileError
-from .potential import RadialScalarPotential, ScalarPotential
+from .potential import (RadialScalarPotential, ScalarPotential, _on_edge,
+                        window_margin)
 from .profiles import Flux
 
 __all__ = [
@@ -33,11 +34,10 @@ __all__ = [
     "SECTOR_A",
     "SECTOR_B",
     "SECTOR_NONE",
-    "OpenInterval",
     "ZeroMode",
     "Mode2D",
     "ZeroModeCount2D",
-    "admissible_k_interval",
+    "flux_sector",
     "build_mode_1d",
     "scan_k",
     "count_2d_zero_modes",
@@ -63,21 +63,6 @@ class SpinSector:
 SECTOR_A = SpinSector("a", +1)
 SECTOR_B = SpinSector("b", -1)
 SECTOR_NONE = SpinSector("none", 0)
-
-
-@dataclass(frozen=True)
-class OpenInterval:
-    """Open interval (lo, hi); empty when hi <= lo."""
-
-    lo: float
-    hi: float
-
-    @property
-    def is_empty(self):
-        return not (self.lo < self.hi)
-
-    def contains(self, x):
-        return self.lo < x < self.hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,35 +114,22 @@ class ZeroModeCount2D:
     integer_flux: bool        # there the strict tail rule gives n_modes - 1
 
 
-def _flux_value(flux):
-    if isinstance(flux, Flux):
-        return flux.value
-    return float(flux)
+def flux_sector(q):
+    """Spin sector of the zero modes of flux q: b if q > 0, a if q < 0.
 
-
-def admissible_k_interval(flux):
-    """Spin sector carrying zero modes and the open window of admissible k.
-
-    Positive flux selects the b sector with k in (-Q/2, Q/2), negative flux
-    the a sector with the same numeric window; zero flux admits nothing.
-    Endpoints are excluded: there one tail of lambda is flat and the mode is
-    a non-integrable constant in that direction.
+    Zero flux admits nothing.  Either sector's window is |k| < |q|/2
+    (``window_margin``), edges excluded: there one tail of lambda is flat.
     """
-    q = _flux_value(flux)
     if q > 0.0:
-        return SECTOR_B, OpenInterval(-0.5 * q, 0.5 * q)
+        return SECTOR_B
     if q < 0.0:
-        return SECTOR_A, OpenInterval(0.5 * q, -0.5 * q)
-    return SECTOR_NONE, OpenInterval(0.0, 0.0)
+        return SECTOR_A
+    return SECTOR_NONE
 
 
-def _slope_test(sector, slope_left, slope_right):
-    # elementwise, so one call gives the verdicts of a whole array of k
-    if sector is SECTOR_B:
-        return (slope_right > 0.0) & (slope_left < 0.0)
-    if sector is SECTOR_A:
-        return (slope_right < 0.0) & (slope_left > 0.0)
-    raise ValueError("sector must be a or b")
+def _normalizable(sector, q, k):
+    # elementwise in k, so one call gives the verdicts of an array of k
+    return (sector is flux_sector(q)) & (window_margin(q, k) > 0.0)
 
 
 def _representable(log_values):
@@ -212,7 +184,7 @@ def build_mode_1d(pot, sector):
 
     ``pot`` is lambda_k, a ScalarPotential from lambda_1d; its k, grid and
     flux are the mode's (``ZeroMode.flux``).  The normalizability verdict is
-    the slope test on its exact slopes alone.  The L2 norm is quadrature
+    the window rule on its exact k and Q alone.  The L2 norm is quadrature
     over the grid extent, flagged infinite for non-normalizable modes; how
     well the grid resolves a normalizable tail is the caller's
     ``check_padding``.
@@ -222,7 +194,7 @@ def build_mode_1d(pot, sector):
                            "(ScalarPotential)")
     if sector is SECTOR_NONE or not isinstance(sector, SpinSector):
         raise ValueError("build_mode_1d needs sector a or b")
-    normalizable = _slope_test(sector, pot.slope_left, pot.slope_right)
+    normalizable = bool(_normalizable(sector, pot.flux.value, pot.k))
     log_values = sector.gamma * pot.values
     if normalizable:
         norm = _shifted_norms(log_values[None, :], pot.grid.points())[0]
@@ -245,16 +217,14 @@ def scan_k(base, sector, k_list):
     ``l2_norm`` (float, inf where not normalizable) are 1-D columns, and
     each row carries the same three fields as attributes.
 
-    Verdicts are exact (slope test); they are true precisely on the open
-    interval from admissible_k_interval.  The slopes of lambda_0 + k x are
-    those of lambda_0 shifted by k, so the verdicts are one array comparison
-    on base.slope_left and base.slope_right, and the norms of the admissible
-    k are taken in blocks of _SCAN_BLOCK values, each one (block x n) matrix
-    of log samples gamma (lambda_0 + k x) and one row-wise Simpson pass, so
-    the temporaries stay a few block x n arrays (0.5 MB each at n = 121)
-    however long k_list is.  Norms are computed on base's grid, so near the
-    window edges (where the padding rule would demand enormous grids) they
-    are truncation-limited; the verdict is unaffected.
+    Verdicts are exact: true precisely in the sector ``flux_sector`` picks
+    where ``window_margin`` is positive.  The norms of the admissible k are
+    taken in blocks of _SCAN_BLOCK values (one block x n matrix of log
+    samples gamma (lambda_0 + k x) and one row-wise Simpson pass each, 0.5
+    MB at n = 121), so the temporaries stay flat however long k_list is.
+    Norms are computed on base's grid, so near the window edges (where the
+    padding rule would demand enormous grids) they are truncation-limited;
+    the verdict is not.
     """
     if sector is SECTOR_NONE or not isinstance(sector, SpinSector):
         raise ValueError("scan_k needs sector a or b")
@@ -263,7 +233,7 @@ def scan_k(base, sector, k_list):
                          f"got k = {base.k}")
     x = base.grid.points()
     ks = np.asarray(k_list, dtype=float)
-    ok = _slope_test(sector, ks + base.slope_left, ks + base.slope_right)
+    ok = _normalizable(sector, base.flux.value, ks)
     norms = np.full(ks.shape, math.inf)
     admissible = np.flatnonzero(ok)
     for start in range(0, admissible.size, _SCAN_BLOCK):
@@ -278,19 +248,16 @@ def count_2d_zero_modes(flux):
     """Zero-mode count of the radially symmetric plane problem.
 
     n_modes is the integer part of |Phi|/2pi (modes j = 0 .. n_modes-1) in
-    the sector admissible_k_interval picks for Phi: b for positive flux, a
-    for negative, none for zero.  When |Phi|/2pi is an integer the topmost
-    mode j = n_modes - 1 sits exactly on the integrability boundary and the
-    strict tail rule rejects it; such inputs are flagged rather than
-    silently resolved.
+    the sector ``flux_sector`` picks for Phi.  When |Phi|/2pi is an integer
+    the topmost mode j = n_modes - 1 sits exactly on the integrability
+    boundary and the strict tail rule rejects it; such inputs are flagged
+    rather than silently resolved.
     """
-    phi = _flux_value(flux)
+    phi = flux.value if isinstance(flux, Flux) else float(flux)
     ratio = abs(phi) / (2.0 * math.pi)
-    n = int(math.floor(ratio))
-    integer_flux = ratio > 0.0 and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)
-    sector, _ = admissible_k_interval(phi)
-    return ZeroModeCount2D(sector=sector, n_modes=n, flux_over_2pi=ratio,
-                           integer_flux=integer_flux)
+    integer_flux = ratio > 0.0 and _on_edge(ratio - round(ratio), ratio)
+    return ZeroModeCount2D(sector=flux_sector(phi), n_modes=math.floor(ratio),
+                           flux_over_2pi=ratio, integer_flux=integer_flux)
 
 
 def build_mode_2d(pot, j):
@@ -300,7 +267,7 @@ def build_mode_2d(pot, j):
     potential serves every j, and its flux Phi fixes the tail and the
     sector.  The squared-norm integrand scales like r^tail_exponent with
     tail_exponent = 2j + 1 - |Phi|/pi, so the mode is normalizable iff that
-    exponent is < -1.  The sector is admissible_k_interval's for Phi, with
+    exponent is < -1.  The sector is flux_sector's for Phi, with
     b-like decay exp(-lambda) at Phi = 0.
     """
     if not isinstance(pot, RadialScalarPotential):
@@ -310,7 +277,7 @@ def build_mode_2d(pot, j):
         raise ValueError(f"j must be a non-negative integer, got {j}")
     j = int(j)
     phi = pot.flux.value
-    sector, _ = admissible_k_interval(phi)
+    sector = flux_sector(phi)
     gamma = sector.gamma or -1
     r = pot.grid.points()
     with np.errstate(divide="ignore"):

@@ -287,6 +287,38 @@ class TestConfigValidation:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("command", [
+        "flux", "potential", "modes", "count", "verify", "modes2d"])
+    def test_gaussian_sigma_underflow_refused(self, tmp_path, capsys,
+                                              command):
+        # sigma = 1e-170 is positive, but 2 sigma^2 is 0.0 in a float
+        profile = {"kind": "truncated-gaussian", "B0": 1.0, "sigma": 1e-170,
+                   "cutoff": 1.0}
+        grid = GRID
+        if command == "modes2d":
+            profile["dimension"] = "radial-plane"
+            grid = {"x_lo": 0.0, "x_hi": 20.0, "n": 41}
+        cfg = write_cfg(tmp_path, profile=profile, grid=grid, sector="b",
+                        k=0.0, Ly=2 * math.pi, j_list=[0],
+                        out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, command, "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith("config error: profile: parameter 'sigma' ")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_spectrum_needs_two_interior_points(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE, k_y=0.0,
+                        grid={"x_lo": -17.0, "x_hi": 17.0, "n": 3},
+                        out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, "spectrum", "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err == ("config error: operator needs at least 2 interior "
+                       "points\n")
+
+
 class TestModes:
     def test_normalizable_verdict_and_csv(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -667,6 +699,24 @@ class TestCountAndVerify:
         assert code == EXIT_NUMERICAL
         assert stdout == ""
         assert "separated" in err
+
+    @pytest.mark.parametrize("profile, n_range, message", [
+        # no channel of box(1, 2) is admissible: no level to detect
+        ({"kind": "box", "B0": 1.0, "a": 2.0}, [20, 22],
+         "no spectral values to cluster"),
+        ({"kind": "box", "B0": 0.0, "a": 2.0}, None,
+         "field-free sweep has no level structure"),
+    ])
+    def test_verify_level1_without_levels_exits_numerical(
+            self, tmp_path, capsys, profile, n_range, message):
+        fields = {} if n_range is None else {"n_range": n_range}
+        cfg = write_cfg(tmp_path, profile=profile, grid=GRID,
+                        Ly=2 * math.pi, level=1, out_dir=str(tmp_path / "o"),
+                        **fields)
+        code, stdout, err = run_cli(capsys, "verify", "--config", cfg)
+        assert code == EXIT_NUMERICAL
+        assert stdout == ""
+        assert err.startswith("numerical failure: ") and message in err
 
     def test_count_radial_reports_plane_count(self, tmp_path, capsys):
         profile = {"kind": "box", "B0": 7.0 / 4.0, "a": 2.0,

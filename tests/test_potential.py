@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from zml.errors import GridError, PaddingError, ProfileError
 from zml.potential import (alpha_gauge, check_padding, lambda_1d,
                            lambda_2d_radial, poisson_residual,
-                           required_padding, vector_potential_y)
+                           required_padding, vector_potential_y,
+                           window_margin)
 from zml.profiles import DIM_RADIAL, Grid1D, box, bump, truncated_gaussian
 
 
@@ -90,6 +92,22 @@ class TestLambda1D:
         with pytest.raises(ProfileError):
             lambda_1d(box(1.0, 1.0, dimension=DIM_RADIAL), 0.0,
                       Grid1D(-10.0, 10.0, 11))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestWindowMargin:
+    @given(_finite, _finite)
+    def test_sign_matches_opposite_slopes(self, q, k):
+        # the exterior slopes k -/+ Q/2 have opposite signs iff delta > 0
+        left, right = k - 0.5 * q, k + 0.5 * q
+        opposite = (left < 0.0 < right) or (right < 0.0 < left)
+        assert (window_margin(q, k) > 0.0) == opposite
+
+    def test_elementwise(self):
+        got = window_margin(-4.0, np.array([-3.0, -2.0, 0.5, 2.5]))
+        assert got.tolist() == [-1.0, 0.0, 1.5, -0.5]
 
 
 class TestPadding:

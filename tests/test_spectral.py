@@ -458,6 +458,15 @@ class TestWindowedModes:
         svals, vecs = windowed_singular_modes(op, 1e-6, 1e-5)
         assert svals.size == 0 and vecs.shape[1] == 0
 
+    def test_zero_width_window(self):
+        # dstebz refuses an interval with vl >= vu (info -5); a level-1
+        # sweep gets lo == hi when cluster_tol is below the centre's spacing
+        op = build_operator(box(1.0, 5.0), 0.0, Grid1D(-35.0, 35.0, 702))
+        center = math.sqrt(2.0)
+        assert center - 1e-20 == center + 1e-20
+        svals, vecs = windowed_singular_modes(op, center, center)
+        assert svals.shape == (0,) and vecs.shape == (op.size, 0)
+
     @given(start=st.floats(0.0, 1.0), width=st.integers(1, 30), **operators)
     @example(start=0.0, width=30, m=5, h=0.1, k=2.0, noise=0.1, seed=0)
     def test_matches_banded_select(self, start, width, m, h, k, noise, seed):

@@ -8,36 +8,29 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from zml.errors import ProfileError
-from zml.potential import lambda_1d, lambda_2d_radial
+from zml.potential import lambda_1d, lambda_2d_radial, window_margin
 from zml.profiles import (DIM_RADIAL, Grid1D, box, bump, piecewise_linear,
                           total_flux, truncated_gaussian)
 from zml.zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE, _simpson,
-                           admissible_k_interval, build_mode_1d,
-                           build_mode_2d, count_2d_zero_modes, scan_k)
+                           build_mode_1d, build_mode_2d,
+                           count_2d_zero_modes, flux_sector, scan_k)
 
 TWO_PI = 2.0 * math.pi
 
 
 class TestAdmissibleInterval:
     def test_positive_flux_selects_b(self):
-        sector, iv = admissible_k_interval(4.0)
-        assert sector is SECTOR_B
-        assert (iv.lo, iv.hi) == (-2.0, 2.0)
-        assert iv.contains(1.99) and not iv.contains(2.0)
+        assert flux_sector(4.0) is SECTOR_B
+        assert window_margin(4.0, 1.99) > 0.0
+        assert window_margin(4.0, 2.0) == 0.0 > window_margin(4.0, -2.01)
 
     def test_negative_flux_selects_a(self):
-        sector, iv = admissible_k_interval(-4.0)
-        assert sector is SECTOR_A
-        assert (iv.lo, iv.hi) == (-2.0, 2.0)
+        assert flux_sector(-4.0) is SECTOR_A
+        assert window_margin(-4.0, -1.5) == window_margin(4.0, 1.5) == 0.5
 
     def test_zero_flux_admits_nothing(self):
-        sector, iv = admissible_k_interval(0.0)
-        assert sector is SECTOR_NONE
-        assert iv.is_empty
-
-    def test_accepts_flux_object(self):
-        sector, iv = admissible_k_interval(total_flux(box(1.0, 2.0)))
-        assert sector is SECTOR_B and iv.hi == 2.0
+        assert flux_sector(0.0) is SECTOR_NONE
+        assert window_margin(0.0, 0.0) == 0.0
 
     def test_gamma_convention(self):
         assert SECTOR_A.gamma == 1
@@ -137,14 +130,13 @@ class TestScanK:
             a = float(rng.uniform(0.5, 3.0))
             p = box(b0, a)
             q = total_flux(p).value
-            sector, iv = admissible_k_interval(q)
-            if sector is SECTOR_NONE:
-                continue
+            sector = SECTOR_B if q > 0.0 else SECTOR_A
             g = Grid1D(-a - 8.0, a + 8.0, 201)
             ks = rng.uniform(-1.5 * abs(q), 1.5 * abs(q), size=8)
             base = lambda_1d(p, 0.0, g)
             for entry in scan_k(base, sector, ks):
-                assert entry.normalizable == iv.contains(entry.k)
+                inside = -abs(q) / 2 < entry.k < abs(q) / 2
+                assert entry.normalizable == inside
 
     def test_sector_exclusivity_random(self, rng):
         for _ in range(15):
