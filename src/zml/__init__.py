@@ -9,52 +9,17 @@ convolution is a closed form over cumulative moments of the field, computed
 in one vectorized Gauss-Kronrod pass (``zml._quadrature``).
 """
 
-from .errors import (ClusterResolutionError, EigenSolveError, GridError,
-                     PaddingError, ProfileError, QuadratureError, ZmlError)
-from .profiles import (DEFAULT_RTOL, DIM_LINE, DIM_RADIAL, MAX_GRID_POINTS,
-                       FieldProfile, Flux, Grid1D, box, bump, make_profile,
-                       piecewise_linear, sample, scale_profile, total_flux,
-                       truncated_gaussian)
-from .potential import (GaugePhase, RadialScalarPotential, ScalarPotential,
-                        alpha_gauge, check_padding, lambda_1d,
-                        lambda_2d_radial, poisson_residual, required_padding,
-                        vector_potential_y, window_margin)
-from .zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE, Mode2D, SpinSector,
-                        ZeroMode, ZeroModeCount2D, build_mode_1d,
-                        build_mode_2d, count_2d_zero_modes, flux_sector,
-                        scan_k)
-from .spectral import (DiracOperator, Spectrum, build_operator,
-                       default_zero_tolerance, eigen_spectrum, mode_residual,
-                       windowed_singular_modes)
-from .reduction import (MAX_CHANNELS, ChannelVerdict, DegeneracyReport,
-                        ReductionConfig, admissible_channels,
-                        default_n_range, quantize_ky, verify_degeneracy)
+from . import errors, potential, profiles, reduction, spectral, zeromodes
+from .errors import *       # noqa: F401,F403
+from .profiles import *     # noqa: F401,F403
+from .potential import *    # noqa: F401,F403
+from .zeromodes import *    # noqa: F401,F403
+from .spectral import *     # noqa: F401,F403
+from .reduction import *    # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ZmlError", "ProfileError", "GridError", "PaddingError",
-    "QuadratureError", "EigenSolveError", "ClusterResolutionError",
-    # profiles
-    "DEFAULT_RTOL", "DIM_LINE", "DIM_RADIAL", "MAX_GRID_POINTS",
-    "FieldProfile", "Flux", "Grid1D", "box", "bump", "make_profile",
-    "piecewise_linear", "sample", "scale_profile", "total_flux",
-    "truncated_gaussian",
-    # potential
-    "ScalarPotential", "RadialScalarPotential", "GaugePhase", "alpha_gauge",
-    "check_padding", "lambda_1d", "lambda_2d_radial", "poisson_residual",
-    "required_padding", "vector_potential_y", "window_margin",
-    # zeromodes
-    "SpinSector", "SECTOR_A", "SECTOR_B", "SECTOR_NONE", "ZeroMode", "Mode2D",
-    "ZeroModeCount2D", "build_mode_1d", "build_mode_2d",
-    "count_2d_zero_modes", "flux_sector", "scan_k",
-    # spectral
-    "DiracOperator", "Spectrum", "build_operator", "default_zero_tolerance",
-    "eigen_spectrum", "mode_residual", "windowed_singular_modes",
-    # reduction
-    "MAX_CHANNELS", "ReductionConfig", "ChannelVerdict", "DegeneracyReport",
-    "admissible_channels", "default_n_range", "quantize_ky",
-    "verify_degeneracy",
-]
+__all__ = ["__version__"]
+for _module in (errors, profiles, potential, zeromodes, spectral, reduction):
+    __all__ += _module.__all__
+del _module

@@ -1,4 +1,5 @@
-"""Field evaluation and the Green-kernel convolutions as prefix moments.
+"""Cumulative moments of any field profile, and the Green-kernel
+convolutions built from them.
 
 Every convolution of a compactly supported field B is a combination of its
 cumulative moments
@@ -74,34 +75,11 @@ _KRONROD = _mirror(_WK, 1.0)
 _GAUSS = _mirror(_WG, 1.0)
 
 
-def field_values(profile, x):
-    """B at the points x (a scalar is a 0-d input); hard 0.0 outside the support."""
-    t = np.asarray(x, dtype=float)
-    p = profile.params
-    kind = profile.kind
-    if kind == "piecewise-linear":
-        xp, fp = np.array(p["points"]).T
-        return np.interp(t, xp, fp, left=0.0, right=0.0)
-    if kind == "box":
-        return np.where(np.abs(t) <= p["a"], p["B0"], 0.0)
-    if kind == "truncated-gaussian":
-        s, cut = p["sigma"], p["cutoff"]
-        inside = np.abs(t) <= cut
-        t = np.where(inside, t, 0.0)   # no overflow in t * t far outside
-        gauss = np.exp(-t * t / (2.0 * s * s)) - math.exp(-cut * cut / (2.0 * s * s))
-        return np.where(inside, p["B0"] * gauss, 0.0)
-    if kind == "bump":
-        inside = np.abs(t) < p["a"]
-        u = np.where(inside, t / p["a"], 0.0)
-        return np.where(inside, p["B0"] * np.exp(1.0 - 1.0 / (1.0 - u * u)), 0.0)
-    raise ValueError(f"unknown profile kind {kind!r}")
-
-
 def _gk15(profile, weights, a, b):
     """Per weight and cell [a, b]: the K15 value, its error estimate and int |w B|."""
     half = 0.5 * (b - a)
     t = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
-    f = field_values(profile, t)
+    f = profile(t)
     fw = np.stack([w(t) * f for w in weights])
     k = fw @ _KRONROD * half
     mag = np.abs(fw) @ _KRONROD * half

@@ -12,10 +12,12 @@ radially symmetric plane case).  Four kinds are provided:
 - ``piecewise-linear``: linear interpolation through breakpoints, zero
   outside the first/last breakpoint.
 
-Fluxes use closed forms where they exist and Gauss-Kronrod quadrature
-(``zml._quadrature``) otherwise; uniform fields on the whole line are out of
-scope (use a wide box).  All objects are immutable and evaluation is pure,
-so everything here is safe to share across threads.
+``FieldProfile`` is the one place that knows the kinds: a profile
+evaluates itself, and ``zml._quadrature`` integrates whatever profile it is
+given.  Fluxes use closed forms where they exist and that module's
+Gauss-Kronrod quadrature otherwise; uniform fields on the whole line are
+out of scope (use a wide box).  All objects are immutable and evaluation is pure, so
+everything here is safe to share across threads.
 """
 
 import math
@@ -39,9 +41,7 @@ __all__ = [
     "truncated_gaussian",
     "bump",
     "piecewise_linear",
-    "scale_profile",
     "total_flux",
-    "sample",
 ]
 
 DIM_LINE = "line"
@@ -53,7 +53,11 @@ TWO_PI = 2.0 * math.pi
 # absurd grid.n a config error.  A fixed bound, not a setting.
 MAX_GRID_POINTS = 10_000_000
 
-_KINDS = ("box", "truncated-gaussian", "bump", "piecewise-linear")
+# the parametric kinds and their widths; the last width is the support's
+# half-width (its radius in the plane)
+_WIDTHS = {"box": ("a",), "truncated-gaussian": ("sigma", "cutoff"),
+           "bump": ("a",)}
+_KINDS = (*_WIDTHS, "piecewise-linear")
 
 
 @dataclass(frozen=True)
@@ -97,23 +101,48 @@ class FieldProfile:
     dimension: str
     params: dict
     support: tuple
-    kernel_params: tuple
     seeds: tuple = ()
 
     @property
     def is_radial(self):
         return self.dimension == DIM_RADIAL
 
+    @property
+    def kernel_params(self):
+        """The parameters as one flat, hashable tuple: (B0, *widths), or
+        the breakpoints' coordinates (x0, B0, x1, B1, ...)."""
+        if self.kind == "piecewise-linear":
+            return tuple(c for pt in self.params["points"] for c in pt)
+        return tuple(self.params.values())
+
     def __call__(self, x):
-        values = _quadrature.field_values(self, x)
+        """B at the points x (a scalar gives a float); hard 0.0 outside the
+        support."""
+        t = np.asarray(x, dtype=float)
+        p = self.params
+        if self.kind == "piecewise-linear":
+            xp, fp = np.array(p["points"]).T
+            values = np.interp(t, xp, fp, left=0.0, right=0.0)
+        elif self.kind == "box":
+            values = np.where(np.abs(t) <= p["a"], p["B0"], 0.0)
+        elif self.kind == "truncated-gaussian":
+            s, cut = p["sigma"], p["cutoff"]
+            inside = np.abs(t) <= cut
+            t = np.where(inside, t, 0.0)   # no overflow in t * t far outside
+            gauss = np.exp(-t * t / (2.0 * s * s)) - math.exp(-cut * cut / (2.0 * s * s))
+            values = np.where(inside, p["B0"] * gauss, 0.0)
+        else:   # bump
+            inside = np.abs(t) < p["a"]
+            u = np.where(inside, t / p["a"], 0.0)
+            values = np.where(inside, p["B0"] * np.exp(1.0 - 1.0 / (1.0 - u * u)), 0.0)
         return float(values) if np.isscalar(x) else values
 
     def max_abs(self):
         """Upper bound on max |B|, exact for box, bump and piecewise-linear
         (the truncated gaussian's shift puts its maximum below |B0|)."""
-        if self.kind in ("box", "truncated-gaussian", "bump"):
-            return abs(self.params["B0"])
-        return max(abs(v) for v in self.params["values"])
+        if self.kind == "piecewise-linear":
+            return max(abs(v) for _, v in self.params["points"])
+        return abs(self.params["B0"])
 
 
 @dataclass(frozen=True)
@@ -147,35 +176,18 @@ def make_profile(kind, dimension=DIM_LINE, **params):
         raise ProfileError(f"unknown profile kind {kind!r}; expected one of {_KINDS}")
     if dimension not in (DIM_LINE, DIM_RADIAL):
         raise ProfileError(f"unknown dimension {dimension!r}")
-
-    def finish(named, support, kparams, seeds=()):
-        return FieldProfile(kind=kind, dimension=dimension, params=named,
-                            support=support, kernel_params=tuple(kparams),
-                            seeds=tuple(seeds))
-
-    if kind == "box":
-        b0 = _require_finite("B0", params.pop("B0"))
-        a = _require_positive("a", params.pop("a"))
-        _reject_extras(params)
-        support = (0.0, a) if dimension == DIM_RADIAL else (-a, a)
-        return finish({"B0": b0, "a": a}, support, (b0, a))
-    if kind == "truncated-gaussian":
-        b0 = _require_finite("B0", params.pop("B0"))
-        sigma = _require_positive("sigma", params.pop("sigma"))
-        if 2.0 * sigma * sigma == 0.0:
+    if kind in _WIDTHS:
+        named = {"B0": _require_finite("B0", params.pop("B0"))}
+        for name in _WIDTHS[kind]:
+            named[name] = _require_positive(name, params.pop(name))
+        sigma = named.get("sigma")
+        if sigma is not None and 2.0 * sigma * sigma == 0.0:
             raise ProfileError(f"parameter 'sigma' = {sigma} is too small: "
                                "2 sigma^2 underflows to 0")
-        cut = _require_positive("cutoff", params.pop("cutoff"))
         _reject_extras(params)
-        support = (0.0, cut) if dimension == DIM_RADIAL else (-cut, cut)
-        return finish({"B0": b0, "sigma": sigma, "cutoff": cut},
-                      support, (b0, sigma, cut))
-    if kind == "bump":
-        b0 = _require_finite("B0", params.pop("B0"))
-        a = _require_positive("a", params.pop("a"))
-        _reject_extras(params)
-        support = (0.0, a) if dimension == DIM_RADIAL else (-a, a)
-        return finish({"B0": b0, "a": a}, support, (b0, a))
+        r = named[_WIDTHS[kind][-1]]
+        support = (0.0, r) if dimension == DIM_RADIAL else (-r, r)
+        return FieldProfile(kind, dimension, named, support)
     # piecewise-linear
     points = params.pop("points")
     _reject_extras(params)
@@ -190,9 +202,8 @@ def make_profile(kind, dimension=DIM_LINE, **params):
         raise ProfileError("piecewise-linear breakpoints must strictly increase")
     if dimension == DIM_RADIAL and xs[0] < 0.0:
         raise ProfileError("radial breakpoints must have r >= 0")
-    flat = [c for pt in pts for c in pt]
-    return finish({"points": tuple(pts), "values": tuple(v for _, v in pts)},
-                  (xs[0], xs[-1]), flat, seeds=xs[1:-1])
+    return FieldProfile(kind, dimension, {"points": tuple(pts)},
+                        (xs[0], xs[-1]), seeds=tuple(xs[1:-1]))
 
 
 def _reject_extras(params):
@@ -217,17 +228,6 @@ def piecewise_linear(points, dimension=DIM_LINE):
     return make_profile("piecewise-linear", dimension, points=points)
 
 
-def scale_profile(profile, c):
-    """Profile with the field multiplied by the constant c."""
-    c = _require_finite("scale", c)
-    if profile.kind == "piecewise-linear":
-        pts = [(x, c * v) for x, v in profile.params["points"]]
-        return make_profile(profile.kind, profile.dimension, points=pts)
-    params = dict(profile.params)
-    params["B0"] = c * params["B0"]
-    return make_profile(profile.kind, profile.dimension, **params)
-
-
 def _analytic_flux(profile):
     p = profile.params
     radial = profile.is_radial
@@ -238,7 +238,9 @@ def _analytic_flux(profile):
         b0, s, c = p["B0"], p["sigma"], p["cutoff"]
         tail = math.exp(-c * c / (2.0 * s * s))
         if radial:
-            return TWO_PI * b0 * (s * s * (1.0 - tail) - 0.5 * c * c * tail)
+            # c * c overflows long after tail underflows: no inf * 0 edge term
+            edge = 0.5 * c * c * tail if tail else 0.0
+            return TWO_PI * b0 * (s * s * (1.0 - tail) - edge)
         return b0 * (s * math.sqrt(TWO_PI) * math.erf(c / (s * math.sqrt(2.0)))
                      - 2.0 * c * tail)
     if profile.kind == "piecewise-linear":
@@ -271,10 +273,3 @@ def total_flux(profile, rtol=DEFAULT_RTOL):
         raise ProfileError(f"the {profile.kind} profile's flux {value} is "
                            "not finite")
     return Flux(value=value, method=method)
-
-
-def sample(profile, grid):
-    """Pointwise field values on a grid; exact zeros outside the support."""
-    if not isinstance(grid, Grid1D):
-        raise GridError("sample expects a Grid1D")
-    return profile(grid.points())

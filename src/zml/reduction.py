@@ -297,10 +297,12 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     B_const and otherwise comes from gap-splitting the singular values
     above 2 tau of the deepest admissible channel, the |eigenvalues| of its
     A.  Either way level m + 1 must start at least 2 ``cluster_tol`` above
-    level m; a level that is not separated so, or whose upper neighbour is
-    not resolved, raises ClusterResolutionError instead of guessing.  Nothing is assembled
-    densely, so any grid size is accepted.  Channels are processed in
-    ascending n and the report is deterministic.
+    level m; a level that is not separated so, whose upper neighbour is
+    not resolved, or whose window rounds to nothing (``cluster_tol`` below
+    the float spacing at the center) raises ClusterResolutionError instead
+    of guessing.  Nothing is assembled densely, so any grid size is
+    accepted.  Channels are processed in ascending n and the report is
+    deterministic.
     """
     if int(level) != level or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level}")
@@ -359,6 +361,10 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     x_int = base.interior_x
     support_mask = ((x_int >= s_lo) & (x_int <= s_hi)).astype(float)
     lo, hi = max(center - ctol, 0.0), center + ctol
+    if not lo < hi:
+        raise ClusterResolutionError(
+            f"cluster_tol = {ctol:.3g} is below the float spacing at the "
+            f"level center {center!r}: the window around it is empty")
     total = 0.0
     for i, ch in enumerate(report.channels):
         svals, vecs = windowed_singular_modes(channel(i), lo, hi)

@@ -308,6 +308,26 @@ class TestConfigValidation:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["flux", "count", "potential",
+                                         "modes2d"])
+    def test_radial_gaussian_huge_cutoff(self, tmp_path, capsys, command):
+        # at cutoff 1e200 c^2 overflows and exp(-c^2 / 2 sigma^2) underflows:
+        # the radial flux's edge term is 0, not inf * 0, and nothing else moves
+        runs = []
+        for cutoff in (1e150, 1e200):
+            out = tmp_path / f"o{cutoff:g}"
+            cfg = write_cfg(tmp_path, profile={
+                "kind": "truncated-gaussian", "B0": 1.0, "sigma": 1.0,
+                "cutoff": cutoff, "dimension": "radial-plane"},
+                grid={"x_lo": 0.0, "x_hi": 10.0, "n": 41}, j_list=[0, 1],
+                out_dir=str(out))
+            code, stdout, err = run_cli(capsys, command, "--config", cfg)
+            assert code == EXIT_OK, err
+            runs.append((stdout, {f.name: f.read_bytes()
+                                  for f in sorted(out.iterdir())}))
+        assert runs[0][1]
+        assert runs[1] == runs[0]
+
     def test_spectrum_needs_two_interior_points(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, profile=BOX_PROFILE, k_y=0.0,
                         grid={"x_lo": -17.0, "x_hi": 17.0, "n": 3},
@@ -699,6 +719,23 @@ class TestCountAndVerify:
         assert code == EXIT_NUMERICAL
         assert stdout == ""
         assert "separated" in err
+
+    @pytest.mark.parametrize("b_const", [None, 1.0])
+    def test_verify_cluster_tol_below_float_spacing(self, tmp_path, capsys,
+                                                    b_const):
+        # 1e-20 is far below the spacing of doubles near sqrt(2): the level
+        # window [center - tol, center + tol] would be empty, not a count
+        fields = {} if b_const is None else {"B_const": b_const}
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE,
+                        grid={"x_lo": -32.0, "x_hi": 32.0, "n": 802},
+                        Ly=2 * math.pi, n_range=[-3, 3], level=1,
+                        tolerances={"cluster_tol": 1e-20},
+                        out_dir=str(tmp_path / "o"), **fields)
+        code, stdout, err = run_cli(capsys, "verify", "--config", cfg)
+        assert code == EXIT_NUMERICAL
+        assert stdout == ""
+        assert err.startswith("numerical failure: ")
+        assert "cluster_tol" in err and "center" in err
 
     @pytest.mark.parametrize("profile, n_range, message", [
         # no channel of box(1, 2) is admissible: no level to detect

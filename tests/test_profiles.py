@@ -10,8 +10,8 @@ from scipy.integrate import quad
 from zml import _quadrature
 from zml.errors import GridError, ProfileError
 from zml.profiles import (DEFAULT_RTOL, DIM_RADIAL, MAX_GRID_POINTS, Grid1D,
-                          box, bump, make_profile, piecewise_linear, sample,
-                          scale_profile, total_flux, truncated_gaussian)
+                          box, bump, make_profile, piecewise_linear,
+                          total_flux, truncated_gaussian)
 
 
 class TestMakeProfile:
@@ -70,6 +70,16 @@ class TestMakeProfile:
         with pytest.raises(ProfileError):
             make_profile("box", B0=1.0, a=1.0, sigma=3.0)
 
+    def test_max_abs(self):
+        # exact |B0| for box and bump; an upper bound for the shifted gaussian
+        assert box(-1.5, 2.0).max_abs() == 1.5
+        assert bump(2.0, 1.5, dimension=DIM_RADIAL).max_abs() == 2.0
+        g = truncated_gaussian(-1.2, 0.7, 2.0)
+        assert g.max_abs() == 1.2
+        assert g.max_abs() >= np.max(np.abs(g(np.linspace(-3.0, 3.0, 1001))))
+        pw = piecewise_linear([(-1.0, 0.5), (0.0, -2.0), (1.0, 0.0)])
+        assert pw.max_abs() == 2.0
+
     def test_radial_piecewise_requires_nonnegative_radii(self):
         with pytest.raises(ProfileError):
             piecewise_linear([(-1.0, 0.0), (1.0, 1.0)], dimension=DIM_RADIAL)
@@ -93,16 +103,16 @@ class TestGrid1D:
 
 class TestSample:
     def test_box_on_coarse_grid(self):
-        vals = sample(box(1.0, 2.0), Grid1D(-4.0, 4.0, 9))
+        vals = box(1.0, 2.0)(Grid1D(-4.0, 4.0, 9).points())
         np.testing.assert_array_equal(vals, [0, 0, 1, 1, 1, 1, 1, 0, 0])
 
     def test_zero_profile_all_zero(self):
-        vals = sample(box(0.0, 1.0), Grid1D(-4.0, 4.0, 17))
+        vals = box(0.0, 1.0)(Grid1D(-4.0, 4.0, 17).points())
         assert np.all(vals == 0.0)
 
     def test_truncated_gaussian_exact_zero_at_cutoff(self):
         # cutoff lands exactly on a grid node
-        vals = sample(truncated_gaussian(1.0, 1.0, 2.0), Grid1D(-4.0, 4.0, 9))
+        vals = truncated_gaussian(1.0, 1.0, 2.0)(Grid1D(-4.0, 4.0, 9).points())
         assert vals[2] == 0.0 and vals[6] == 0.0
 
     def test_support_exactness_random_grids(self, rng):
@@ -116,7 +126,7 @@ class TestSample:
                            hi + 10 * rng.random() + 0.1,
                            int(rng.integers(3, 200)))
                 x = g.points()
-                vals = sample(p, g)
+                vals = p(x)
                 outside = (x < lo) | (x > hi)
                 assert np.all(vals[outside] == 0.0)
 
@@ -170,10 +180,10 @@ class TestTotalFlux:
                                       + total_flux(pb).value, rel=1e-10)
 
     def test_scaling(self, rng):
-        p = truncated_gaussian(1.1, 0.9, 2.7)
-        base = total_flux(p).value
+        base = total_flux(truncated_gaussian(1.1, 0.9, 2.7)).value
         for c in (-3.5, -1.0, 0.0, 0.25, 7.0):
-            assert total_flux(scale_profile(p, c)).value == pytest.approx(
+            scaled = truncated_gaussian(c * 1.1, 0.9, 2.7)
+            assert total_flux(scaled).value == pytest.approx(
                 c * base, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("profile", [
