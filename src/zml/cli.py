@@ -78,10 +78,6 @@ _TOL_KEYS = {"quadrature_tol": "positive", "zero_tol": "positive",
              "cluster_tol": "positive"}
 
 
-def _is_num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _all_finite(values):
     """Every value is an int or float (not a bool) and finite as a float.
 
@@ -96,6 +92,11 @@ def _all_finite(values):
         return False
 
 
+def _all_ints(values):
+    """Every value is an int (not a bool) that a float can hold."""
+    return set(map(type, values)) == {int} and _all_finite(values)
+
+
 def _check(value, kind, path):
     if kind == "num":
         if not _all_finite([value]):
@@ -104,7 +105,7 @@ def _check(value, kind, path):
         if not (_all_finite([value]) and value > 0):
             raise ConfigError(f"{path} must be a finite number > 0")
     elif kind in ("int", "nonneg_int"):
-        if not (isinstance(value, int) and not isinstance(value, bool)):
+        if not _all_ints([value]):
             raise ConfigError(f"{path} must be an integer")
         if kind == "nonneg_int" and value < 0:
             raise ConfigError(f"{path} must be >= 0")
@@ -116,19 +117,16 @@ def _check(value, kind, path):
             raise ConfigError(f"{path} must be a non-empty list of finite "
                               "numbers")
     elif kind == "intlist":
-        if not (isinstance(value, list) and value
-                and all(isinstance(v, int) and not isinstance(v, bool)
-                        for v in value)):
+        if not (isinstance(value, list) and value and _all_ints(value)):
             raise ConfigError(f"{path} must be a non-empty list of integers")
     elif kind == "intpair":
         if not (isinstance(value, list) and len(value) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool)
-                        for v in value)):
+                and _all_ints(value)):
             raise ConfigError(f"{path} must be a pair [n_lo, n_hi] of integers")
     elif kind == "pointlist":
         ok = (isinstance(value, list) and value
-              and all(isinstance(p, list) and len(p) == 2
-                      and all(_is_num(c) for c in p) for p in value))
+              and all(isinstance(p, list) and len(p) == 2 for p in value)
+              and _all_finite([c for p in value for c in p]))
         if not ok:
             raise ConfigError(f"{path} must be a non-empty list of [x, B] pairs")
     elif kind in ("profile", "grid", "tolerances"):
@@ -173,7 +171,7 @@ def _build_profile(cfg):
         spec["points"] = [tuple(p) for p in spec["points"]]
     try:
         return make_profile(kind, dimension, **spec)
-    except (ProfileError, KeyError) as exc:
+    except ProfileError as exc:
         raise ConfigError(f"profile: {exc}") from exc
 
 
@@ -220,22 +218,15 @@ def _plane_count_json(flux):
 
 
 def _degeneracy_json(rep):
-    return {
-        "Q": rep.Q,
-        "Ly": rep.L_y,
-        "g_analytic_real": rep.g_analytic_real,
-        "g_analytic": rep.g_analytic,
-        "channels": [
-            {"n": ch.n, "ky": ch.k_y, "admissible": ch.admissible,
-             "on_window_edge": ch.on_window_edge,
-             "near_zero_count": ch.near_zero_count,
-             **({"level_weight": ch.level_weight}
-                if ch.level_weight is not None else {})}
-            for ch in rep.channels
-        ],
-        "g_numeric": rep.g_numeric,
-        "discrepancy": rep.discrepancy,
-    }
+    ch = rep.channels
+    columns = {"ky" if name == "k_y" else name: ch[name]
+               for name in ch.dtype.names}
+    # count solves no spectrum, yet each of its rows carries the key: NaN is
+    # written null
+    columns.setdefault("near_zero_count", np.full(len(ch), np.nan))
+    return {"Q": rep.Q, "Ly": rep.L_y, "g_analytic_real": rep.g_analytic_real,
+            "g_analytic": rep.g_analytic, "channels": Table(columns),
+            "g_numeric": rep.g_numeric, "discrepancy": rep.discrepancy}
 
 
 class _Out:
@@ -381,14 +372,17 @@ def cmd_modes2d(cfg, profile, grid, rtol, out):
     # one potential, one flux and one convolution, for every j
     pot = lambda_2d_radial(profile, grid, rtol=rtol)
     modes = [build_mode_2d(pot, j) for j in cfg["j_list"]]
+    # Python ints in an object column: every j stays exact, even past int64
+    js = np.array([m.j for m in modes], dtype=object)
     out.json("modes2d.json", {
         **_plane_count_json(pot.flux),
-        "modes": [{"j": m.j, "tail_exponent": m.tail_exponent,
-                   "normalizable": m.normalizable} for m in modes],
+        "modes": Table({"j": js,
+                        "tail_exponent": [m.tail_exponent for m in modes],
+                        "normalizable": [m.normalizable for m in modes]}),
     })
     r = grid.points()
     out.csv("modes2d.csv", Table({
-        "j": np.repeat([m.j for m in modes], len(r)),
+        "j": np.repeat(js, len(r)),
         "r": np.tile(r, len(modes)),
         "log_psi": np.concatenate([m.log_values for m in modes]),
         "psi": np.concatenate([m.values for m in modes]),

@@ -166,20 +166,27 @@ def _require_positive(name, value):
     return value
 
 
+def _pop(params, name):
+    if name not in params:
+        raise ProfileError(f"parameter {name!r} is required")
+    return params.pop(name)
+
+
 def make_profile(kind, dimension=DIM_LINE, **params):
     """Build a validated FieldProfile from a kind tag and named parameters.
 
-    Raises ProfileError for unknown kinds, non-positive widths (or a sigma
-    whose 2 sigma^2 underflows), NaN parameters or bad breakpoint lists.
+    Raises ProfileError for unknown kinds, missing parameters, non-positive
+    widths (or a sigma whose 2 sigma^2 underflows), NaN parameters or bad
+    breakpoint lists.
     """
     if kind not in _KINDS:
         raise ProfileError(f"unknown profile kind {kind!r}; expected one of {_KINDS}")
     if dimension not in (DIM_LINE, DIM_RADIAL):
         raise ProfileError(f"unknown dimension {dimension!r}")
     if kind in _WIDTHS:
-        named = {"B0": _require_finite("B0", params.pop("B0"))}
+        named = {"B0": _require_finite("B0", _pop(params, "B0"))}
         for name in _WIDTHS[kind]:
-            named[name] = _require_positive(name, params.pop(name))
+            named[name] = _require_positive(name, _pop(params, name))
         sigma = named.get("sigma")
         if sigma is not None and 2.0 * sigma * sigma == 0.0:
             raise ProfileError(f"parameter 'sigma' = {sigma} is too small: "
@@ -189,7 +196,7 @@ def make_profile(kind, dimension=DIM_LINE, **params):
         support = (0.0, r) if dimension == DIM_RADIAL else (-r, r)
         return FieldProfile(kind, dimension, named, support)
     # piecewise-linear
-    points = params.pop("points")
+    points = _pop(params, "points")
     _reject_extras(params)
     pts = [(float(x), float(v)) for x, v in points]
     if len(pts) < 2:

@@ -30,11 +30,15 @@ centre is sqrt(2 level B_const) when the config names the box's field
 B_const, and is otherwise read off the deepest admissible channel's
 singular values, the |eigenvalues| of its tridiagonal A = J M; either way
 the next level up must clear the window (``_check_level_separation``).
+
+The channels of a sweep are one NumPy record array, whose columns n, k_y,
+admissible, on_window_edge, near_zero_count and level_weight (with their
+dtypes) the ``DegeneracyReport`` docstring lists.
 """
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +52,6 @@ from .spectral import (_check_tau, _singular_values, _sturm_count,
 __all__ = [
     "MAX_CHANNELS",
     "ReductionConfig",
-    "ChannelVerdict",
     "DegeneracyReport",
     "quantize_ky",
     "default_n_range",
@@ -59,7 +62,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 # Ceiling on the channels of one sweep: 200 times the largest measured sweep
 # (467 channels), so an absurd L_y or n_range is a config error, not a failed
-# allocation of one Python object per channel.  A fixed bound, not a setting.
+# allocation of the sweep's channel columns.  A fixed bound, not a setting.
 MAX_CHANNELS = 100_000
 
 # near-degenerate eigenvalues are handled as one subspace (the solver may
@@ -98,22 +101,21 @@ class ReductionConfig:
 
 
 @dataclass
-class ChannelVerdict:
-    n: int
-    k_y: float
-    admissible: bool
-    on_window_edge: bool = False   # |k_gauge + k_y| = |Q|/2 to rel 1e-9
-    near_zero_count: int = None
-    level_weight: float = None   # bulk-projected spectral weight in the window
-
-
-@dataclass
 class DegeneracyReport:
+    """One sweep: its flux Q, g = floor(|Q| L_y / 2 pi) and ``channels``.
+
+    ``channels`` is a record array, one row per channel in ascending n:
+    ``n`` (int64; object holding exact Python ints when an index leaves
+    int64), ``k_y`` (float64), ``admissible`` and ``on_window_edge`` (bool),
+    and after ``verify_degeneracy`` ``near_zero_count`` (int64) and, at
+    level >= 1, ``level_weight`` (float64).
+    """
+
     Q: float
     L_y: float
     g_analytic_real: float
     g_analytic: int
-    channels: list = field(default_factory=list)
+    channels: np.recarray
     g_numeric: int = None
     discrepancy: int = None
     level: int = 0
@@ -122,7 +124,7 @@ class DegeneracyReport:
 
     @property
     def admissible_count(self):
-        return sum(1 for ch in self.channels if ch.admissible)
+        return int(np.count_nonzero(self.channels.admissible))
 
 
 def quantize_ky(L_y, n_range):
@@ -176,17 +178,18 @@ def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
     g_real = abs(q) * cfg.L_y / TWO_PI
     if not math.isfinite(g_real):
         raise GridError(f"g = |Q| L_y / 2pi = {g_real} is not finite")
-    n_range = cfg.n_range or default_n_range(q, cfg.L_y, cfg.k_gauge)
-    if n_range[1] - n_range[0] >= MAX_CHANNELS:
+    lo, hi = n_range = cfg.n_range or default_n_range(q, cfg.L_y, cfg.k_gauge)
+    if hi - lo >= MAX_CHANNELS:
         raise GridError(f"channel range n in {list(n_range)} exceeds the "
                         f"ceiling MAX_CHANNELS = {MAX_CHANNELS} channels")
-    kys = quantize_ky(cfg.L_y, n_range)
-    channels = []
-    for n, ky in zip(range(n_range[0], n_range[1] + 1), kys):
-        margin = window_margin(q, cfg.k_gauge + ky)
-        channels.append(ChannelVerdict(
-            n=n, k_y=float(ky), admissible=bool(margin > 0.0),
-            on_window_edge=bool(_on_edge(margin, 0.5 * abs(q)))))
+    k_y = quantize_ky(cfg.L_y, n_range)
+    margin = window_margin(q, cfg.k_gauge + k_y)
+    # indices beyond int64 stay exact Python ints in an object column
+    n = np.array(range(lo, hi + 1),
+                 dtype=object if max(-lo, hi) >= 2 ** 63 else np.int64)
+    channels = np.rec.fromarrays(
+        (n, k_y, margin > 0.0, _on_edge(margin, 0.5 * abs(q))),
+        names=("n", "k_y", "admissible", "on_window_edge"))
     g = int(math.floor(g_real))
     report = DegeneracyReport(Q=q, L_y=cfg.L_y, g_analytic_real=g_real,
                               g_analytic=g, channels=channels)
@@ -312,11 +315,13 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
         raise ValueError(f"cluster_tol must be positive and finite, "
                          f"got {cluster_tol}")
     report = admissible_channels(profile, cfg, rtol=rtol)
+    # read once as plain arrays: each record attribute read costs microseconds
+    k_y = report.channels.k_y
+    ks = cfg.k_gauge + k_y
     # inside the window the padding a channel needs grows with |k|, so the
     # admissible channel farthest from k = 0 binds; without one, the floor
-    ks = [cfg.k_gauge + ch.k_y for ch in report.channels]
-    inside = [i for i, ch in enumerate(report.channels) if ch.admissible]
-    k_bind = ks[max(inside, key=lambda i: abs(ks[i]))] if inside else ks[0]
+    inside = np.flatnonzero(report.channels.admissible)
+    k_bind = ks[inside[np.argmax(np.abs(ks[inside]))]] if inside.size else ks[0]
     min_pad = check_padding(profile, k_bind, grid, Q=report.Q)
     base = build_operator(profile, 0.0, grid, rtol=rtol)
     tau0 = zero_tol if zero_tol is not None else _sweep_zero_tolerance(base, min_pad)
@@ -324,53 +329,54 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
 
     def channel(i):
         # built where it is used, so the sweep holds one operator at a time
-        return dataclasses.replace(base, k_y=report.channels[i].k_y,
+        return dataclasses.replace(base, k_y=k_y[i],
                                    w_values=ks[i] + base.w_values)
 
-    for i, ch in enumerate(report.channels):
-        ch.near_zero_count = _sturm_count(channel(i), tau0)
-    report.level = level
-    report.tau = tau0
+    counts = np.array([_sturm_count(channel(i), tau0) for i in range(ks.size)])
+    names = [*report.channels.dtype.names, "near_zero_count"]
+    columns = [report.channels[name] for name in names[:-1]] + [counts]
     if level == 0:
-        report.g_numeric = sum(ch.near_zero_count for ch in report.channels)
-        report.discrepancy = abs(report.g_numeric - report.g_analytic)
-        return report
-
-    ctol = cluster_tol
-    if ctol is None:
-        if base.bmax <= 0.0:
-            raise ClusterResolutionError("field-free sweep has no level "
-                                         "structure to cluster")
-        ctol = default_zero_tolerance(base)
-    if cfg.B_const is not None:
-        # admissible_channels checked that B_const is the box's field
-        center = math.sqrt(2.0 * level * cfg.B_const)
-        _check_level_separation(level, center,
-                                math.sqrt(2.0 * (level + 1) * cfg.B_const),
-                                ctol)
+        g_numeric = int(counts.sum())
     else:
-        vals = np.array([])
-        if inside:
-            deepest = channel(min(inside, key=lambda i: abs(ks[i])))
-            # the values above 2 tau need none of the near-null
-            # refinement of eigen_spectrum
-            vals = _singular_values(deepest)
-            vals = vals[vals > 2.0 * tau0]
-        center = _detect_cluster_center(vals, level, ctol)
-    s_lo, s_hi = profile.support
-    x_int = base.interior_x
-    support_mask = ((x_int >= s_lo) & (x_int <= s_hi)).astype(float)
-    lo, hi = max(center - ctol, 0.0), center + ctol
-    if not lo < hi:
-        raise ClusterResolutionError(
-            f"cluster_tol = {ctol:.3g} is below the float spacing at the "
-            f"level center {center!r}: the window around it is empty")
-    total = 0.0
-    for i, ch in enumerate(report.channels):
-        svals, vecs = windowed_singular_modes(channel(i), lo, hi)
-        ch.level_weight = _smooth_bulk_weight(svals, vecs, support_mask)
-        total += ch.level_weight
-    report.g_numeric = int(round(total))
-    report.discrepancy = abs(report.g_numeric - report.g_analytic)
-    report.cluster_center = center
+        ctol = cluster_tol
+        if ctol is None:
+            if base.bmax <= 0.0:
+                raise ClusterResolutionError("field-free sweep has no level "
+                                             "structure to cluster")
+            ctol = default_zero_tolerance(base)
+        if cfg.B_const is not None:
+            # admissible_channels checked that B_const is the box's field
+            center = math.sqrt(2.0 * level * cfg.B_const)
+            _check_level_separation(level, center,
+                                    math.sqrt(2.0 * (level + 1) * cfg.B_const),
+                                    ctol)
+        else:
+            vals = np.array([])
+            if inside.size:
+                deepest = channel(inside[np.argmin(np.abs(ks[inside]))])
+                # the values above 2 tau need none of the near-null
+                # refinement of eigen_spectrum
+                vals = _singular_values(deepest)
+                vals = vals[vals > 2.0 * tau0]
+            center = _detect_cluster_center(vals, level, ctol)
+        s_lo, s_hi = profile.support
+        x_int = base.interior_x
+        support_mask = ((x_int >= s_lo) & (x_int <= s_hi)).astype(float)
+        lo, hi = max(center - ctol, 0.0), center + ctol
+        if not lo < hi:
+            raise ClusterResolutionError(
+                f"cluster_tol = {ctol:.3g} is below the float spacing at the "
+                f"level center {center!r}: the window around it is empty")
+        weights = []
+        for i in range(ks.size):
+            svals, vecs = windowed_singular_modes(channel(i), lo, hi)
+            weights.append(_smooth_bulk_weight(svals, vecs, support_mask))
+        # the left-to-right sum in channel order, not np.sum's pairwise one
+        g_numeric = int(round(sum(weights)))
+        report.cluster_center = center
+        names.append("level_weight")
+        columns.append(np.array(weights))
+    report.channels = np.rec.fromarrays(columns, names=names)
+    report.level, report.tau, report.g_numeric = level, tau0, g_numeric
+    report.discrepancy = abs(g_numeric - report.g_analytic)
     return report

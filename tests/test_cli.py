@@ -61,6 +61,20 @@ class TestFlux:
         assert "'a'" in err
 
 
+    @pytest.mark.parametrize("profile, name", [
+        ({"kind": "box", "B0": 1.0}, "a"),
+        ({"kind": "bump", "a": 1.0}, "B0"),
+        ({"kind": "truncated-gaussian", "B0": 1.0, "sigma": 1.0}, "cutoff"),
+        ({"kind": "piecewise-linear"}, "points"),
+    ])
+    def test_missing_parameter_named(self, tmp_path, capsys, profile, name):
+        cfg = write_cfg(tmp_path, profile=profile, out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, "flux", "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err == f"config error: profile: parameter '{name}' is required\n"
+
+
 class TestParser:
     # argparse's own refusals: exit 2 with usage on stderr, no report
     def test_unknown_stage(self, tmp_path, capsys):
@@ -248,7 +262,6 @@ class TestConfigValidation:
                                  command, fields, match):
         # refused before any channel is built
         monkeypatch.setattr(reduction, "quantize_ky", None)
-        monkeypatch.setattr(reduction, "ChannelVerdict", None)
         cfg = write_cfg(tmp_path, **{"profile": BOX_PROFILE, "grid": GRID,
                                      "out_dir": str(tmp_path / "o"),
                                      **fields})
@@ -337,6 +350,34 @@ class TestConfigValidation:
         assert stdout == ""
         assert err == ("config error: operator needs at least 2 interior "
                        "points\n")
+
+
+    @pytest.mark.parametrize("command, fields, field", [
+        ("verify", {"B_const": 1, "level": 10 ** 309,
+                    "grid": {"x_lo": -32.0, "x_hi": 32.0, "n": 802},
+                    "Ly": 2 * math.pi, "n_range": [-3, 3]}, "level"),
+        ("count", {"Ly": 2 * math.pi, "n_range": [10 ** 400, 10 ** 400]},
+         "n_range"),
+        ("modes2d", {"profile": {**BOX_PROFILE, "dimension": "radial-plane"},
+                     "grid": {"x_lo": 0.0, "x_hi": 20.0, "n": 41},
+                     "j_list": [10 ** 400]}, "j_list"),
+        ("flux", {"profile": {"kind": "piecewise-linear",
+                              "points": [[0.0, 0.0], [10 ** 400, 1.0]]}},
+         "profile.points"),
+    ])
+    def test_integer_beyond_float_refused(self, tmp_path, capsys, command,
+                                          fields, field):
+        # json.loads reads integers of any size; one a float cannot hold is
+        # a config error naming its field, not an OverflowError traceback
+        cfg = write_cfg(tmp_path, **{"profile": BOX_PROFILE,
+                                     "out_dir": str(tmp_path / "o"),
+                                     **fields})
+        code, stdout, err = run_cli(capsys, command, "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith(f"config error: {field} ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestModes:
@@ -565,6 +606,134 @@ class TestCountAndVerify:
         doc = json.loads(outs[0][0])
         assert doc["level"] == 1
         assert any(c["level_weight"] > 0.5 for c in doc["channels"])
+
+    def test_count_golden_bytes(self, tmp_path, capsys):
+        # Q = 2: channels +-1 sit on the window edge, and count solves no
+        # spectrum, so every near_zero_count is null
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, profile={"kind": "box", "B0": 1.0, "a": 1.0},
+                        Ly=2 * math.pi, n_range=[-2, 2], out_dir=str(out))
+        code, stdout, _ = run_cli(capsys, "count", "--config", cfg)
+        assert code == EXIT_OK
+        golden = (
+            '{\n'
+            '  "Ly": 6.28318530718e+00,\n'
+            '  "Q": 2.00000000000e+00,\n'
+            '  "channels": [\n'
+            '    {\n'
+            '      "admissible": false,\n'
+            '      "ky": -2.00000000000e+00,\n'
+            '      "n": -2,\n'
+            '      "near_zero_count": null,\n'
+            '      "on_window_edge": false\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": false,\n'
+            '      "ky": -1.00000000000e+00,\n'
+            '      "n": -1,\n'
+            '      "near_zero_count": null,\n'
+            '      "on_window_edge": true\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": true,\n'
+            '      "ky": 0.00000000000e+00,\n'
+            '      "n": 0,\n'
+            '      "near_zero_count": null,\n'
+            '      "on_window_edge": false\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": false,\n'
+            '      "ky": 1.00000000000e+00,\n'
+            '      "n": 1,\n'
+            '      "near_zero_count": null,\n'
+            '      "on_window_edge": true\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": false,\n'
+            '      "ky": 2.00000000000e+00,\n'
+            '      "n": 2,\n'
+            '      "near_zero_count": null,\n'
+            '      "on_window_edge": false\n'
+            '    }\n'
+            '  ],\n'
+            '  "discrepancy": 1,\n'
+            '  "g_analytic": 2,\n'
+            '  "g_analytic_real": 2.00000000000e+00,\n'
+            '  "g_numeric": null\n'
+            '}\n'
+        )
+        assert stdout == golden
+        assert (out / "count.json").read_text() == golden
+
+    def test_verify_level0_golden_bytes(self, tmp_path, capsys):
+        # the count sweep above, solved: level 0 writes no level_weight
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, profile={"kind": "box", "B0": 1.0, "a": 1.0},
+                        grid={"x_lo": -35.0, "x_hi": 35.0, "n": 402},
+                        Ly=2 * math.pi, n_range=[-2, 2], level=0,
+                        out_dir=str(out))
+        code, stdout, _ = run_cli(capsys, "verify", "--config", cfg)
+        assert code == EXIT_OK
+        golden = (
+            '{\n'
+            '  "Ly": 6.28318530718e+00,\n'
+            '  "Q": 2.00000000000e+00,\n'
+            '  "channels": [\n'
+            '    {\n'
+            '      "admissible": false,\n'
+            '      "ky": -2.00000000000e+00,\n'
+            '      "n": -2,\n'
+            '      "near_zero_count": 0,\n'
+            '      "on_window_edge": false\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": false,\n'
+            '      "ky": -1.00000000000e+00,\n'
+            '      "n": -1,\n'
+            '      "near_zero_count": 0,\n'
+            '      "on_window_edge": true\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": true,\n'
+            '      "ky": 0.00000000000e+00,\n'
+            '      "n": 0,\n'
+            '      "near_zero_count": 1,\n'
+            '      "on_window_edge": false\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": false,\n'
+            '      "ky": 1.00000000000e+00,\n'
+            '      "n": 1,\n'
+            '      "near_zero_count": 0,\n'
+            '      "on_window_edge": true\n'
+            '    },\n'
+            '    {\n'
+            '      "admissible": false,\n'
+            '      "ky": 2.00000000000e+00,\n'
+            '      "n": 2,\n'
+            '      "near_zero_count": 0,\n'
+            '      "on_window_edge": false\n'
+            '    }\n'
+            '  ],\n'
+            '  "discrepancy": 1,\n'
+            '  "g_analytic": 2,\n'
+            '  "g_analytic_real": 2.00000000000e+00,\n'
+            '  "g_numeric": 1,\n'
+            '  "level": 0,\n'
+            '  "tau": 1.15499729911e-02\n'
+            '}\n'
+        )
+        assert stdout == golden
+        assert (out / "verify.json").read_text() == golden
+
+    @pytest.mark.parametrize("lo", [10 ** 20, 2 ** 63 - 1])
+    def test_count_indices_beyond_int64_exact(self, tmp_path, capsys, lo):
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE, Ly=2 * math.pi,
+                        n_range=[lo, lo + 1], out_dir=str(tmp_path / "o"))
+        code, stdout, _ = run_cli(capsys, "count", "--config", cfg)
+        assert code == EXIT_OK
+        assert f'"n": {lo},' in stdout and f'"n": {lo + 1},' in stdout
+        assert [c["n"] for c in json.loads(stdout)["channels"]] == [lo, lo + 1]
 
     def test_verify_level1_golden_bytes(self, tmp_path, capsys):
         # no B_const, so the cluster centre comes from the deepest channel's
@@ -806,6 +975,20 @@ class TestModes2D:
                         j_list=[0])
         code, _, err = run_cli(capsys, "modes2d", "--config", cfg)
         assert code == EXIT_CONFIG
+
+    def test_j_beyond_int64_exact(self, tmp_path, capsys):
+        # [0, 2**63] makes a float64 array; the report writes both j exactly
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, profile={**BOX_PROFILE,
+                                           "dimension": "radial-plane"},
+                        grid={"x_lo": 0.0, "x_hi": 20.0, "n": 41},
+                        j_list=[0, 2 ** 63], out_dir=str(out))
+        code, stdout, _ = run_cli(capsys, "modes2d", "--config", cfg)
+        assert code == EXIT_OK
+        assert [m["j"] for m in json.loads(stdout)["modes"]] == [0, 2 ** 63]
+        lines = (out / "modes2d.csv").read_text().splitlines()
+        assert {line.split(",")[0] for line in lines[1:]} == {"0",
+                                                              str(2 ** 63)}
 
     def test_golden_bytes(self, tmp_path, capsys):
         # Phi = 7 pi, so N = 3 in sector b; at r = 0 the j = 1 mode has

@@ -15,6 +15,17 @@ from zml.profiles import (DEFAULT_RTOL, DIM_RADIAL, MAX_GRID_POINTS, Grid1D,
 
 
 class TestMakeProfile:
+    @pytest.mark.parametrize("kind, params, name", [
+        ("box", {"B0": 1.0}, "a"),
+        ("bump", {"a": 1.0}, "B0"),
+        ("truncated-gaussian", {"B0": 1.0, "sigma": 1.0}, "cutoff"),
+        ("piecewise-linear", {}, "points"),
+    ])
+    def test_missing_parameter_named(self, kind, params, name):
+        with pytest.raises(ProfileError,
+                           match=f"^parameter '{name}' is required$"):
+            make_profile(kind, **params)
+
     def test_box_values(self):
         p = box(1.0, 2.0)
         assert p(0.0) == 1.0

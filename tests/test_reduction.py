@@ -9,7 +9,8 @@ import pytest
 from zml import reduction
 from zml.errors import (ClusterResolutionError, GridError, PaddingError,
                         ProfileError)
-from zml.potential import PADDING_FLOOR, required_padding
+from zml.potential import (PADDING_FLOOR, _on_edge, required_padding,
+                           window_margin)
 from zml.profiles import Grid1D, box, bump, piecewise_linear
 from zml.reduction import (MAX_CHANNELS, ReductionConfig, admissible_channels,
                            default_n_range, quantize_ky, verify_degeneracy)
@@ -87,6 +88,29 @@ class TestAdmissibleChannels:
                 p, ReductionConfig(L_y=ly, k_gauge=kg, n_range=nr))
             assert abs(rep.admissible_count - rep.g_analytic) <= 1
 
+    def test_channels_match_the_scalar_window_rule(self, rng):
+        # one record array, built without a loop over channels, that agrees
+        # row by row with window_margin and _on_edge called per channel
+        p = box(1.0, 5.0)
+        cases = [(TWO_PI, 0.0, (-8, 8))]   # n = +-5 on the window edge
+        for _ in range(20):
+            ly, kg = float(rng.uniform(0.5, 9.0)), float(rng.uniform(-9, 9))
+            cases.append((ly, kg, default_n_range(10.0, ly, kg)))
+        for ly, kg, (lo, hi) in cases:
+            ch = admissible_channels(p, ReductionConfig(
+                L_y=ly, k_gauge=kg, n_range=(lo, hi))).channels
+            assert isinstance(ch, np.recarray)
+            assert ch.dtype.names == ("n", "k_y", "admissible",
+                                      "on_window_edge")
+            assert ch.n.dtype == np.int64
+            assert ch.n.tolist() == list(range(lo, hi + 1))
+            assert ch.k_y.tolist() == quantize_ky(ly, (lo, hi)).tolist()
+            for row in ch:
+                margin = window_margin(10.0, kg + float(row.k_y))
+                assert row.admissible == (margin > 0.0)
+                assert row.on_window_edge == _on_edge(margin, 5.0)
+        assert ch.admissible.dtype == ch.on_window_edge.dtype == bool
+
     def test_b_const_must_be_the_box_field(self):
         # B_const restates the field; a value the profile does not have
         # would centre the excited level on another level, or on none
@@ -120,7 +144,6 @@ class TestAdmissibleChannels:
     def test_channel_set_refused_before_any_channel(self, monkeypatch,
                                                      profile, cfg, match):
         monkeypatch.setattr(reduction, "quantize_ky", None)
-        monkeypatch.setattr(reduction, "ChannelVerdict", None)
         with pytest.raises(GridError, match=match):
             admissible_channels(profile, cfg)
 
@@ -166,6 +189,23 @@ class TestVerifyDegeneracy:
         rep1 = verify_degeneracy(profile, cfg, 1, grid)
         assert rep1.cluster_center == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert abs(rep1.g_numeric - rep0.g_numeric) <= 1
+
+    def test_channel_columns_per_level(self, setup6):
+        profile, cfg, grid = setup6
+        base = admissible_channels(profile, cfg).channels
+        for level, extra in ((0, ()), (1, ("level_weight",))):
+            rep = verify_degeneracy(profile, cfg, level, grid)
+            ch = rep.channels
+            assert isinstance(ch, np.recarray)
+            assert ch.dtype.names == (*base.dtype.names, "near_zero_count",
+                                      *extra)
+            for name in base.dtype.names:
+                assert ch[name].tolist() == base[name].tolist()
+            assert ch.near_zero_count.dtype == np.int64
+            assert rep.g_numeric == (sum(ch.near_zero_count.tolist())
+                                     if level == 0 else
+                                     int(round(sum(ch.level_weight.tolist()))))
+            assert rep.discrepancy == abs(rep.g_numeric - rep.g_analytic)
 
     def test_detected_center_matches_theory(self, setup6):
         profile, _, grid = setup6
