@@ -92,9 +92,16 @@ def _all_finite(values):
         return False
 
 
-def _all_ints(values):
-    """Every value is an int (not a bool) that a float can hold."""
-    return set(map(type, values)) == {int} and _all_finite(values)
+def _all_ints(values, path):
+    """Every value is an int (not a bool) that a float can hold.
+
+    Ints that a float cannot hold are refused here, with their own message.
+    """
+    if set(map(type, values)) != {int}:
+        return False
+    if not _all_finite(values):
+        raise ConfigError(f"{path} holds an integer too large for a float")
+    return True
 
 
 def _check(value, kind, path):
@@ -105,7 +112,7 @@ def _check(value, kind, path):
         if not (_all_finite([value]) and value > 0):
             raise ConfigError(f"{path} must be a finite number > 0")
     elif kind in ("int", "nonneg_int"):
-        if not _all_ints([value]):
+        if not _all_ints([value], path):
             raise ConfigError(f"{path} must be an integer")
         if kind == "nonneg_int" and value < 0:
             raise ConfigError(f"{path} must be >= 0")
@@ -117,11 +124,11 @@ def _check(value, kind, path):
             raise ConfigError(f"{path} must be a non-empty list of finite "
                               "numbers")
     elif kind == "intlist":
-        if not (isinstance(value, list) and value and _all_ints(value)):
+        if not (isinstance(value, list) and value and _all_ints(value, path)):
             raise ConfigError(f"{path} must be a non-empty list of integers")
     elif kind == "intpair":
         if not (isinstance(value, list) and len(value) == 2
-                and _all_ints(value)):
+                and _all_ints(value, path)):
             raise ConfigError(f"{path} must be a pair [n_lo, n_hi] of integers")
     elif kind == "pointlist":
         ok = (isinstance(value, list) and value

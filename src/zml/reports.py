@@ -34,10 +34,10 @@ def fmt_float(x):
 def _fmt_column(values):
     """``fmt_float`` over a whole float column, as a list."""
     a = np.asarray(values, dtype=float) + 0.0
-    cells = list(map(_FLOAT, a.tolist()))
-    for i in np.flatnonzero(~np.isfinite(a)).tolist():
-        cells[i] = None
-    return cells
+    finite = np.isfinite(a)
+    cells = np.full(a.size, None, dtype=object)
+    cells[finite] = list(map(_FLOAT, a[finite].tolist()))
+    return cells.tolist()
 
 
 class Table:

@@ -37,7 +37,14 @@ of LAPACK's tridiagonal routines on A, and nothing is assembled densely:
 - ``windowed_singular_modes`` takes the eigenvalues of A in the window and
   in its mirror image by bisection (``dstebz``) and their vectors by inverse
   iteration (``dstein``), O(m) per value (Anderson et al., LAPACK Users'
-  Guide, 3rd ed., 1999).  A sweep is therefore O(m) per channel.
+  Guide, 3rd ed., 1999).  A sweep is therefore O(m) per channel.  The
+  bisection stops at eps^(2/3) ||A||, not ulp ||A||: inverse iteration
+  from a shift that close already gives vectors as good as a
+  full-precision shift, except against a neighbour closer than
+  eps^(1/3) ||A||, which Rayleigh-Ritz parts inside the window and a
+  full-precision bisection of the edge zone keeps out across an edge.
+  The values returned are the Ritz values (Rayleigh quotients) of the
+  vectors, accurate to about eps ||A|| again (Parlett, ch. 4 and 11).
 
 SciPy's LAPACK is imported by the first such call (``_lapack``), not with
 the module, so the stages that take no channel spectrum never load SciPy.
@@ -278,12 +285,39 @@ def windowed_singular_modes(op, lo, hi):
     """Singular values of M in [lo, hi] with their right singular vectors.
 
     The values are the eigenvalues of A in (lo, hi] and in (-hi, -lo],
-    each singular value once, found by bisection (``dstebz``); an empty
-    window costs its four Sturm counts only.  Their eigenvectors, which
-    are right singular vectors of M, come from inverse iteration on A
-    (``dstein``), deterministic and O(m) per value rather than the O(m^2)
-    of a full eigensolver.  Values are ascending; the vectors are the
-    b-sector components, suitable for smooth/staggered and bulk/edge
+    each singular value once; their number is that of the Sturm counts at
+    the window's edges, and an empty window costs its four Sturm counts
+    only.  Their eigenvectors, which are right singular vectors of M, come
+    from inverse iteration on A (``dstein``), deterministic and O(m) per
+    value rather than the O(m^2) of a full eigensolver.
+
+    Inverse iteration needs no shift to full precision.  Bisection
+    (``dstebz``) therefore locates the values to eps^(2/3) ||A|| only, with
+    ||A|| <= max|w| + 1/h by Gershgorin, rather than to ulp ||A||.  From a
+    shift that far off, the three steps of ``dstein`` leave a neighbour at
+    distance g in the vector with a relative weight of about
+    (eps^(2/3) ||A|| / g)^3, which is below eps once g exceeds
+    eps^(1/3) ||A||: as good as a full-precision shift.  Closer neighbours
+    are dealt with where they can be:
+
+    - inside the window, the vectors of each run of values closer than
+      eps^(1/3) ||A|| are rotated to the Ritz vectors of A on their span
+      (Rayleigh-Ritz), which parts them as well as A's conditioning allows;
+    - beyond an edge, where no vector is computed, a neighbour can only be
+      kept out by a full-precision shift, so when a value falls within
+      eps^(1/3) ||A|| of an edge, the window is bisected again with those
+      edge zones to full precision.
+
+    The values returned are the Ritz values |theta| (for a lone value the
+    Rayleigh quotient |v^T A v|, one O(m) product), whose error is
+    quadratic in the vectors' and so about eps ||A|| again (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 4 and 11).  A tolerance of
+    sqrt(eps) ||A|| is not enough: the weight above also scales with the
+    ratio of the start vector's components, and one start vector left
+    1e-10 of a neighbour 8e-3 away; and with no edge zones, a window edge
+    between two levels 1e-6 apart mixes the level outside into the vector
+    of the one inside.  Values are ascending; the vectors are the b-sector
+    components, suitable for smooth/staggered and bulk/edge
     classification.
     """
     if not 0.0 <= lo <= hi:
@@ -291,24 +325,64 @@ def windowed_singular_modes(op, lo, hi):
     if lo == hi:  # dstebz refuses an empty interval (info -5)
         return np.empty(0), np.empty((op.size, 0))
     d, e = op.tridiagonal()
+    eps = np.finfo(float).eps
+    norm = float(np.max(np.abs(op.w_values))) + 1.0 / op.h  # Gershgorin
+    abstol = eps ** (2.0 / 3.0) * norm
+    margin = eps ** (1.0 / 3.0) * norm
     lapack = _lapack()
-    vals, blocks = [], []
-    for vl, vu in ((-hi, -lo), (lo, hi)):
-        k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, vl, vu, 0, 0,
-                                                   0.0, b"B")
+
+    def bisect(a, b, tol):
+        """Eigenvalues of A in (a, b] to tol, their blocks, the splitting."""
+        k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, a, b, 0, 0, tol,
+                                                   b"B")
         _lapack_ok(op, "dstebz", info)
-        vals.append(w[:k])
-        blocks.append(iblock[:k])
-    k = sum(v.size for v in vals)
+        return w[:k], iblock[:k], isplit
+
+    found = []
+    for vl, vu in ((-hi, -lo), (lo, hi)):
+        pieces = [bisect(vl, vu, abstol)]
+        w = pieces[0][0]
+        if np.any((w < vl + margin + abstol) | (w > vu - margin - abstol)):
+            # a value within margin of an edge: again, with the edge zones
+            # to full precision; a piece that rounds to nothing holds none
+            cuts = [vl, min(vl + margin, vu)]
+            cuts += [max(vu - margin, cuts[1]), vu]
+            pieces = [bisect(a, b, tol) for a, b, tol
+                      in zip(cuts[:-1], cuts[1:], (0.0, abstol, 0.0))
+                      if a < b]
+        found += pieces
+    vals = np.concatenate([w for w, _, _ in found])
+    blocks = np.concatenate([b for _, b, _ in found])
+    isplit = found[0][2]
+    k = vals.size
     if k == 0:
         return np.empty(0), np.empty((op.size, 0))
-    vals, blocks = np.concatenate(vals), np.concatenate(blocks)
     # dstein takes the values grouped by block, ascending within each,
     # and an m-long block array of which it reads the first k entries
     order = np.lexsort((vals, blocks))
+    vals = vals[order]
+    iblock = np.zeros(op.size, dtype=blocks.dtype)
     iblock[:k] = blocks[order]
-    vecs, info = lapack.dstein(d, e, vals[order], iblock, isplit)
+    vecs, info = lapack.dstein(d, e, vals, iblock, isplit)
     _lapack_ok(op, "dstein", info, k)
-    svals = np.abs(vals[order])
+    # Ritz values: Rayleigh quotients, and on each run of values closer
+    # than margin the eigenvalues of V^T A V, the vectors rotated to match
+    av = d[:, None] * vecs
+    av[:-1] += e[:, None] * vecs[1:]
+    av[1:] += e[:, None] * vecs[:-1]
+    theta = np.einsum("ij,ij->j", vecs, av)
+    runs = [0, *(np.flatnonzero(np.diff(vals) > margin) + 1).tolist(), k]
+    for i, j in zip(runs[:-1], runs[1:]):
+        if j - i > 1:
+            g = vecs[:, i:j].T @ av[:, i:j]
+            try:
+                theta[i:j], rot = np.linalg.eigh(0.5 * (g + g.T))
+            except np.linalg.LinAlgError as exc:
+                raise EigenSolveError(
+                    f"Rayleigh-Ritz failed for channel k_y={op.k_y} "
+                    f"(m={op.size}, {k} values in the window): {exc}"
+                ) from exc
+            vecs[:, i:j] = vecs[:, i:j] @ rot
+    svals = np.abs(theta)
     order = np.argsort(svals, kind="stable")
     return svals[order], vecs[:, order]

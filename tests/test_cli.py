@@ -1,5 +1,6 @@
 """Command-line surface: schemas, exit codes, report formats, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -376,7 +377,12 @@ class TestConfigValidation:
         assert code == EXIT_CONFIG
         assert stdout == ""
         assert err.startswith(f"config error: {field} ")
-        assert err.count("\n") == 1
+        # an integer field says why it refuses an integer; a point is a
+        # pair of finite numbers
+        reason = ("must be a non-empty list of [x, B] pairs"
+                  if field == "profile.points"
+                  else "holds an integer too large for a float")
+        assert err == f"config error: {field} {reason}\n"
         assert not (tmp_path / "o").exists()
 
 
@@ -559,6 +565,33 @@ class TestSpectrum:
         lines = (out / "spectrum.csv").read_text().splitlines()
         assert lines[0] == "channel_ky,index,eigenvalue"
         assert len(lines) == 1 + 2 * 400
+
+    def test_golden_bytes(self, tmp_path, capsys):
+        # box(1, 2) at k_y = 0.4 on 60 interior points: one near-null
+        # singular value, refined on M over its windowed eigenvector
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE, k_y=0.4,
+                        grid={"x_lo": -21.0, "x_hi": 21.0, "n": 62},
+                        out_dir=str(out))
+        code, stdout, _ = run_cli(capsys, "spectrum", "--config", cfg)
+        assert code == EXIT_OK
+        golden = (
+            '{\n'
+            '  "ky": 4.00000000000e-01,\n'
+            '  "n_interior": 60,\n'
+            '  "near_zero_count": 1,\n'
+            '  "tau": 1.41421356237e-01\n'
+            '}\n'
+        )
+        assert stdout == golden
+        assert (out / "spectrum.json").read_text() == golden
+        csv = (out / "spectrum.csv").read_bytes()
+        lines = csv.decode().splitlines()
+        assert lines[0] == "channel_ky,index,eigenvalue"
+        assert lines[60:62] == ["4.00000000000e-01,59,-1.81663947222e-03",
+                                "4.00000000000e-01,60,1.81663947222e-03"]
+        assert hashlib.sha256(csv).hexdigest() == (
+            "1221af5de0b02a33667494ad2aa0f2d5680bcf5ba45745745a0200b0fc691f47")
 
 
 class TestCountAndVerify:

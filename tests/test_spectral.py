@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 from hypothesis import assume, example, given, strategies as st
 
 from zml.errors import GridError
@@ -493,3 +494,137 @@ class TestWindowedModes:
         mask = (np.abs(op.interior_x) <= 0.25 * m * h).astype(float)
         assert abs(_smooth_bulk_weight(svals, vecs, mask)
                    - _smooth_bulk_weight(ref, ref_vecs, mask)) <= 1e-10
+
+
+def full_precision_modes(op, lo, hi):
+    """The windowed solve with bisection to full precision (absolute
+    tolerance 0, i.e. ulp ||A||) and the bisection values as the singular
+    values: the reference for ``windowed_singular_modes``."""
+    d, e = op.tridiagonal()
+    vals, blocks = [], []
+    for vl, vu in ((-hi, -lo), (lo, hi)):
+        k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, vl, vu, 0, 0,
+                                                   0.0, b"B")
+        assert info == 0
+        vals.append(w[:k])
+        blocks.append(iblock[:k])
+    k = sum(v.size for v in vals)
+    if k == 0:
+        return np.empty(0), np.empty((op.size, 0))
+    vals, blocks = np.concatenate(vals), np.concatenate(blocks)
+    order = np.lexsort((vals, blocks))
+    iblock[:k] = blocks[order]
+    vecs, info = lapack.dstein(d, e, vals[order], iblock, isplit)
+    assert info == 0
+    svals = np.abs(vals[order])
+    order = np.argsort(svals, kind="stable")
+    return svals[order], vecs[:, order]
+
+
+def tridiagonal_norm(op):
+    """||A||, the largest |eigenvalue| of the tridiagonal A = J M."""
+    vals = scipy.linalg.eigvalsh_tridiagonal(*op.tridiagonal())
+    return float(np.max(np.abs(vals)))
+
+
+def double_well(barrier):
+    """Two identical wells of 30 sites (W ~ N(0, 0.25), against 3 around
+    them) ``barrier`` sites apart, h = 0.1: each level below 3 is a pair
+    split by tunnelling.  Returns the operator and the mask of the first
+    well, in which a pair's weight does not depend on its basis."""
+    well = 0.5 * np.random.default_rng(3).standard_normal(30)
+    w = np.concatenate([np.full(60, 3.0), well, np.full(barrier, 3.0), well,
+                        np.full(60, 3.0)])
+    mask = np.zeros(w.size)
+    mask[60:90] = 1.0
+    op = DiracOperator(grid=None, k_y=0.0, interior_x=0.1 * np.arange(w.size),
+                       w_values=w, h=0.1, bmax=1.0)
+    return op, mask
+
+
+class TestWindowedAccuracy:
+    # windowed_singular_modes bisects only to eps^(2/3) ||A|| away from the
+    # window's edges and returns Ritz values: against bisection to full
+    # precision it must keep the count, the values to about eps ||A|| and
+    # the bulk weights
+
+    @given(lo_frac=st.floats(0.0, 1.1), width_frac=st.floats(0.0, 1.1),
+           **operators)
+    @example(lo_frac=0.0, width_frac=1.1, m=400, h=0.05, k=0.0, noise=3.0,
+             seed=1)
+    @example(lo_frac=0.3, width_frac=0.01, m=300, h=0.1, k=2.0, noise=0.1,
+             seed=2)
+    # an isolated value whose dstein start vector leaves its neighbour
+    # 8e-3 away at 1e-10 after three steps from a shift only sqrt(eps)
+    # ||A|| off: the weight then missed by 8e-12
+    @example(lo_frac=0.5, width_frac=1.0, m=317, h=0.07073126044426747,
+             k=2.5, noise=1.0378331791204338, seed=1046)
+    def test_matches_full_precision(self, lo_frac, width_frac, m, h, k,
+                                    noise, seed):
+        op = random_operator(m, h, k, noise, seed)
+        norm = tridiagonal_norm(op)
+        lo = lo_frac * norm
+        hi = lo + width_frac * norm
+        assume(lo < hi)
+        ref_vals, ref_vecs = full_precision_modes(op, lo, hi)
+        svals, vecs = windowed_singular_modes(op, lo, hi)
+        assert svals.shape == ref_vals.shape
+        assert vecs.shape == ref_vecs.shape
+        assert np.all(np.diff(svals) >= 0.0)
+        np.testing.assert_allclose(svals, ref_vals, rtol=0.0,
+                                   atol=1e-12 * norm)
+        mask = (np.abs(op.interior_x) <= 0.25 * m * h).astype(float)
+        assert abs(_smooth_bulk_weight(svals, vecs, mask)
+                   - _smooth_bulk_weight(ref_vals, ref_vecs, mask)) <= 1e-12
+
+    def test_pairs_closer_than_the_bisection_tolerance(self):
+        # wells 100 sites apart: each level is a pair split by 1e-13 to
+        # 1e-9, far below sqrt(eps) ||A|| ~ 1.5e-7; the closest pairs are
+        # parted by no bisection tolerance short of ulp ||A||, so their
+        # vectors may come out in any basis of the pair's span
+        op, mask = double_well(100)
+        norm = tridiagonal_norm(op)
+        lo, hi = 0.3, 2.25   # five pairs
+        ref_vals, ref_vecs = full_precision_modes(op, lo, hi)
+        pairs = ref_vals.reshape(-1, 2)
+        assert pairs.shape == (5, 2)
+        split = pairs[:, 1] - pairs[:, 0]
+        assert np.all(split < math.sqrt(np.finfo(float).eps) * norm)
+        assert np.all(np.diff(pairs[:, 0]) > 1e-2)
+        svals, vecs = windowed_singular_modes(op, lo, hi)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(svals.size),
+                                   rtol=0.0, atol=1e-12)
+        tol = 1e-12 * norm
+        for (a, b), got in zip(pairs, svals.reshape(-1, 2)):
+            assert np.all((a - tol <= got) & (got <= b + tol))
+        # the vectors of each pair span the pair's eigenspace
+        for j in range(0, svals.size, 2):
+            overlap = np.linalg.svd(ref_vecs[:, j:j + 2].T @ vecs[:, j:j + 2],
+                                    compute_uv=False)
+            np.testing.assert_allclose(overlap, 1.0, rtol=0.0, atol=1e-10)
+        assert abs(_smooth_bulk_weight(svals, vecs, mask)
+                   - _smooth_bulk_weight(ref_vals, ref_vecs, mask)) \
+            <= 1e-12
+
+    @pytest.mark.parametrize("pair", [2, 3, 4, 5])
+    @pytest.mark.parametrize("edge", ["lo", "hi"])
+    def test_window_edge_between_a_close_pair(self, pair, edge):
+        # wells 50 sites apart: the pairs split by 1e-6 to 2e-5, above
+        # sqrt(eps) ||A|| but close enough that inverse iteration from a
+        # shift bisected only to sqrt(eps) ||A|| mixes the level left out
+        # of the window into its partner's vector.  No solver fixes that
+        # vector better than eps ||A|| / split.
+        op, mask = double_well(50)
+        levels = full_precision_modes(op, 0.3, 2.6)[0]
+        assert levels.size == 12
+        split = levels[2 * pair + 1] - levels[2 * pair]
+        assert 5e-7 < split < 1e-4
+        cut = 0.5 * (levels[2 * pair] + levels[2 * pair + 1])
+        lo, hi = (cut, 2.6) if edge == "lo" else (0.3, cut)
+        ref_vals, ref_vecs = full_precision_modes(op, lo, hi)
+        svals, vecs = windowed_singular_modes(op, lo, hi)
+        assert svals.shape == ref_vals.shape
+        conditioning = np.finfo(float).eps * tridiagonal_norm(op) / split
+        assert abs(_smooth_bulk_weight(svals, vecs, mask)
+                   - _smooth_bulk_weight(ref_vals, ref_vecs, mask)) \
+            <= 10.0 * conditioning
