@@ -52,6 +52,10 @@ TWO_PI = 2.0 * math.pi
 # on (1e5-1e6 points), and a refusal here, not a failed allocation, keeps an
 # absurd grid.n a config error.  A fixed bound, not a setting.
 MAX_GRID_POINTS = 10_000_000
+# Floor on the step h, in float spacings at the grid's largest |x|: above
+# it the sampled points are distinct and their spacings differ by at most
+# 1/_MIN_STEP_ULPS of h, so every composite-Simpson weight is positive.
+_MIN_STEP_ULPS = 16
 
 # the parametric kinds and their widths; the last width is the support's
 # half-width (its radius in the plane)
@@ -64,7 +68,9 @@ _KINDS = (*_WIDTHS, "piecewise-linear")
 class Grid1D:
     """Uniform grid of 3 <= n <= MAX_GRID_POINTS points on [x_lo, x_hi].
 
-    The width x_hi - x_lo must be finite (so the bounds and h are too).
+    The width x_hi - x_lo must be finite (so the bounds and h are too), and
+    h at least _MIN_STEP_ULPS float spacings at the larger |bound|, so the
+    points do not collapse onto each other.
     """
 
     x_lo: float
@@ -84,6 +90,12 @@ class Grid1D:
             raise GridError(f"grid n = {self.n} exceeds the ceiling "
                             f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
         object.__setattr__(self, "n", int(self.n))
+        floor = _MIN_STEP_ULPS * math.ulp(max(-self.x_lo, self.x_hi))
+        if self.h < floor:
+            raise GridError(f"grid [{self.x_lo}, {self.x_hi}] with n = "
+                            f"{self.n}: step h = {self.h:.3e} is below "
+                            f"{_MIN_STEP_ULPS} float spacings ({floor:.3e}) "
+                            "at its bounds, so its points collapse")
 
     @property
     def h(self):

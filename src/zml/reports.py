@@ -35,6 +35,8 @@ def _fmt_column(values):
     """``fmt_float`` over a whole float column, as a list."""
     a = np.asarray(values, dtype=float) + 0.0
     finite = np.isfinite(a)
+    if finite.all():
+        return list(map(_FLOAT, a.tolist()))
     cells = np.full(a.size, None, dtype=object)
     cells[finite] = list(map(_FLOAT, a[finite].tolist()))
     return cells.tolist()
@@ -62,9 +64,13 @@ class Table:
         return self.length
 
     def cells(self, name, missing=None):
-        """The column's strings; a non-finite float reads ``missing``."""
-        cells = self._cells.get(name)
-        if cells is None:
+        """The column's strings; a non-finite float reads ``missing``.
+
+        A column with no missing cell returns its kept list itself, so
+        callers must not modify it.
+        """
+        cached = self._cells.get(name)
+        if cached is None:
             a = self.columns[name]
             if a.dtype.kind == "f":
                 cells = _fmt_column(a)
@@ -78,7 +84,10 @@ class Table:
             else:
                 raise TypeError(f"table column {name!r} has dtype {a.dtype}; "
                                 "expected bool, int or float")
-            self._cells[name] = cells
+            cached = self._cells[name] = (cells, None not in cells)
+        cells, complete = cached
+        if complete:
+            return cells
         return [missing if c is None else c for c in cells]
 
 

@@ -16,7 +16,9 @@ part of |Phi|/2pi; exactly integer flux is flagged because there the strict
 tail rule admits one mode fewer.
 
 Modes are stored in log space (exp(+-lambda) overflows casually) and all
-norms are computed from the log samples with a max shift.
+norms are computed from the log samples with a max shift, as one weighted
+row sum with the grid's composite-Simpson weights (``_simpson_weights``);
+they equal ``_simpson``'s, SciPy's arithmetic, to a few ulp.
 """
 
 import math
@@ -46,9 +48,10 @@ __all__ = [
 
 # exp overflows float64 above this argument
 _LOG_MAX = 709.0
-# k values per norm block in scan_k: 512 x n float64 temporaries keep a scan's
-# memory flat, and larger blocks were slower (the 10 000-k, 121-point scan:
-# ~32 ms at 512, ~48 ms in one block)
+# k values per norm block in scan_k: one 512 x n float64 temporary keeps a
+# scan's memory flat, and is no slower than one block (the 10 000-k,
+# 121-point scan, median of 40 interleaved runs on one core: ~5.2 ms at 512,
+# ~6.4 ms in one block, ~5.5 ms at 128)
 _SCAN_BLOCK = 512
 
 
@@ -146,6 +149,8 @@ def _simpson(y, x):
     The arithmetic of ``scipy.integrate.simpson`` since SciPy 1.11: the
     spacing-aware three-point rule on the leading interval pairs and, for an
     even number of points, Cartwright's correction on the last interval.
+    The norms use this rule's per-point weights (``_simpson_weights``); this
+    form is the SciPy-exact reference they are checked against.
     """
     n = x.size
     h = np.diff(x)
@@ -165,18 +170,54 @@ def _simpson(y, x):
     return result
 
 
-def _shifted_norms(log_rows, x):
-    """Row-wise sqrt int exp(2 log psi) dx: composite Simpson, max shift per row."""
+def _simpson_weights(x):
+    """Per-point weights w of ``_simpson``'s rule on the points x (n >= 3).
+
+    w @ y is _simpson(y, x) up to rounding: a few ulp of sum |w y|.  The
+    weights gather the rule's coefficients in O(n): an interval pair
+    (h0, h1) gives its ends hsum/6 (2 - h1/h0) and hsum/6 (2 - h0/h1) and
+    its middle hsum/6 (hsum/h0)(hsum/h1), and an even n adds Cartwright's
+    coefficients on the last interval (a, b) as multiples of b/6 and b/a.
+    Written with ratios of spacings, no coefficient overflows or underflows
+    on a grid Grid1D accepts, and there all of them are positive.
+    """
+    n = x.size
+    h = np.diff(x)
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, ratio = h0 + h1, h0 / h1
+    sixth = hsum / 6.0
+    w = np.zeros(n)
+    w[0:stop:2] = sixth * (2.0 - 1.0 / ratio)
+    w[1:stop + 1:2] = sixth * ((hsum / h0) * (hsum / h1))
+    w[2:stop + 2:2] += sixth * (2.0 - ratio)
+    if n % 2 == 0:
+        b6, r = h[-1] / 6.0, h[-1] / h[-2]
+        w[-1] += b6 * ((2.0 * r + 3.0) / (r + 1.0))
+        w[-2] += b6 * (r + 3.0)
+        w[-3] -= b6 * (r * (r / (r + 1.0)))
+    return w
+
+
+def _norms(log_rows, weights):
+    """Row-wise sqrt int exp(2 log psi) dx of the log samples log_rows.
+
+    Each row is shifted by its maximum and exponentiated in place (log_rows
+    is consumed), and the integrals are one weighted row sum with the
+    ``_simpson_weights`` of the grid: np.einsum, not BLAS, so the result
+    does not depend on the BLAS build or its thread count.  A norm whose
+    logarithm exceeds _LOG_MAX is inf.
+    """
     shifts = log_rows.max(axis=-1)
-    integrals = _simpson(np.exp(2.0 * (log_rows - shifts[:, None])), x)
-    norms = []
-    for shift, integral in zip(shifts.tolist(), integrals.tolist()):
-        if integral <= 0.0:
-            norms.append(0.0)
-            continue
-        log_norm = shift + 0.5 * math.log(integral)
-        norms.append(math.exp(log_norm) if log_norm <= _LOG_MAX else math.inf)
-    return norms
+    # overflows go to -inf below the shift (a sample of exactly 0) and to
+    # inf above _LOG_MAX (a norm reported infinite)
+    with np.errstate(over="ignore"):
+        log_rows -= shifts[:, None]
+        log_rows *= 2.0
+        np.exp(log_rows, out=log_rows)
+        integrals = np.einsum("ij,j->i", log_rows, weights)
+        log_norms = shifts + 0.5 * np.log(integrals)
+        return np.where(log_norms <= _LOG_MAX, np.exp(log_norms), math.inf)
 
 
 def build_mode_1d(pot, sector):
@@ -184,10 +225,11 @@ def build_mode_1d(pot, sector):
 
     ``pot`` is lambda_k, a ScalarPotential from lambda_1d; its k, grid and
     flux are the mode's (``ZeroMode.flux``).  The normalizability verdict is
-    the window rule on its exact k and Q alone.  The L2 norm is quadrature
-    over the grid extent, flagged infinite for non-normalizable modes; how
-    well the grid resolves a normalizable tail is the caller's
-    ``check_padding``.
+    the window rule on its exact k and Q alone.  The L2 norm is composite
+    Simpson quadrature over the grid extent, the routine scan_k uses, so
+    the two agree bit for bit; it equals ``_simpson``'s value to a few ulp.
+    It is flagged infinite for non-normalizable modes; how well the grid
+    resolves a normalizable tail is the caller's ``check_padding``.
     """
     if not isinstance(pot, ScalarPotential):
         raise ProfileError("build_mode_1d needs a line potential "
@@ -197,7 +239,8 @@ def build_mode_1d(pot, sector):
     normalizable = bool(_normalizable(sector, pot.flux.value, pot.k))
     log_values = sector.gamma * pot.values
     if normalizable:
-        norm = _shifted_norms(log_values[None, :], pot.grid.points())[0]
+        norm = float(_norms(log_values[None, :].copy(),
+                            _simpson_weights(pot.grid.points()))[0])
     else:
         norm = math.inf
     return ZeroMode(sector=sector, k=pot.k, flux=pot.flux, grid=pot.grid,
@@ -219,12 +262,14 @@ def scan_k(base, sector, k_list):
 
     Verdicts are exact: true precisely in the sector ``flux_sector`` picks
     where ``window_margin`` is positive.  The norms of the admissible k are
-    taken in blocks of _SCAN_BLOCK values (one block x n matrix of log
-    samples gamma (lambda_0 + k x) and one row-wise Simpson pass each, 0.5
-    MB at n = 121), so the temporaries stay flat however long k_list is.
-    Norms are computed on base's grid, so near the window edges (where the
-    padding rule would demand enormous grids) they are truncation-limited;
-    the verdict is not.
+    taken in blocks of _SCAN_BLOCK values: one block x n matrix of log
+    samples gamma (lambda_0 + k x) (0.5 MB at n = 121), exponentiated in
+    place after its row-max shift, and one weighted row sum with the grid's
+    Simpson weights, built once per scan.  So the temporaries stay flat
+    however long k_list is, and each norm is build_mode_1d's at its k bit
+    for bit and ``_simpson``'s to a few ulp.  Norms are computed on base's
+    grid, so near the window edges (where the padding rule would demand
+    enormous grids) they are truncation-limited; the verdict is not.
     """
     if sector is SECTOR_NONE or not isinstance(sector, SpinSector):
         raise ValueError("scan_k needs sector a or b")
@@ -236,10 +281,15 @@ def scan_k(base, sector, k_list):
     ok = _normalizable(sector, base.flux.value, ks)
     norms = np.full(ks.shape, math.inf)
     admissible = np.flatnonzero(ok)
+    weights = _simpson_weights(x)
     for start in range(0, admissible.size, _SCAN_BLOCK):
         rows = admissible[start:start + _SCAN_BLOCK]
-        log_rows = sector.gamma * (base.values + ks[rows, None] * x)
-        norms[rows] = _shifted_norms(log_rows, x)
+        # gamma (lambda_0 + k x), built in place
+        log_rows = ks[rows, None] * x
+        log_rows += base.values
+        if sector.gamma < 0:
+            np.negative(log_rows, out=log_rows)
+        norms[rows] = _norms(log_rows, weights)
     return np.rec.fromarrays((ks, ok, norms),
                              names=("k", "normalizable", "l2_norm"))
 

@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
+import zml
 from zml import __version__, _quadrature, reduction
 from zml.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from zml.profiles import Grid1D, bump, total_flux
@@ -204,6 +209,23 @@ class TestConfigValidation:
         assert stdout == ""
         assert err.startswith("config error: grid: ") and "width" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["potential", "scan"])
+    def test_collapsing_grid_points_refused(self, tmp_path, capsys, command):
+        # spacings [0, 1.1e-16, 1.1e-16, 0]: a config error naming the
+        # grid, not null norms and divide-by-zero warnings
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE,
+                        grid={"x_lo": 0.5, "x_hi": 0.5000000000000002,
+                              "n": 5},
+                        sector="b", k_list=[0.5],
+                        out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, command, "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith("config error: grid: grid [0.5, "
+                              "0.5000000000000002] with n = 5: ")
+        assert "collapse" in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command, fields", [
@@ -411,6 +433,26 @@ class TestModes:
         assert doc["l2_norm"] is None
         assert (out / "modes.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, norm", [
+        # x = 0 is a point, a middle one of Simpson's rule: its weight is
+        # 4h/3 = 4e160/3, where h0 * h1 = 1e320 overflows
+        (3, math.exp(-0.5) * math.sqrt(4e160 / 3.0)),
+        # linspace puts the middle point at -1.6e144, not 0: every sample
+        # of the mode underflows, and so does the norm
+        (11, 0.0),
+    ])
+    def test_norm_on_a_huge_grid(self, tmp_path, capsys, n, norm):
+        cfg = write_cfg(tmp_path, profile={"kind": "box", "B0": 1.0,
+                                           "a": 1.0},
+                        grid={"x_lo": -1e160, "x_hi": 1e160, "n": n},
+                        k=0.0, sector="b", out_dir=str(tmp_path / "o"))
+        code, stdout, _ = run_cli(capsys, "modes", "--config", cfg)
+        assert code == EXIT_OK
+        doc = json.loads(stdout)
+        assert doc["normalizable"] is True
+        assert doc["l2_norm"] == pytest.approx(norm, rel=1e-10)
+
     def test_plots_flag_writes_svg(self, tmp_path, capsys):
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, profile=BOX_PROFILE, grid=GRID, k=0.0,
@@ -490,6 +532,46 @@ class TestScan:
         assert len(entries) == len(k_list)
         assert 512 < sum(e["normalizable"] for e in entries) < len(k_list)
 
+
+    @pytest.mark.filterwarnings("error")
+    def test_norm_on_a_tiny_grid(self, tmp_path, capsys):
+        # h0 * h1 = 4e-602 underflows; the mode is exp(-1/2) on the grid
+        cfg = write_cfg(tmp_path, profile={"kind": "box", "B0": 1.0,
+                                           "a": 1.0},
+                        grid={"x_lo": -1e-300, "x_hi": 1e-300, "n": 11},
+                        sector="b", k_list=[0.0, 0.5],
+                        out_dir=str(tmp_path / "o"))
+        code, stdout, _ = run_cli(capsys, "scan", "--config", cfg)
+        assert code == EXIT_OK
+        for entry in json.loads(stdout)["entries"]:
+            assert entry["normalizable"] is True
+            assert entry["l2_norm"] == pytest.approx(
+                math.exp(-0.5) * math.sqrt(2e-300), rel=1e-10)
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # two fresh interpreters, one and four BLAS threads: the norms are
+        # sums NumPy does itself, so the reports are the same bytes
+        cfg = write_cfg(tmp_path, profile={"kind": "bump", "B0": 1.5,
+                                           "a": 2.0},
+                        grid={"x_lo": -20.0, "x_hi": 20.0, "n": 121},
+                        sector="b",
+                        k_list=[-3.0 + 6.0 * i / 1100 for i in range(1101)])
+        src = str(Path(zml.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from zml.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))",
+                 "scan", "--config", cfg, "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120)
+            reports.append([(out / name).read_bytes()
+                            for name in ("scan.json", "scan.csv")])
+        assert reports[0] == reports[1]
 
     def test_golden_bytes(self, tmp_path, capsys):
         # -0.0, k inside the window |k| < Q/2 = 2 and one outside it, whose

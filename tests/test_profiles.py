@@ -111,6 +111,23 @@ class TestGrid1D:
             with pytest.raises(GridError, match="width"):
                 Grid1D(lo, hi, 11)
 
+    @pytest.mark.parametrize("lo, hi, n", [
+        (0.5, 0.5000000000000002, 5),   # spacings [0, 1.1e-16, 1.1e-16, 0]
+        (1e6, 1e6 + 1e-9, 1001),
+        (0.0, 1e-322, 3),               # subnormal: 20 spacings of 5e-324
+    ])
+    def test_collapsing_points_refused(self, lo, hi, n):
+        with pytest.raises(GridError, match="collapse") as err:
+            Grid1D(lo, hi, n)
+        assert f"grid [{lo}, {hi}] with n = {n}" in str(err.value)
+
+    @pytest.mark.parametrize("lo, hi, n", [
+        (0.5, 0.5 + 2 ** -45, 5), (-1e-300, 1e-300, 11),
+        (-1e160, 1e160, 11), (0.0, 1e-320, 3)])
+    def test_points_distinct_and_even_above_the_floor(self, lo, hi, n):
+        steps = np.diff(Grid1D(lo, hi, n).points())
+        assert steps.min() > 0.0 and steps.max() / steps.min() < 1.1
+
 
 class TestSample:
     def test_box_on_coarse_grid(self):

@@ -1,18 +1,19 @@
 """Zero modes: admissibility windows, normalizability, plane counting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from zml.errors import ProfileError
+from zml.errors import GridError, ProfileError
 from zml.potential import lambda_1d, lambda_2d_radial, window_margin
 from zml.profiles import (DIM_RADIAL, Grid1D, box, bump, piecewise_linear,
                           total_flux, truncated_gaussian)
 from zml.zeromodes import (SECTOR_A, SECTOR_B, SECTOR_NONE, _simpson,
-                           build_mode_1d, build_mode_2d,
+                           _simpson_weights, build_mode_1d, build_mode_2d,
                            count_2d_zero_modes, flux_sector, scan_k)
 
 TWO_PI = 2.0 * math.pi
@@ -252,6 +253,54 @@ class TestSimpson:
                   np.sort(rng.uniform(-5.0, 5.0, n))):
             y = np.exp(-rng.uniform(0.0, 5.0, (37, n)))
             assert np.array_equal(_simpson(y, x), simpson(y, x=x, axis=-1))
+
+
+class TestSimpsonWeights:
+    @settings(max_examples=80)
+    @given(n=st.integers(3, 300), uneven=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_weighted_sum_matches_simpson(self, n, uneven, seed):
+        # odd and even n, a zml grid or uneven sorted points: the one
+        # weighted row sum is the reference rule to a few ulp of sum |w y|
+        rng = np.random.default_rng(seed)
+        if uneven:
+            x = np.sort(rng.uniform(-5.0, 5.0, n))
+        else:
+            x = Grid1D(*np.sort(rng.uniform(-50.0, 50.0, 2)), n).points()
+        y = np.exp(-rng.uniform(0.0, 5.0, (8, n)))
+        w = _simpson_weights(x)
+        got = np.einsum("ij,j->i", y, w)
+        scale = np.einsum("ij,j->i", y, np.abs(w))
+        assert np.all(np.abs(got - _simpson(y, x))
+                      <= 8 * np.finfo(float).eps * scale)
+
+    @settings(max_examples=200)
+    @given(lo=st.floats(-1e308, 1e308), n=st.integers(3, 200),
+           span=st.one_of(st.floats(1e-300, 1.7e308),
+                          st.integers(1, 10 ** 4)))
+    def test_finite_and_positive_on_every_grid(self, lo, n, span):
+        # from subnormal steps to widths near the largest float; an integer
+        # span is that many float spacings at lo, around the collapse floor
+        hi = lo + (span * math.ulp(lo) if isinstance(span, int) else span)
+        try:
+            grid = Grid1D(lo, hi, n)
+        except GridError:
+            return
+        w = _simpson_weights(grid.points())
+        assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+
+    def test_builds_in_linear_memory(self):
+        # O(n): a few arrays of n floats for 10^6 points, where the weights
+        # read off _simpson(np.eye(n), x) would need 8 TB
+        x = Grid1D(-20.0, 20.0, 10 ** 6).points()
+        tracemalloc.start()
+        try:
+            w = _simpson_weights(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.shape == x.shape
+        assert peak < 8 * x.nbytes
 
 
 class TestCount2D:
