@@ -632,6 +632,28 @@ class TestScan:
         assert lines[-2:] == ["4.00000000000e+02,-2.80000000000e+03,"
                               "0.00000000000e+00", ""]
 
+    def test_large_report_bytes(self, tmp_path, capsys):
+        # 2 000 seeded k across the window |k| < Q/2 and beyond it, so the
+        # norm column has null cells; pins the bytes of a report whose
+        # float columns are long, beside the short golden above
+        k_list = np.random.default_rng(2000).uniform(-4.0, 4.0, 2000)
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, profile={"kind": "bump", "B0": 1.5,
+                                           "a": 2.0},
+                        grid={"x_lo": -20.0, "x_hi": 20.0, "n": 121},
+                        sector="b", k_list=k_list.tolist(), out_dir=str(out))
+        code, stdout, _ = run_cli(capsys, "scan", "--config", cfg)
+        assert code == EXIT_OK
+        doc = json.loads(stdout)
+        norms = [e["l2_norm"] for e in doc["entries"]]
+        assert 0 < norms.count(None) < len(norms)
+        assert (out / "scan.json").read_text() == stdout
+        digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("scan.json", "scan.csv")]
+        assert digests == [
+            "d0301ee6499e50a92e30e8f6670da3df7dec4b0aead34b711b6207c48e44b170",
+            "7c2e581fc3d96db72a329e30fa499d75cf0c134cbe93a928ba766ec8b656b9e6"]
+
 
 class TestSpectrum:
     def test_channel_report(self, tmp_path, capsys):
@@ -674,6 +696,20 @@ class TestSpectrum:
                                 "4.00000000000e-01,60,1.81663947222e-03"]
         assert hashlib.sha256(csv).hexdigest() == (
             "1221af5de0b02a33667494ad2aa0f2d5680bcf5ba45745745a0200b0fc691f47")
+
+    def test_large_report_bytes(self, tmp_path, capsys):
+        # the golden channel above on 600 interior points: 1 200 eigenvalues
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE, k_y=0.4,
+                        grid={"x_lo": -21.0, "x_hi": 21.0, "n": 602},
+                        out_dir=str(out))
+        code, stdout, _ = run_cli(capsys, "spectrum", "--config", cfg)
+        assert code == EXIT_OK
+        assert json.loads(stdout)["n_interior"] == 600
+        csv = (out / "spectrum.csv").read_bytes()
+        assert csv.count(b"\n") == 1 + 2 * 600
+        assert hashlib.sha256(csv).hexdigest() == (
+            "a13a66aecf8af928db02f0411a1cc044785d13820689a490c91ba6ad77f5586d")
 
 
 class TestCountAndVerify:
