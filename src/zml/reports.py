@@ -31,15 +31,92 @@ def fmt_float(x):
     return _FLOAT(x + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
+# the kernel of _fmt_column: 10**p for 0 <= p <= 22, every one exact in
+# binary64, as a multiplier (_SCALE_UP) or a divisor (_SCALE_DOWN) indexed
+# by p + 22, the other factor 1.0; and the digits of 0 ... 999 as bytes
+_POW10 = [float(10 ** p) for p in range(23)]
+_SCALE_UP = np.array([1.0] * 22 + _POW10)
+_SCALE_DOWN = np.array(_POW10[:0:-1] + [1.0] * 23)
+_TRIPLES = np.frombuffer("".join(f"{i:03d}" for i in range(1000)).encode(),
+                         dtype=np.uint8).reshape(1000, 3)
+_TIE_MARGIN = 1e-3
+
+
+def _scaled(ax, e):
+    # |x| * 10**(11 - e) with one rounding; e outside [-11, 33] is clipped
+    i = np.clip(33 - e, 0, 44)
+    return ax * _SCALE_UP[i] / _SCALE_DOWN[i]
+
+
+def _decide(a):
+    """Each cell's 12 digits as an integer-valued float, its exponent, and
+    whether the array pass decided them.
+
+    Non-finite cells and cells outside the exact powers are undecided, and
+    so is a cell whose scaled value may lie within the margin of a tie.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ax = np.abs(a)
+        # the decimal exponent: log10's estimate, corrected on the scaled
+        # value
+        e = np.floor(np.log10(ax))
+        e = np.fmin(np.fmax(e, -12.0), 34.0).astype(np.int64)
+        y = _scaled(ax, e)
+        e += (y >= 1e12).view(np.int8)
+        e -= (y < 1e11).view(np.int8)
+        e[ax == 0] = 0
+        # y is |x| * 10**(11 - e) to within 1.2e-4, so away from a tie its
+        # rint is the correctly rounded 12 digits
+        y = _scaled(ax, e)
+        digits = np.rint(y)
+        decided = ((np.abs(y - digits) < 0.5 - _TIE_MARGIN)
+                   & (e >= -11) & (e <= 33))
+    digits[~decided] = 0.0
+    carry = digits == 1e12
+    digits[carry] = 1e11
+    e += carry.view(np.int8)
+    return digits, e, decided
+
+
+def _rows(digits, e, negative):
+    """One row of bytes "-d.ddddddddddde+dd\\n" per cell, the sign NUL
+    where the cell is not negative."""
+    # the 12 digits and |e| as five indices into _TRIPLES, by exact splits
+    hi = np.floor(digits / 1e6)
+    lo = digits - hi * 1e6
+    triples = np.empty((digits.size, 5), dtype=np.intp)
+    triples[:, 0] = np.floor(hi / 1e3)
+    triples[:, 1] = hi - 1e3 * triples[:, 0]
+    triples[:, 2] = np.floor(lo / 1e3)
+    triples[:, 3] = lo - 1e3 * triples[:, 2]
+    triples[:, 4] = np.abs(e)
+    text = _TRIPLES.take(triples, axis=0).reshape(digits.size, 15)
+    rows = np.empty((digits.size, 19), dtype=np.uint8)
+    rows[:, 0] = np.where(negative, ord("-"), 0)
+    rows[:, 1] = text[:, 0]
+    rows[:, 2] = ord(".")
+    rows[:, 3:14] = text[:, 1:12]
+    rows[:, 14] = ord("e")
+    rows[:, 15:18] = text[:, 12:]
+    rows[:, 15] = np.where(e < 0, ord("-"), ord("+"))
+    rows[:, 18] = ord("\n")
+    return rows
+
+
 def _fmt_column(values):
-    """``fmt_float`` over a whole float column, as a list."""
-    a = np.asarray(values, dtype=float) + 0.0
-    finite = np.isfinite(a)
-    if finite.all():
-        return list(map(_FLOAT, a.tolist()))
-    cells = np.full(a.size, None, dtype=object)
-    cells[finite] = list(map(_FLOAT, a[finite].tolist()))
-    return cells.tolist()
+    """``fmt_float`` over a whole float column, as a list.
+
+    One array pass spells every cell whose digits it can decide (see the
+    module docstring); each other cell goes through ``fmt_float``.
+    """
+    with np.errstate(invalid="ignore"):  # a signalling NaN
+        a = np.asarray(values, dtype=float) + 0.0
+    digits, e, decided = _decide(a)
+    rows = _rows(digits, e, a < 0)
+    cells = rows.tobytes().replace(b"\0", b"").decode("ascii").splitlines()
+    for i in np.flatnonzero(~decided).tolist():
+        cells[i] = fmt_float(a[i])
+    return cells
 
 
 class Table:
