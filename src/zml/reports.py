@@ -10,6 +10,21 @@ Tabular reports are column tables (``Table``): each column is formatted in
 one call, the first time a report needs it, and the strings are kept, so a
 table written both as a JSON array of objects (``json_report``) and as CSV
 (``csv_text``) is formatted once.
+
+A float column is spelled in one NumPy pass, with the bytes ``fmt_float``
+gives cell by cell.  Each cell's decimal exponent e comes from log10 and is
+corrected on the scaled value y = |x| * 10**(11 - e).  For e in [-11, 33]
+the power of ten is exact in binary64 (10**22 is the largest), so y is the
+exact value rounded once, to within 1.2e-4.  Every half-integer below 1e12
+is a float and rounding is monotone, so unless y is itself a half-integer
+the exact value lies between the same two half-integers as y, and rint(y)
+is the correctly rounded 12 digits that ``"{:.11e}"`` prints (Gay,
+"Correctly rounded binary-decimal and decimal-binary conversions", 1990);
+a rint of 10**12 carries into the next decade.  Digits, sign and exponent
+go into one byte buffer that is decoded and split once.  The cells this
+does not decide, a y on a half-integer, an exponent outside [-11, 33]
+(|x| < 1e-11, subnormals, three-digit exponents) and non-finite values,
+take ``fmt_float`` itself, the one format rule.
 """
 
 import math
@@ -39,7 +54,6 @@ _SCALE_UP = np.array([1.0] * 22 + _POW10)
 _SCALE_DOWN = np.array(_POW10[:0:-1] + [1.0] * 23)
 _TRIPLES = np.frombuffer("".join(f"{i:03d}" for i in range(1000)).encode(),
                          dtype=np.uint8).reshape(1000, 3)
-_TIE_MARGIN = 1e-3
 
 
 def _scaled(ax, e):
@@ -53,7 +67,7 @@ def _decide(a):
     whether the array pass decided them.
 
     Non-finite cells and cells outside the exact powers are undecided, and
-    so is a cell whose scaled value may lie within the margin of a tie.
+    so is a cell whose scaled value rounded to a half-integer.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         ax = np.abs(a)
@@ -64,13 +78,13 @@ def _decide(a):
         y = _scaled(ax, e)
         e += (y >= 1e12).view(np.int8)
         e -= (y < 1e11).view(np.int8)
-        e[ax == 0] = 0
-        # y is |x| * 10**(11 - e) to within 1.2e-4, so away from a tie its
-        # rint is the correctly rounded 12 digits
+        e[ax == 0] = 0   # zero: digits 0, exponent +00
+        # y is the exact |x| * 10**(11 - e) rounded once; unless y is a
+        # half-integer, rint(y) is its correctly rounded 12 digits (see the
+        # module docstring)
         y = _scaled(ax, e)
         digits = np.rint(y)
-        decided = ((np.abs(y - digits) < 0.5 - _TIE_MARGIN)
-                   & (e >= -11) & (e <= 33))
+        decided = (np.abs(y - digits) < 0.5) & (e >= -11) & (e <= 33)
     digits[~decided] = 0.0
     carry = digits == 1e12
     digits[carry] = 1e11
@@ -90,14 +104,14 @@ def _rows(digits, e, negative):
     triples[:, 2] = np.floor(lo / 1e3)
     triples[:, 3] = lo - 1e3 * triples[:, 2]
     triples[:, 4] = np.abs(e)
-    text = _TRIPLES.take(triples, axis=0).reshape(digits.size, 15)
+    chars = _TRIPLES.take(triples, axis=0).reshape(digits.size, 15)
     rows = np.empty((digits.size, 19), dtype=np.uint8)
     rows[:, 0] = np.where(negative, ord("-"), 0)
-    rows[:, 1] = text[:, 0]
+    rows[:, 1] = chars[:, 0]
     rows[:, 2] = ord(".")
-    rows[:, 3:14] = text[:, 1:12]
+    rows[:, 3:14] = chars[:, 1:12]
     rows[:, 14] = ord("e")
-    rows[:, 15:18] = text[:, 12:]
+    rows[:, 15:18] = chars[:, 12:]
     rows[:, 15] = np.where(e < 0, ord("-"), ord("+"))
     rows[:, 18] = ord("\n")
     return rows
@@ -109,7 +123,7 @@ def _fmt_column(values):
     One array pass spells every cell whose digits it can decide (see the
     module docstring); each other cell goes through ``fmt_float``.
     """
-    with np.errstate(invalid="ignore"):  # a signalling NaN
+    with np.errstate(invalid="ignore"):  # a signalling NaN warns
         a = np.asarray(values, dtype=float) + 0.0
     digits, e, decided = _decide(a)
     rows = _rows(digits, e, a < 0)

@@ -5,13 +5,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from zml import reduction
 from zml.errors import (ClusterResolutionError, GridError, PaddingError,
                         ProfileError)
 from zml.potential import (PADDING_FLOOR, _on_edge, required_padding,
-                           window_margin)
-from zml.profiles import Grid1D, box, bump, piecewise_linear
+                           vector_potential_y, window_margin)
+from zml.profiles import (Grid1D, box, bump, piecewise_linear, total_flux,
+                          truncated_gaussian)
 from zml.reduction import (MAX_CHANNELS, ReductionConfig, admissible_channels,
                            default_n_range, quantize_ky, verify_degeneracy)
 
@@ -336,3 +338,65 @@ class TestVerifyDegeneracy:
                                 Grid1D(-60.0, 60.0, 6001))
         assert rep.g_analytic == rep.admissible_count == 7
         assert rep.g_numeric == rep.g_analytic
+
+
+@st.composite
+def signed_fields(draw):
+    """A line field B as a function of a sign: field(1) is B, field(-1) -B.
+
+    Box, bump and truncated-gaussian fields, and three trapezoid lumps of
+    either sign.
+    """
+    kind = draw(st.sampled_from(["box", "bump", "gaussian", "lumps"]))
+    b0 = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    a = draw(st.floats(1.0, 3.0))
+    if kind == "box":
+        return lambda sign: box(sign * b0, a)
+    if kind == "bump":
+        return lambda sign: bump(sign * b0, a)
+    if kind == "gaussian":
+        return lambda sign: truncated_gaussian(sign * b0, a / 3.0, a)
+    lumps = draw(st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(1.0, 3.0),
+                                    st.floats(0.5, 2.0)),
+                          min_size=3, max_size=3))
+    ramp, x = 0.1, -4.0
+    points = []
+    for b, width, gap in lumps:
+        points += [(x, 0.0), (x + ramp, b), (x + width - ramp, b),
+                   (x + width, 0.0)]
+        x += width + gap
+    return lambda sign: piecewise_linear([(px, sign * b) for px, b in points])
+
+
+class TestSweepSymmetries:
+    # exact symmetries of the level-0 sweep: A_y is odd in B, the operator
+    # of (-B, -k) is -J A(B, k) J, and k_gauge + 2 pi / L_y is the sweep
+    # relabelled n -> n - 1
+    @settings(max_examples=40)
+    @given(field=signed_fields(), ly=st.floats(3.0, 9.0),
+           kg=st.floats(-0.4, 0.4))
+    def test_level0_sweep_symmetries(self, field, ly, kg):
+        profile, mirror = field(1.0), field(-1.0)
+        q = total_flux(profile).value
+        lo, hi = default_n_range(q, ly, kg)
+        ks = kg + TWO_PI * np.arange(lo, hi + 1) / ly
+        margins = window_margin(q, ks)
+        # channels on or near the window edge need a long padding
+        assume(np.all(np.abs(margins) > 0.1))
+        pad = max([required_padding(q, k) for k in ks[margins > 0]],
+                  default=PADDING_FLOOR)
+        s_lo, s_hi = profile.support
+        extent = max(-s_lo, s_hi) + pad + 1.0
+        grid = Grid1D(-extent, extent, int(math.ceil(20.0 * extent)) + 1)
+
+        a_y = vector_potential_y(profile, grid.points())
+        assert np.array_equal(vector_potential_y(mirror, grid.points()), -a_y)
+
+        def counts(p, k_gauge, n_range):
+            cfg = ReductionConfig(L_y=ly, k_gauge=k_gauge, n_range=n_range)
+            return verify_degeneracy(p, cfg, 0, grid).channels.near_zero_count
+
+        base = counts(profile, kg, (lo, hi))
+        assert counts(mirror, -kg, (-hi, -lo)).tolist() == base[::-1].tolist()
+        shifted = counts(profile, kg + TWO_PI / ly, (lo - 1, hi - 1))
+        assert shifted.tolist() == base.tolist()

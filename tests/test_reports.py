@@ -153,6 +153,16 @@ def _assert_same_text(got, want):
                     f"{want[i - 40:i + 40]!r}")
 
 
+def _assert_cells_match(values):
+    # the column path against fmt_float cell by cell, naming the first
+    # cells that differ
+    got = _fmt_column(values)
+    want = [fmt_float(v) for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want)
+           if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
 _columns = st.builds(
     _random_columns,
     kinds=st.lists(st.sampled_from(["bool", "int", "float"]), min_size=1,
@@ -168,6 +178,46 @@ class TestColumnPath:
         values += list(_SPECIAL_FLOATS)
         assert _fmt_column(values) == [fmt_float(v) for v in values]
         assert _fmt_column(np.array(values)) == [fmt_float(v) for v in values]
+
+    def test_near_ties_for_every_decided_exponent(self):
+        # (N + 1/2) 10**(e - 11), the nearest float and its neighbours both
+        # ways, for each exponent the array pass decides (|x| from 1e-11 to
+        # below 1e34); N = 10**12 - 1 carries into the next decade
+        rng = np.random.default_rng(22)
+        n = np.append(rng.integers(10 ** 11, 10 ** 12, 200), 10 ** 12 - 1)
+        ties = []
+        for e in range(-11, 34):
+            if e >= 11:
+                ties.append((n + 0.5) * float(10 ** (e - 11)))
+            else:
+                ties.append((n + 0.5) / float(10 ** (11 - e)))
+        ties = np.concatenate(ties)
+        values = np.concatenate([ties, np.nextafter(ties, 0.0),
+                                 np.nextafter(ties, np.inf)])
+        _assert_cells_match(np.concatenate([values, -values]))
+
+    def test_decade_boundaries(self):
+        # 10**e, the float nearest it and their neighbours, from the
+        # subnormals to the largest float
+        powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        powers = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)])
+        _assert_cells_match(np.concatenate([powers, -powers]))
+
+    def test_random_bit_patterns(self, rng):
+        # every exponent, subnormals, signalling and quiet NaNs, with the
+        # extremes and infinities added
+        bits = rng.integers(0, 2 ** 64 - 1, 100_000, dtype=np.uint64)
+        values = np.concatenate([bits.view(float), _SPECIAL_FLOATS])
+        _assert_cells_match(values)
+
+    @pytest.mark.parametrize("length", [0, 1, 20_000])
+    def test_column_lengths(self, rng, length):
+        values = rng.standard_normal(length) * 10.0 ** rng.uniform(
+            -14.0, 36.0, length)
+        values[::7] = math.nan
+        _assert_cells_match(values)
+        assert len(_fmt_column(values)) == length
 
     def test_decade_round_up(self):
         assert _fmt_column([9.9999999999951e5, 9.99999999999951e-300,

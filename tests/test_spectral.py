@@ -2,12 +2,13 @@
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import lapack
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from zml.errors import GridError
 from zml.potential import lambda_1d, required_padding
@@ -395,6 +396,98 @@ class TestInertiaCount:
         m = int(math.ceil(2.0 * extent / h)) + 1
         op = build_operator(profile, k, Grid1D(-extent, extent, m + 2))
         assert _sturm_count(op, tau) == expected
+
+
+def exact_count_below(d, e, sigma):
+    """Eigenvalues below sigma of the symmetric tridiagonal (d, e), exactly.
+
+    The LDL^T pivots of T - sigma I in rationals, which are exact for a
+    float matrix, and Sylvester's law of inertia: the count is the number
+    of negative pivots.  A zero pivot is taken as a positive infinitesimal,
+    a positive semi-definite perturbation that moves no eigenvalue across
+    sigma from above, so an eigenvalue at sigma is not counted; the pivot
+    after it is then -inf, and the one after that d - sigma.
+    """
+    sigma = Fraction(sigma)
+    count = 0
+    carried = Fraction(0)    # e[i-1]^2 / p[i-1]; None after a zero pivot
+    for i, di in enumerate(d):
+        if carried is None:
+            count += 1       # -inf
+            carried = Fraction(0)
+            continue
+        pivot = Fraction(di) - sigma - carried
+        count += pivot < 0
+        if i < len(e):
+            ei = Fraction(e[i])
+            if pivot == 0:
+                carried = None if ei else Fraction(0)
+            else:
+                carried = ei * ei / pivot
+    return count
+
+
+def exact_window_count(d, e, s):
+    """Eigenvalues of the symmetric tridiagonal (d, e) in (-s, s], exactly:
+    those of -T below s less those below -s."""
+    neg = [-di for di in d]
+    return exact_count_below(neg, e, s) - exact_count_below(neg, e, -s)
+
+
+def gershgorin_norm(d, e):
+    off = np.abs(np.concatenate([[0.0], e])) + np.abs(np.concatenate([e, [0.0]]))
+    return float(np.max(np.abs(d) + off))
+
+
+class TestExactSturmCount:
+    @given(m=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           s=st.floats(0.0, 5.0))
+    def test_exact_count_matches_dense_spectrum(self, m, seed, s):
+        # the helper against numpy's eigenvalues where no eigenvalue lies
+        # within their rounding of +-s
+        op = random_operator(m, 0.2, 0.5, 1.0, seed)
+        d, e = op.tridiagonal()
+        ev = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        assume(np.min(np.abs(np.abs(ev) - s)) > 1e-9 * gershgorin_norm(d, e))
+        assert exact_window_count(d, e, s) == int(np.sum((ev > -s) & (ev <= s)))
+
+    @given(half=st.integers(1, 30), h=st.floats(0.05, 0.5))
+    def test_exact_zero_pivots(self, half, h):
+        # the free operator with an odd interior: A's diagonal is zero, so
+        # at sigma = 0 every other pivot is exactly zero, and 0 is a simple
+        # eigenvalue of a spectrum symmetric about it
+        m = 2 * half + 1
+        op = DiracOperator(grid=None, k_y=0.0, interior_x=np.arange(m) * h,
+                           w_values=np.zeros(m), h=h, bmax=0.0)
+        d, e = op.tridiagonal()
+        assert exact_count_below(d, e, 0.0) == half
+        assert exact_window_count(d, e, 1e-12) == 1
+        assert exact_window_count(d, e, 0.0) == 0
+
+    @settings(max_examples=60)
+    @given(m=st.integers(2, 200), h=st.floats(0.05, 0.5),
+           k=st.floats(-3.0, 3.0), noise=st.floats(0.1, 3.0),
+           seed=st.integers(0, 2**32 - 1), pick=st.floats(0.0, 1.0),
+           offset=st.floats(-16.0, -10.0),
+           side=st.sampled_from([-1.0, 1.0]))
+    def test_sturm_count_is_exact_away_from_its_tolerance(
+            self, m, h, k, noise, seed, pick, offset, side):
+        # s placed 1e-16 to 1e-10 ||A|| from an eigenvalue's magnitude:
+        # dstebz's count must be exact unless an eigenvalue lies within
+        # 4 eps ||A|| of -s or s, which the exact counts on either side of
+        # that margin show
+        op = random_operator(m, h, k, noise, seed)
+        d, e = op.tridiagonal()
+        norm = gershgorin_norm(d, e)
+        ev = scipy.linalg.eigvalsh_tridiagonal(d, e)
+        target = abs(ev[int(pick * (m - 1))])
+        s = target + side * 10.0 ** offset * norm
+        assume(s > 0.0)
+        margin = 4 * Fraction(norm) / 2 ** 52   # 4 eps ||A||
+        inner = exact_window_count(d, e, Fraction(s) - margin)
+        outer = exact_window_count(d, e, Fraction(s) + margin)
+        if inner == outer:
+            assert _sturm_count(op, s) == inner
 
 
 class TestChiralPairing:
