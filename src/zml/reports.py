@@ -12,19 +12,20 @@ table written both as a JSON array of objects (``json_report``) and as CSV
 (``csv_text``) is formatted once.
 
 A float column is spelled in one NumPy pass, with the bytes ``fmt_float``
-gives cell by cell.  Each cell's decimal exponent e comes from log10 and is
-corrected on the scaled value y = |x| * 10**(11 - e).  For e in [-11, 33]
+gives cell by cell.  Each cell's decimal exponent e is floor(log10 |x|),
+and its 12 digits come from y = |x| * 10**(11 - e).  For e in [-11, 33]
 the power of ten is exact in binary64 (10**22 is the largest), so y is the
-exact value rounded once, to within 1.2e-4.  Every half-integer below 1e12
-is a float and rounding is monotone, so unless y is itself a half-integer
-the exact value lies between the same two half-integers as y, and rint(y)
-is the correctly rounded 12 digits that ``"{:.11e}"`` prints (Gay,
-"Correctly rounded binary-decimal and decimal-binary conversions", 1990);
-a rint of 10**12 carries into the next decade.  Digits, sign and exponent
-go into one byte buffer that is decoded and split once.  The cells this
-does not decide, a y on a half-integer, an exponent outside [-11, 33]
-(|x| < 1e-11, subnormals, three-digit exponents) and non-finite values,
-take ``fmt_float`` itself, the one format rule.
+exact value rounded once, to within 1.2e-4 in [1e11, 1e12].  Every
+half-integer below 1e12 is a float and rounding is monotone, so unless y
+is itself a half-integer the exact value lies between the same two
+half-integers as y, and rint(y) is the correctly rounded 12 digits that
+``"{:.11e}"`` prints (Gay, "Correctly rounded binary-decimal and
+decimal-binary conversions", 1990); a rint of 1e12 carries into the next
+decade.  Digits, sign and exponent go into one byte buffer that is decoded
+and split once.  The cells this does not decide take ``fmt_float`` itself,
+the one format rule: a y on a half-integer, a y outside [1e11, 1e12] (a
+decade log10 misjudged), an exponent outside [-11, 33] (|x| < 1e-11,
+subnormals, three-digit exponents) and non-finite values.
 """
 
 import math
@@ -46,73 +47,66 @@ def fmt_float(x):
     return _FLOAT(x + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
-# the kernel of _fmt_column: 10**p for 0 <= p <= 22, every one exact in
-# binary64, as a multiplier (_SCALE_UP) or a divisor (_SCALE_DOWN) indexed
-# by p + 22, the other factor 1.0; and the digits of 0 ... 999 as bytes
+# the kernel of _fmt_column: 10**(11 - e) for e = 33 ... -11, every one
+# exact in binary64 (10**22 is the largest), as a multiplier (_SCALE_UP) or
+# a divisor (_SCALE_DOWN) indexed by 33 - e, the other factor 1.0; the
+# place values of the four 3-digit groups of 12 digits; and as 3 bytes
+# each, the digits of 0 ... 999 and then the signed exponents -11 ... +34
 _POW10 = [float(10 ** p) for p in range(23)]
 _SCALE_UP = np.array([1.0] * 22 + _POW10)
 _SCALE_DOWN = np.array(_POW10[:0:-1] + [1.0] * 23)
-_TRIPLES = np.frombuffer("".join(f"{i:03d}" for i in range(1000)).encode(),
-                         dtype=np.uint8).reshape(1000, 3)
-
-
-def _scaled(ax, e):
-    # |x| * 10**(11 - e) with one rounding; e outside [-11, 33] is clipped
-    i = np.clip(33 - e, 0, 44)
-    return ax * _SCALE_UP[i] / _SCALE_DOWN[i]
+_GROUPS = np.array([1e9, 1e6, 1e3, 1.0])
+_TRIPLES = np.frombuffer(
+    "".join([f"{i:03d}" for i in range(1000)]
+            + [f"{e:+03d}" for e in range(-11, 35)]).encode(),
+    dtype=np.uint8).reshape(-1, 3)
+_EXPONENT_ROW = 1000 + 11   # the row of exponent 0
 
 
 def _decide(a):
     """Each cell's 12 digits as an integer-valued float, its exponent, and
-    whether the array pass decided them.
+    whether the array pass decided them (see the module docstring).
 
-    Non-finite cells and cells outside the exact powers are undecided, and
-    so is a cell whose scaled value rounded to a half-integer.
+    Zero, NaN, inf and the cells outside the exact powers raise NumPy
+    floating-point warnings here, which the caller silences.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ax = np.abs(a)
-        # the decimal exponent: log10's estimate, corrected on the scaled
-        # value
-        e = np.floor(np.log10(ax))
-        e = np.fmin(np.fmax(e, -12.0), 34.0).astype(np.int64)
-        y = _scaled(ax, e)
-        e += (y >= 1e12).view(np.int8)
-        e -= (y < 1e11).view(np.int8)
-        e[ax == 0] = 0   # zero: digits 0, exponent +00
-        # y is the exact |x| * 10**(11 - e) rounded once; unless y is a
-        # half-integer, rint(y) is its correctly rounded 12 digits (see the
-        # module docstring)
-        y = _scaled(ax, e)
-        digits = np.rint(y)
-        decided = (np.abs(y - digits) < 0.5) & (e >= -11) & (e <= 33)
+    ax = np.abs(a)
+    e = np.floor(np.log10(ax))
+    exact = (e >= -11) & (e <= 33)
+    # zero, and every cell outside the exact powers, scale as e = 0; the
+    # latter leave y outside [1e11, 1e12]
+    e = np.where(exact, e, 0.0).astype(np.intp)
+    i = 33 - e
+    y = ax * _SCALE_UP[i] / _SCALE_DOWN[i]
+    digits = np.rint(y)
+    decided = (((np.abs(y - digits) < 0.5) & (y >= 1e11) & (digits <= 1e12))
+               | (ax == 0))
     digits[~decided] = 0.0
     carry = digits == 1e12
     digits[carry] = 1e11
-    e += carry.view(np.int8)
+    e += carry
     return digits, e, decided
 
 
 def _rows(digits, e, negative):
     """One row of bytes "-d.ddddddddddde+dd\\n" per cell, the sign NUL
     where the cell is not negative."""
-    # the 12 digits and |e| as five indices into _TRIPLES, by exact splits
-    hi = np.floor(digits / 1e6)
-    lo = digits - hi * 1e6
-    triples = np.empty((digits.size, 5), dtype=np.intp)
-    triples[:, 0] = np.floor(hi / 1e3)
-    triples[:, 1] = hi - 1e3 * triples[:, 0]
-    triples[:, 2] = np.floor(lo / 1e3)
-    triples[:, 3] = lo - 1e3 * triples[:, 2]
-    triples[:, 4] = np.abs(e)
-    chars = _TRIPLES.take(triples, axis=0).reshape(digits.size, 15)
-    rows = np.empty((digits.size, 19), dtype=np.uint8)
-    rows[:, 0] = np.where(negative, ord("-"), 0)
+    n = digits.size
+    # the four 3-digit groups: exact, because below 1e12 a quotient is
+    # rounded by less than its fraction's distance from the next integer
+    groups = np.floor(digits / _GROUPS[:, None])
+    groups[1:] -= 1e3 * groups[:-1]
+    triples = np.empty((n, 5), dtype=np.intp)
+    triples[:, :4] = groups.T
+    triples[:, 4] = e + _EXPONENT_ROW
+    chars = _TRIPLES.take(triples, axis=0).reshape(n, 15)
+    rows = np.empty((n, 19), dtype=np.uint8)
+    rows[:, 0] = negative * np.uint8(ord("-"))
     rows[:, 1] = chars[:, 0]
     rows[:, 2] = ord(".")
     rows[:, 3:14] = chars[:, 1:12]
     rows[:, 14] = ord("e")
     rows[:, 15:18] = chars[:, 12:]
-    rows[:, 15] = np.where(e < 0, ord("-"), ord("+"))
     rows[:, 18] = ord("\n")
     return rows
 
@@ -123,9 +117,9 @@ def _fmt_column(values):
     One array pass spells every cell whose digits it can decide (see the
     module docstring); each other cell goes through ``fmt_float``.
     """
-    with np.errstate(invalid="ignore"):  # a signalling NaN warns
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.asarray(values, dtype=float) + 0.0
-    digits, e, decided = _decide(a)
+        digits, e, decided = _decide(a)
     rows = _rows(digits, e, a < 0)
     cells = rows.tobytes().replace(b"\0", b"").decode("ascii").splitlines()
     for i in np.flatnonzero(~decided).tolist():
