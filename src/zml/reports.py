@@ -64,8 +64,8 @@ _EXPONENT_ROW = 1000 + 11   # the row of exponent 0
 
 
 def _decide(a):
-    """Each cell's 12 digits as an integer-valued float, its exponent, and
-    whether the array pass decided them (see the module docstring).
+    """Which cells the array pass decides (see the module docstring), and
+    their 12 digits, as integer-valued floats, and exponents.
 
     Zero, NaN, inf and the cells outside the exact powers raise NumPy
     floating-point warnings here, which the caller silences.
@@ -81,11 +81,11 @@ def _decide(a):
     digits = np.rint(y)
     decided = (((np.abs(y - digits) < 0.5) & (y >= 1e11) & (digits <= 1e12))
                | (ax == 0))
-    digits[~decided] = 0.0
+    digits, e = digits[decided], e[decided]
     carry = digits == 1e12
     digits[carry] = 1e11
     e += carry
-    return digits, e, decided
+    return decided, digits, e
 
 
 def _rows(digits, e, negative):
@@ -115,16 +115,21 @@ def _fmt_column(values):
     """``fmt_float`` over a whole float column, as a list.
 
     One array pass spells every cell whose digits it can decide (see the
-    module docstring); each other cell goes through ``fmt_float``.
+    module docstring); the other finite cells take ``_FLOAT``, and
+    non-finite cells are None.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.asarray(values, dtype=float) + 0.0
-        digits, e, decided = _decide(a)
-    rows = _rows(digits, e, a < 0)
-    cells = rows.tobytes().replace(b"\0", b"").decode("ascii").splitlines()
-    for i in np.flatnonzero(~decided).tolist():
-        cells[i] = fmt_float(a[i])
-    return cells
+        decided, digits, e = _decide(a)
+    rows = _rows(digits, e, a[decided] < 0)
+    spelled = rows.tobytes().replace(b"\0", b"").decode("ascii").splitlines()
+    if len(spelled) == a.size:
+        return spelled
+    cells = np.full(a.size, None, dtype=object)
+    cells[decided] = spelled
+    rest = np.flatnonzero(~decided & np.isfinite(a))
+    cells[rest] = [_FLOAT(x) for x in a[rest].tolist()]
+    return cells.tolist()
 
 
 class Table:
