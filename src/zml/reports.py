@@ -13,8 +13,8 @@ table written both as a JSON array of objects (``json_report``) and as CSV
 
 A float column is spelled in one NumPy pass, with the bytes ``fmt_float``
 gives cell by cell.  Each cell's decimal exponent e is floor(log10 |x|),
-and its 12 digits come from y = |x| * 10**(11 - e).  For e in [-11, 33]
-the power of ten is exact in binary64 (10**22 is the largest), so y is the
+clipped to [-11, 33], and its 12 digits come from y = |x| * 10**(11 - e).
+The power of ten is exact in binary64 (10**22 is the largest), so y is the
 exact value rounded once, to within 1.2e-4 in [1e11, 1e12].  Every
 half-integer below 1e12 is a float and rounding is monotone, so unless y
 is itself a half-integer the exact value lies between the same two
@@ -22,10 +22,11 @@ half-integers as y, and rint(y) is the correctly rounded 12 digits that
 ``"{:.11e}"`` prints (Gay, "Correctly rounded binary-decimal and
 decimal-binary conversions", 1990); a rint of 1e12 carries into the next
 decade.  Digits, sign and exponent go into one byte buffer that is decoded
-and split once.  The cells this does not decide take ``fmt_float`` itself,
-the one format rule: a y on a half-integer, a y outside [1e11, 1e12] (a
-decade log10 misjudged), an exponent outside [-11, 33] (|x| < 1e-11,
-subnormals, three-digit exponents) and non-finite values.
+and split once.  The cells this does not decide are spelled as
+``fmt_float`` spells them, the one format rule: a y on a half-integer, and
+a y outside [1e11, 1e12], that is zero, |x| < 1e-11 (subnormals too),
+|x| >= 1e34 (three-digit exponents too), non-finite values, and a decade
+log10 misjudged.
 """
 
 import math
@@ -67,20 +68,17 @@ def _decide(a):
     """Which cells the array pass decides (see the module docstring), and
     their 12 digits, as integer-valued floats, and exponents.
 
-    Zero, NaN, inf and the cells outside the exact powers raise NumPy
-    floating-point warnings here, which the caller silences.
+    NaN, inf and zero raise NumPy floating-point warnings here, which the
+    caller silences.
     """
     ax = np.abs(a)
-    e = np.floor(np.log10(ax))
-    exact = (e >= -11) & (e <= 33)
-    # zero, and every cell outside the exact powers, scale as e = 0; the
-    # latter leave y outside [1e11, 1e12]
-    e = np.where(exact, e, 0.0).astype(np.intp)
+    # an exponent outside [-11, 33], and NaN, inf and zero, clip into it
+    # and leave y outside [1e11, 1e12]
+    e = np.fmin(np.fmax(np.floor(np.log10(ax)), -11.0), 33.0).astype(np.intp)
     i = 33 - e
     y = ax * _SCALE_UP[i] / _SCALE_DOWN[i]
     digits = np.rint(y)
-    decided = (((np.abs(y - digits) < 0.5) & (y >= 1e11) & (digits <= 1e12))
-               | (ax == 0))
+    decided = (np.abs(y - digits) < 0.5) & (y >= 1e11) & (y <= 1e12)
     digits, e = digits[decided], e[decided]
     carry = digits == 1e12
     digits[carry] = 1e11
@@ -118,7 +116,7 @@ def _fmt_column(values):
     module docstring); the other finite cells take ``_FLOAT``, and
     non-finite cells are None.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         a = np.asarray(values, dtype=float) + 0.0
         decided, digits, e = _decide(a)
     rows = _rows(digits, e, a[decided] < 0)
@@ -128,7 +126,7 @@ def _fmt_column(values):
     cells = np.full(a.size, None, dtype=object)
     cells[decided] = spelled
     rest = np.flatnonzero(~decided & np.isfinite(a))
-    cells[rest] = [_FLOAT(x) for x in a[rest].tolist()]
+    cells[rest] = list(map(_FLOAT, a[rest].tolist()))
     return cells.tolist()
 
 
