@@ -435,8 +435,8 @@ def exact_window_count(d, e, s):
 
 
 def gershgorin_norm(d, e):
-    off = np.abs(np.concatenate([[0.0], e])) + np.abs(np.concatenate([e, [0.0]]))
-    return float(np.max(np.abs(d) + off))
+    off = np.abs(np.concatenate([[0.0], e, [0.0]]))
+    return float(np.max(np.abs(d) + off[:-1] + off[1:]))
 
 
 class TestExactSturmCount:
@@ -449,7 +449,8 @@ class TestExactSturmCount:
         d, e = op.tridiagonal()
         ev = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         assume(np.min(np.abs(np.abs(ev) - s)) > 1e-9 * gershgorin_norm(d, e))
-        assert exact_window_count(d, e, s) == int(np.sum((ev > -s) & (ev <= s)))
+        inside = (ev > -s) & (ev <= s)
+        assert exact_window_count(d, e, s) == int(np.sum(inside))
 
     @given(half=st.integers(1, 30), h=st.floats(0.05, 0.5))
     def test_exact_zero_pivots(self, half, h):
