@@ -174,8 +174,6 @@ def _build_profile(cfg):
         raise ConfigError("profile.kind is required")
     kind = spec.pop("kind")
     dimension = spec.pop("dimension", DIM_LINE)
-    if "points" in spec:
-        spec["points"] = [tuple(p) for p in spec["points"]]
     try:
         return make_profile(kind, dimension, **spec)
     except ProfileError as exc:
@@ -335,7 +333,8 @@ def cmd_spectrum(cfg, profile, grid, rtol, out):
         try:
             tau = default_zero_tolerance(op)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError("a field-free channel has no Landau scale to "
+                              "set tau from; set tolerances.zero_tol") from exc
     spec = eigen_spectrum(op, tau=tau)
     out.json("spectrum.json", {
         "ky": op.k_y, "tau": spec.zero_tolerance,

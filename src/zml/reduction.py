@@ -21,15 +21,19 @@ flat-region floor (|Q|/2 - |k_y|)^2, so no eigenvector is localized there;
 only a washed-out density remains).  The excited-level count is therefore
 taken as the bulk-projected spectral weight: each non-doubler eigenstate in
 the level window contributes its probability weight inside the field
-support.  Cleanly bound Landau states contribute ~1 (their weight is 1 -
-O(e^-30)) and the continuum contributes the in-sample density of the
-dissolved states.  That does not always restore the degeneracy-formula
-total: on box(1, 3) with L_y = 2 pi at k_gauge 0.4, level 1 counts 4 where
-6 is expected, its near-edge channels weighing 0.14-0.29 each.  The level
-centre is sqrt(2 level B_const) when the config names the box's field
-B_const, and is otherwise read off the deepest admissible channel's
-singular values, the |eigenvalues| of its tridiagonal A = J M; either way
-the next level up must clear the window (``_check_level_separation``).
+support.  A group B of near-degenerate windowed vectors, orthonormal as
+``windowed_singular_modes`` returns them, is split basis-free by one Gram
+product of neighbouring rows: the smooth (non-doubler) states span the
+eigenvectors of G + G^T, G = B[1:]^T B[:-1], with positive eigenvalues.
+Cleanly bound Landau states contribute ~1 (their weight is 1 - O(e^-30))
+and the continuum the in-sample density of the dissolved states.  That
+does not always restore the degeneracy-formula total: on box(1, 3) with
+L_y = 2 pi at k_gauge 0.4, level 1 counts 4 where 6 is expected, its
+near-edge channels weighing 0.14-0.29 each.  The level centre is
+sqrt(2 level B_const) when the config names the box's field B_const, and
+is otherwise read off the deepest admissible channel's singular values,
+the |eigenvalues| of its tridiagonal A = J M; either way the next level
+up must clear the window (``_check_level_separation``).
 
 The channels of a sweep are one NumPy record array, whose columns n, k_y,
 admissible, on_window_edge, near_zero_count and level_weight (with their
@@ -45,8 +49,8 @@ import numpy as np
 from .errors import ClusterResolutionError, GridError, ProfileError
 from .potential import _on_edge, check_padding, window_margin
 from .profiles import DEFAULT_RTOL, total_flux
-from .spectral import (_check_tau, _singular_values, _sturm_count,
-                       build_operator, default_zero_tolerance,
+from .spectral import (_check_tau, _gap_runs, _singular_values,
+                       _sturm_count, build_operator, default_zero_tolerance,
                        windowed_singular_modes)
 
 __all__ = [
@@ -220,24 +224,14 @@ def _check_level_separation(level, top, upper, ctol):
             "cluster_tol")
 
 
-def _gap_runs(vals, tol):
-    """Slices of the ascending ``vals`` split wherever a gap exceeds tol."""
-    if vals.size == 0:
-        return []
-    cuts = (np.flatnonzero(np.diff(vals) > tol) + 1).tolist()
-    edges = [0, *cuts, vals.size]
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-
-
-def _detect_cluster_center(pooled, level, ctol):
-    """Gap-split the deepest channel's singular values; median of cluster m.
+def _detect_cluster_center(vals, level, ctol):
+    """Median of cluster m of the deepest channel's ascending singular values.
 
     Only the most-admissible channel is used: channels near the window edge
     have already lost excited levels to a dense continuum comb that would
     bury every gap.  Cluster m + 1 must be resolved too, since it bounds
     the level window from above.
     """
-    vals = np.sort(pooled)
     if vals.size == 0:
         raise ClusterResolutionError("no spectral values to cluster; "
                                      "is the sweep admissible at all?")
@@ -263,19 +257,20 @@ def _smooth_bulk_weight(svals, vecs, support_mask):
 
     Near-degenerate values are treated as one group (LAPACK may rotate the
     basis within such a group arbitrarily, so classification must be
-    basis-free): within each group the directions with less
-    difference-energy than sum-energy are the smooth (non-doubler) states,
-    and each contributes its probability weight inside the field support.
+    basis-free).  In a group B the smooth (non-doubler) directions u have
+    less difference- than sum-energy, |D u| < |S u| for D, S = B[1:] -+
+    B[:-1]; as D^T D - S^T S = -2 (G + G^T), G = B[1:]^T B[:-1], they are
+    the eigenvectors of G + G^T with positive eigenvalues.  Each is a unit
+    state, since B's columns are orthonormal as ``windowed_singular_modes``
+    returns them, and contributes its probability weight inside the support.
     """
     weight = 0.0
     for run in _gap_runs(svals, _GROUP_TOL):
-        basis, _ = np.linalg.qr(vecs[:, run])
-        d = np.diff(basis, axis=0)
-        s = basis[1:] + basis[:-1]
-        split, rot = np.linalg.eigh(d.T @ d - s.T @ s)
-        smooth = basis @ rot[:, split < 0.0]
-        if smooth.shape[1]:
-            weight += float(np.sum((smooth * support_mask[:, None]) * smooth))
+        basis = vecs[:, run]
+        g = basis[1:].T @ basis[:-1]
+        split, rot = np.linalg.eigh(g + g.T)
+        smooth = basis @ rot[:, split > 0.0]
+        weight += float(np.sum((smooth * support_mask[:, None]) * smooth))
     return weight
 
 
@@ -284,28 +279,27 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     """Reconcile the analytic degeneracy with the spectral oracle.
 
     Every channel is one base operator (``build_operator`` at k_y = 0, the
-    sweep's one A_y convolution) with W shifted by k_gauge + k_y, built
-    where it is used, so a sweep holds one operator however many channels
-    it has.  The grid is checked once, by ``check_padding`` at the
-    admissible channel farthest from k = 0, which needs the most padding
-    (the floor when none is admissible).  Level 0 sums per-channel near-zero mode counts at
-    tolerance ``zero_tol`` (default: below both the Landau scale and the
-    finite-padding edge-ladder scale); each count is one O(m) Sturm count
-    of the channel's tridiagonal A = J M on (-tau, tau], so no channel needs
-    its full spectrum.  Level m >= 1 totals the bulk-projected weight of
-    non-doubler states within ``cluster_tol`` (default: a tenth of the
-    first Landau gap) of the m-th level center and rounds, taking each
-    channel's windowed vectors by bisection and inverse iteration on A; the
-    center is sqrt(2 m B_const) when the config names the box's field
-    B_const and otherwise comes from gap-splitting the singular values
-    above 2 tau of the deepest admissible channel, the |eigenvalues| of its
-    A.  Either way level m + 1 must start at least 2 ``cluster_tol`` above
-    level m; a level that is not separated so, whose upper neighbour is
-    not resolved, or whose window rounds to nothing (``cluster_tol`` below
-    the float spacing at the center) raises ClusterResolutionError instead
-    of guessing.  Nothing is assembled densely, so any grid size is
-    accepted.  Channels are processed in ascending n and the report is
-    deterministic.
+    sweep's one A_y convolution) with W shifted by k_gauge + k_y, built once,
+    where it is used, so a sweep holds one operator at a time: its Sturm count
+    and, at level >= 1, its windowed weight come from it.  The grid is checked
+    once, by ``check_padding`` at the admissible channel farthest from k = 0,
+    which needs the most padding (the floor when none is admissible).  Level 0
+    sums per-channel near-zero mode counts at tolerance ``zero_tol`` (default:
+    below both the Landau scale and the finite-padding edge-ladder scale);
+    each count is one O(m) Sturm count of the channel's tridiagonal A = J M on
+    (-tau, tau], so no channel needs its full spectrum.  Level m >= 1 totals
+    the bulk-projected weight of non-doubler states within ``cluster_tol``
+    (default: a tenth of the first Landau gap) of the m-th level center and
+    rounds, taking each channel's windowed vectors by bisection and inverse
+    iteration on A; the center is sqrt(2 m B_const) when the config names the
+    box's field B_const and otherwise comes from gap-splitting the singular
+    values above 2 tau of the deepest admissible channel, the |eigenvalues| of
+    its A.  Either way level m + 1 must start at least 2 ``cluster_tol`` above
+    level m; a level that is not separated so, whose upper neighbour is not
+    resolved, or whose window rounds to nothing (``cluster_tol`` below the
+    float spacing at the center) raises ClusterResolutionError instead of
+    guessing.  Nothing is assembled densely, so any grid size is accepted.
+    Channels are processed in ascending n and the report is deterministic.
     """
     if int(level) != level or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level}")
@@ -328,16 +322,10 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     _check_tau(base.bmax, tau0)
 
     def channel(i):
-        # built where it is used, so the sweep holds one operator at a time
         return dataclasses.replace(base, k_y=k_y[i],
                                    w_values=ks[i] + base.w_values)
 
-    counts = np.array([_sturm_count(channel(i), tau0) for i in range(ks.size)])
-    names = [*report.channels.dtype.names, "near_zero_count"]
-    columns = [report.channels[name] for name in names[:-1]] + [counts]
-    if level == 0:
-        g_numeric = int(counts.sum())
-    else:
+    if level:
         ctol = cluster_tol
         if ctol is None:
             if base.bmax <= 0.0:
@@ -359,23 +347,29 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
                 vals = _singular_values(deepest)
                 vals = vals[vals > 2.0 * tau0]
             center = _detect_cluster_center(vals, level, ctol)
-        s_lo, s_hi = profile.support
-        x_int = base.interior_x
+        x_int, (s_lo, s_hi) = base.interior_x, profile.support
         support_mask = ((x_int >= s_lo) & (x_int <= s_hi)).astype(float)
         lo, hi = max(center - ctol, 0.0), center + ctol
         if not lo < hi:
             raise ClusterResolutionError(
                 f"cluster_tol = {ctol:.3g} is below the float spacing at the "
                 f"level center {center!r}: the window around it is empty")
-        weights = []
-        for i in range(ks.size):
-            svals, vecs = windowed_singular_modes(channel(i), lo, hi)
+    counts, weights = [], []
+    for i in range(ks.size):
+        op = channel(i)   # one operator gives the channel's count and weight
+        counts.append(_sturm_count(op, tau0))
+        if level:
+            svals, vecs = windowed_singular_modes(op, lo, hi)
             weights.append(_smooth_bulk_weight(svals, vecs, support_mask))
+    names = [*report.channels.dtype.names, "near_zero_count"]
+    columns = [report.channels[name] for name in names[:-1]] + [counts]
+    g_numeric = sum(counts)
+    if level:
         # the left-to-right sum in channel order, not np.sum's pairwise one
         g_numeric = int(round(sum(weights)))
         report.cluster_center = center
         names.append("level_weight")
-        columns.append(np.array(weights))
+        columns.append(weights)
     report.channels = np.rec.fromarrays(columns, names=names)
     report.level, report.tau, report.g_numeric = level, tau0, g_numeric
     report.discrepancy = abs(g_numeric - report.g_analytic)

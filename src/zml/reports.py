@@ -68,12 +68,12 @@ def _decide(a):
     """Which cells the array pass decides (see the module docstring), and
     their 12 digits, as integer-valued floats, and exponents.
 
-    NaN, inf and zero raise NumPy floating-point warnings here, which the
-    caller silences.
+    The cells are finite; zero raises a NumPy divide warning here, which
+    the caller silences.
     """
     ax = np.abs(a)
-    # an exponent outside [-11, 33], and NaN, inf and zero, clip into it
-    # and leave y outside [1e11, 1e12]
+    # an exponent outside [-11, 33], and zero's, clip into it and leave y
+    # outside [1e11, 1e12]
     e = np.fmin(np.fmax(np.floor(np.log10(ax)), -11.0), 33.0).astype(np.intp)
     i = 33 - e
     y = ax * _SCALE_UP[i] / _SCALE_DOWN[i]
@@ -112,21 +112,23 @@ def _rows(digits, e, negative):
 def _fmt_column(values):
     """``fmt_float`` over a whole float column, as a list.
 
-    One array pass spells every cell whose digits it can decide (see the
-    module docstring); the other finite cells take ``_FLOAT``, and
-    non-finite cells are None.
+    One array pass over the finite cells spells every cell whose digits it
+    can decide (see the module docstring); the other finite cells take
+    ``_FLOAT``, and non-finite cells are None.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.asarray(values, dtype=float) + 0.0
-        decided, digits, e = _decide(a)
-    rows = _rows(digits, e, a[decided] < 0)
+        finite = np.isfinite(a)
+        b = a if finite.all() else a[finite]
+        decided, digits, e = _decide(b)
+    rows = _rows(digits, e, b[decided] < 0)
     spelled = rows.tobytes().replace(b"\0", b"").decode("ascii").splitlines()
     if len(spelled) == a.size:
         return spelled
     cells = np.full(a.size, None, dtype=object)
-    cells[decided] = spelled
-    rest = np.flatnonzero(~decided & np.isfinite(a))
-    cells[rest] = list(map(_FLOAT, a[rest].tolist()))
+    at = np.flatnonzero(finite)
+    cells[at[decided]] = spelled
+    cells[at[~decided]] = list(map(_FLOAT, b[~decided].tolist()))
     return cells.tolist()
 
 

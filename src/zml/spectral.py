@@ -266,6 +266,12 @@ def mode_residual(op, mode, drop_edge=0):
     return float(np.linalg.norm(resid)) / denom
 
 
+def _gap_runs(vals, tol):
+    """Slices of the ascending ``vals`` split wherever a gap exceeds tol."""
+    edges = [0, *(np.flatnonzero(np.diff(vals) > tol) + 1).tolist(), vals.size]
+    return [slice(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+
+
 def _sturm_count(op, s):
     """Number of singular values of M below s: eigenvalues of A in (-s, s].
 
@@ -371,18 +377,17 @@ def windowed_singular_modes(op, lo, hi):
     av[:-1] += e[:, None] * vecs[1:]
     av[1:] += e[:, None] * vecs[:-1]
     theta = np.einsum("ij,ij->j", vecs, av)
-    runs = [0, *(np.flatnonzero(np.diff(vals) > margin) + 1).tolist(), k]
-    for i, j in zip(runs[:-1], runs[1:]):
-        if j - i > 1:
-            g = vecs[:, i:j].T @ av[:, i:j]
+    for run in _gap_runs(vals, margin):
+        if run.stop - run.start > 1:
+            g = vecs[:, run].T @ av[:, run]
             try:
-                theta[i:j], rot = np.linalg.eigh(0.5 * (g + g.T))
+                theta[run], rot = np.linalg.eigh(0.5 * (g + g.T))
             except np.linalg.LinAlgError as exc:
                 raise EigenSolveError(
                     f"Rayleigh-Ritz failed for channel k_y={op.k_y} "
                     f"(m={op.size}, {k} values in the window): {exc}"
                 ) from exc
-            vecs[:, i:j] = vecs[:, i:j] @ rot
+            vecs[:, run] = vecs[:, run] @ rot
     svals = np.abs(theta)
     order = np.argsort(svals, kind="stable")
     return svals[order], vecs[:, order]

@@ -32,6 +32,7 @@ def write_cfg(tmp_path, name="cfg.json", **cfg):
 
 BOX_PROFILE = {"kind": "box", "B0": 1.0, "a": 2.0}
 GRID = {"x_lo": -17.0, "x_hi": 17.0, "n": 341}
+RADIAL_BOX = {**BOX_PROFILE, "dimension": "radial-plane"}
 # flux 4e307 pi is finite; lambda ~ Phi/2pi ln r is not on r up to 1e300
 RADIAL_HUGE = {"kind": "box", "B0": 1e307, "a": 2.0,
                "dimension": "radial-plane"}
@@ -79,6 +80,30 @@ class TestFlux:
         assert code == EXIT_CONFIG
         assert stdout == ""
         assert err == f"config error: profile: parameter '{name}' is required\n"
+
+
+class TestPiecewiseLinear:
+    # the config's [x, B] pairs go to make_profile as they are
+    POINTS = [[-3.0, 0.0], [-1.0, 1.2], [0.5, 0.8], [2.0, 1.0], [3.0, 0.0]]
+    Q = sum(0.5 * (x1 - x0) * (b0 + b1)
+            for (x0, b0), (x1, b1) in zip(POINTS, POINTS[1:]))
+
+    def test_flux_and_level0_verify(self, tmp_path, capsys):
+        profile = {"kind": "piecewise-linear", "points": self.POINTS}
+        cfg = write_cfg(tmp_path, profile=profile,
+                        grid={"x_lo": -30.0, "x_hi": 30.0, "n": 601},
+                        Ly=2 * math.pi, n_range=[-1, 1], level=0,
+                        out_dir=str(tmp_path / "o"))
+        code, stdout, _ = run_cli(capsys, "flux", "--config", cfg)
+        assert code == EXIT_OK
+        assert json.loads(stdout)["Q"] == pytest.approx(self.Q, rel=1e-11)
+        code, stdout, _ = run_cli(capsys, "verify", "--config", cfg)
+        assert code == EXIT_OK
+        doc = json.loads(stdout)
+        assert doc["Q"] == pytest.approx(self.Q, rel=1e-11)
+        # Q = 4.55: channels -1, 0 and 1 are well inside the window
+        assert [c["near_zero_count"] for c in doc["channels"]] == [1, 1, 1]
+        assert doc["g_numeric"] == 3
 
 
 class TestParser:
@@ -177,6 +202,44 @@ class TestConfigValidation:
         assert code == EXIT_CONFIG
         assert stdout == ""
         assert field in err and "finite" in err
+
+    @pytest.mark.parametrize("command, fields, message", [
+        ("verify", {"Ly": 0.0}, "L_y must be finite and positive, got 0.0"),
+        ("verify", {"n_range": [3, 1]},
+         "n_range must be integers lo <= hi, got (3, 1)"),
+        ("verify", {"B_const": 0.0},
+         "B_const must be finite and positive, got 0.0"),
+        ("verify", {"level": 1.5}, "level must be an integer"),
+        ("verify", {"n_range": [0, 1.5]},
+         "n_range must be a pair [n_lo, n_hi] of integers"),
+        ("verify", {"grid": {"x_lo": -17.0, "n": 341}},
+         "grid.x_hi is required"),
+        ("flux", {"profile": {"B0": 1.0, "a": 2.0}},
+         "profile.kind is required"),
+        ("modes2d", {"profile": RADIAL_BOX, "j_list": [0, -1]},
+         "j_list entries must be >= 0, got -1"),
+        ("potential", {"profile": RADIAL_BOX, "k": 0.5},
+         "k must be 0 (or absent) for radial potentials: linear terms "
+         "destroy plane normalizability"),
+    ])
+    def test_refusal_message(self, tmp_path, capsys, command, fields,
+                             message):
+        cfg = {"profile": BOX_PROFILE, "grid": GRID, "Ly": 2 * math.pi,
+               "out_dir": str(tmp_path / "o"), **fields}
+        code, stdout, err = run_cli(capsys, command, "--config",
+                                    write_cfg(tmp_path, **cfg))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_config_root_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]\n")
+        code, stdout, err = run_cli(capsys, "flux", "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err == "config error: config root must be a JSON object\n"
 
     @pytest.mark.parametrize("command, dimension", [
         ("modes", "line"), ("scan", "line"), ("spectrum", "line"),
@@ -697,6 +760,16 @@ class TestSpectrum:
         assert hashlib.sha256(csv).hexdigest() == (
             "1221af5de0b02a33667494ad2aa0f2d5680bcf5ba45745745a0200b0fc691f47")
 
+    def test_field_free_needs_zero_tol(self, tmp_path, capsys):
+        # no field, no Landau scale to take tau from: the config must set it
+        cfg = write_cfg(tmp_path, profile={"kind": "box", "B0": 0.0, "a": 2.0},
+                        grid=GRID, k_y=0.0, out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, "spectrum", "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err == ("config error: a field-free channel has no Landau "
+                       "scale to set tau from; set tolerances.zero_tol\n")
+
     def test_large_report_bytes(self, tmp_path, capsys):
         # the golden channel above on 600 interior points: 1 200 eigenvalues
         out = tmp_path / "o"
@@ -1056,6 +1129,20 @@ class TestCountAndVerify:
         assert stdout == ""
         assert err.startswith("numerical failure: ")
         assert "cluster_tol" in err and "center" in err
+
+    def test_verify_wide_cluster_exits_numerical(self, tmp_path, capsys):
+        # at cluster_tol 0.07 the k = 0 channel of box(1, 2) on this grid
+        # resolves level 1 alone, but level 2 (1.93) runs into the
+        # continuum from 2.00 up without a gap of 0.07
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE, grid=GRID,
+                        Ly=2 * math.pi, n_range=[0, 0], level=2,
+                        tolerances={"cluster_tol": 0.07},
+                        out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, "verify", "--config", cfg)
+        assert code == EXIT_NUMERICAL
+        assert stdout == ""
+        assert err == ("numerical failure: cluster 2 spans 1.2 > tolerance "
+                       "0.07; refine the grid\n")
 
     @pytest.mark.parametrize("profile, n_range, message", [
         # no channel of box(1, 2) is admissible: no level to detect

@@ -209,6 +209,23 @@ class TestVerifyDegeneracy:
                                      int(round(sum(ch.level_weight.tolist()))))
             assert rep.discrepancy == abs(rep.g_numeric - rep.g_analytic)
 
+    def test_level1_builds_each_channel_once(self, setup6, monkeypatch):
+        # one operator object per channel gives both its Sturm count and
+        # its windowed weight
+        calls = {"_sturm_count": [], "windowed_singular_modes": []}
+        for name in calls:
+            def spy(op, *args, _name=name, _inner=getattr(reduction, name)):
+                calls[_name].append(op)
+                return _inner(op, *args)
+            monkeypatch.setattr(reduction, name, spy)
+        profile, cfg, grid = setup6
+        rep = verify_degeneracy(profile, cfg, 1, grid)
+        counted, windowed = calls.values()
+        assert len(counted) == len(windowed) == len(rep.channels) == 9
+        assert all(a is b for a, b in zip(counted, windowed))
+        assert len({id(op) for op in counted}) == 9
+        assert [op.k_y for op in counted] == rep.channels.k_y.tolist()
+
     def test_detected_center_matches_theory(self, setup6):
         profile, _, grid = setup6
         cfg = ReductionConfig(L_y=TWO_PI, n_range=(-4, 4))  # no B_const

@@ -13,10 +13,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from zml.errors import GridError
 from zml.potential import lambda_1d, required_padding
 from zml.profiles import Grid1D, box, total_flux, truncated_gaussian
-from zml.reduction import (ReductionConfig, _smooth_bulk_weight,
+from zml.reduction import (_GROUP_TOL, ReductionConfig, _smooth_bulk_weight,
                            verify_degeneracy)
-from zml.spectral import (DiracOperator, _sturm_count, build_operator,
-                          eigen_spectrum, mode_residual,
+from zml.spectral import (DiracOperator, _gap_runs, _sturm_count,
+                          build_operator, eigen_spectrum, mode_residual,
                           windowed_singular_modes)
 from zml.zeromodes import SECTOR_A, SECTOR_B, build_mode_1d
 
@@ -722,3 +722,70 @@ class TestWindowedAccuracy:
         assert abs(_smooth_bulk_weight(svals, vecs, mask)
                    - _smooth_bulk_weight(ref_vals, ref_vecs, mask)) \
             <= 10.0 * conditioning
+
+
+def qr_bulk_weight(svals, vecs, support_mask):
+    """The bulk weight in its difference/sum form on a QR basis of each
+    group: the reference for the Gram form of ``_smooth_bulk_weight``."""
+    weight = 0.0
+    for run in _gap_runs(svals, _GROUP_TOL):
+        basis, _ = np.linalg.qr(vecs[:, run])
+        d = np.diff(basis, axis=0)
+        s = basis[1:] + basis[:-1]
+        split, rot = np.linalg.eigh(d.T @ d - s.T @ s)
+        smooth = basis @ rot[:, split < 0.0]
+        weight += float(np.sum((smooth * support_mask[:, None]) * smooth))
+    return weight
+
+
+class TestBulkWeightPremises:
+    # _smooth_bulk_weight classifies each group of windowed vectors by the
+    # Gram product of neighbouring rows, with no QR: that rests on the
+    # vectors coming out orthonormal
+
+    @given(lo_frac=st.floats(0.0, 1.1), width_frac=st.floats(0.0, 1.1),
+           **operators)
+    @example(lo_frac=0.0, width_frac=1.1, m=400, h=0.05, k=0.0, noise=3.0,
+             seed=1)
+    def test_windowed_vectors_orthonormal(self, lo_frac, width_frac, m, h, k,
+                                          noise, seed):
+        op = random_operator(m, h, k, noise, seed)
+        norm = gershgorin_norm(*op.tridiagonal())
+        lo, hi = lo_frac * norm, (lo_frac + width_frac) * norm
+        assume(lo < hi)
+        svals, vecs = windowed_singular_modes(op, lo, hi)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(svals.size),
+                                   rtol=0.0, atol=1e-12)
+
+    @given(lo_frac=st.floats(0.0, 1.1), width_frac=st.floats(0.0, 1.1),
+           **operators)
+    @example(lo_frac=0.0, width_frac=1.1, m=400, h=0.05, k=0.0, noise=3.0,
+             seed=1)
+    def test_gram_form_matches_qr_form(self, lo_frac, width_frac, m, h, k,
+                                       noise, seed):
+        op = random_operator(m, h, k, noise, seed)
+        norm = gershgorin_norm(*op.tridiagonal())
+        lo, hi = lo_frac * norm, (lo_frac + width_frac) * norm
+        assume(lo < hi)
+        svals, vecs = windowed_singular_modes(op, lo, hi)
+        mask = (np.abs(op.interior_x) <= 0.25 * m * h).astype(float)
+        assert abs(_smooth_bulk_weight(svals, vecs, mask)
+                   - qr_bulk_weight(svals, vecs, mask)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["landau", "double_well"])
+    def test_gram_form_on_degenerate_groups(self, case):
+        # groups of more than one vector: a level and its doubler on the
+        # g = 10 strip, and tunnelling pairs split by 1e-13 to 1e-9
+        if case == "landau":
+            op = build_operator(box(1.0, 5.0), 0.0, Grid1D(-35.0, 35.0, 702))
+            mask = (np.abs(op.interior_x) <= 5.0).astype(float)
+            lo, hi = 1.2, 1.6
+        else:
+            (op, mask), lo, hi = double_well(100), 0.3, 2.25
+        svals, vecs = windowed_singular_modes(op, lo, hi)
+        assert max(run.stop - run.start for run
+                   in _gap_runs(svals, _GROUP_TOL)) > 1
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(svals.size),
+                                   rtol=0.0, atol=1e-12)
+        assert abs(_smooth_bulk_weight(svals, vecs, mask)
+                   - qr_bulk_weight(svals, vecs, mask)) <= 1e-12
