@@ -151,14 +151,19 @@ def _check(value, kind, path):
 
 def load_config(path):
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    # bytes, not text: json.loads decodes them as JSON text is encoded
+    # (UTF-8, RFC 8259), whatever the locale
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid UTF-8: byte "
+                          f"{exc.start}: {exc.reason}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     for key, value in cfg.items():
@@ -255,9 +260,13 @@ class _Out:
             self.files[name] = line_plot_svg(xs, ys, xlabel, ylabel)
 
     def flush(self):
-        self.dir.mkdir(parents=True, exist_ok=True)
-        for name, text in self.files.items():
-            (self.dir / name).write_text(text)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            for name, text in self.files.items():
+                (self.dir / name).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write reports to {self.dir}: "
+                              f"{exc.strerror or exc}") from exc
         sys.stdout.write(self.report_text)
 
 
@@ -424,8 +433,12 @@ def build_parser():
     return parser
 
 
+# built once: parsing leaves no state in it
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     stage = args.command
     handler, required, dimension = _STAGES[stage]
     try:

@@ -6,31 +6,35 @@ are sorted and line endings are LF, so identical inputs produce
 byte-identical files.  Non-finite floats have no JSON representation and
 are emitted as null (JSON) or an empty cell (CSV).
 
-Tabular reports are column tables (``Table``): each column is formatted in
-one call, the first time a report needs it, and the strings are kept, so a
+Tabular reports are column tables (``Table``).  The first time a report
+needs a table, every column is spelled into a NUL-padded ``uint8`` slot
+matrix, one row per cell: 19 bytes for a float (the widest ``"{:.11e}"``
+cell, ``-1.79769313486e+308``), all NUL where it is non-finite; ``true``
+or ``false`` for a bool; ``str`` for an int.  The slots are kept, so a
 table written both as a JSON array of objects (``json_report``) and as CSV
-(``csv_text``) is formatted once.
+(``csv_text``) is spelled once.  Each renders its rows with one
+concatenation of the broadcast fixed text between the cells and the slot
+matrices, one bytes pass that strips the NUL padding, and one decode.
 
-A float column is spelled in one NumPy pass, with the bytes ``fmt_float``
-gives cell by cell.  Each cell's decimal exponent e is floor(log10 |x|),
-clipped to [-11, 33], and its 12 digits come from y = |x| * 10**(11 - e).
-The power of ten is exact in binary64 (10**22 is the largest), so y is the
-exact value rounded once, to within 1.2e-4 in [1e11, 1e12].  Every
-half-integer below 1e12 is a float and rounding is monotone, so unless y
-is itself a half-integer the exact value lies between the same two
-half-integers as y, and rint(y) is the correctly rounded 12 digits that
-``"{:.11e}"`` prints (Gay, "Correctly rounded binary-decimal and
-decimal-binary conversions", 1990); a rint of 1e12 carries into the next
-decade.  Digits, sign and exponent go into one byte buffer that is decoded
-and split once.  The cells this does not decide are spelled as
-``fmt_float`` spells them, the one format rule: a y on a half-integer, and
-a y outside [1e11, 1e12], that is zero, |x| < 1e-11 (subnormals too),
-|x| >= 1e34 (three-digit exponents too), non-finite values, and a decade
-log10 misjudged.
+All the float columns of a table are spelled in one NumPy pass, with the
+bytes ``fmt_float`` gives cell by cell.  Each cell's decimal exponent e is
+floor(log10 |x|), clipped to [-11, 33], and its 12 digits come from
+y = |x| * 10**(11 - e).  The power of ten is exact in binary64 (10**22 is
+the largest), so y is the exact value rounded once, to within 1.2e-4 in
+[1e11, 1e12].  Every half-integer below 1e12 is a float and rounding is
+monotone, so unless y is itself a half-integer the exact value lies
+between the same two half-integers as y, and rint(y) is the correctly
+rounded 12 digits that ``"{:.11e}"`` prints (Gay, "Correctly rounded
+binary-decimal and decimal-binary conversions", 1990); a rint of 1e12
+carries into the next decade.  Digits, sign and exponent are written
+straight into the slots.  The cells this does not decide are spelled as
+``fmt_float`` spells them, the one format rule, and placed in the same
+slots: a y on a half-integer, and a y outside [1e11, 1e12], that is zero,
+|x| < 1e-11 (subnormals too), |x| >= 1e34 (three-digit exponents too),
+non-finite values, and a decade log10 misjudged.
 """
 
 import math
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -48,7 +52,7 @@ def fmt_float(x):
     return _FLOAT(x + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
-# the kernel of _fmt_column: 10**(11 - e) for e = 33 ... -11, every one
+# the kernel of _float_slots: 10**(11 - e) for e = 33 ... -11, every one
 # exact in binary64 (10**22 is the largest), as a multiplier (_SCALE_UP) or
 # a divisor (_SCALE_DOWN) indexed by 33 - e, the other factor 1.0; the
 # place values of the four 3-digit groups of 12 digits; and as 3 bytes
@@ -62,6 +66,8 @@ _TRIPLES = np.frombuffer(
             + [f"{e:+03d}" for e in range(-11, 35)]).encode(),
     dtype=np.uint8).reshape(-1, 3)
 _EXPONENT_ROW = 1000 + 11   # the row of exponent 0
+# a float cell's slot: the widest "{:.11e}" cell, -1.79769313486e+308
+_FLOAT_SLOT = 19
 
 
 def _decide(a):
@@ -87,8 +93,8 @@ def _decide(a):
 
 
 def _rows(digits, e, negative):
-    """One row of bytes "-d.ddddddddddde+dd\\n" per cell, the sign NUL
-    where the cell is not negative."""
+    """One 19-byte slot "-d.ddddddddddde+dd" per cell, NUL-padded: the sign
+    NUL where the cell is not negative, and a NUL last."""
     n = digits.size
     # the four 3-digit groups: exact, because below 1e12 a quotient is
     # rounded by less than its fraction's distance from the next integer
@@ -98,46 +104,57 @@ def _rows(digits, e, negative):
     triples[:, :4] = groups.T
     triples[:, 4] = e + _EXPONENT_ROW
     chars = _TRIPLES.take(triples, axis=0).reshape(n, 15)
-    rows = np.empty((n, 19), dtype=np.uint8)
+    rows = np.empty((n, _FLOAT_SLOT), dtype=np.uint8)
     rows[:, 0] = negative * np.uint8(ord("-"))
     rows[:, 1] = chars[:, 0]
     rows[:, 2] = ord(".")
     rows[:, 3:14] = chars[:, 1:12]
     rows[:, 14] = ord("e")
     rows[:, 15:18] = chars[:, 12:]
-    rows[:, 18] = ord("\n")
+    rows[:, 18] = 0
     return rows
 
 
-def _fmt_column(values):
-    """``fmt_float`` over a whole float column, as a list.
+def _float_slots(a):
+    """``fmt_float`` over a 1-D float array, as NUL-padded 19-byte slots,
+    and the mask of its non-finite cells, whose slots are all NUL.
 
     One array pass over the finite cells spells every cell whose digits it
     can decide (see the module docstring); the other finite cells take
-    ``_FLOAT``, and non-finite cells are None.
+    ``_FLOAT``.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.asarray(values, dtype=float) + 0.0
-        finite = np.isfinite(a)
-        b = a if finite.all() else a[finite]
+        a = a + 0.0  # turns -0.0 into 0.0
+        missing = ~np.isfinite(a)
+        b = a[~missing]
         decided, digits, e = _decide(b)
     rows = _rows(digits, e, b[decided] < 0)
-    spelled = rows.tobytes().replace(b"\0", b"").decode("ascii").splitlines()
-    if len(spelled) == a.size:
-        return spelled
-    cells = np.full(a.size, None, dtype=object)
-    at = np.flatnonzero(finite)
-    cells[at[decided]] = spelled
-    cells[at[~decided]] = list(map(_FLOAT, b[~decided].tolist()))
-    return cells.tolist()
+    if rows.shape[0] == a.size:
+        return rows, missing
+    slots = np.zeros((a.size, _FLOAT_SLOT), dtype=np.uint8)
+    at = np.flatnonzero(~missing)
+    slots[at[decided]] = rows
+    undecided = list(map(_FLOAT, b[~decided].tolist()))
+    slots[at[~decided]] = _byte_rows(np.array(undecided, dtype="S19"))
+    return slots, missing
+
+
+def _byte_rows(s):
+    """An ``S`` array's NUL-padded bytes, one row per cell."""
+    return s.view(np.uint8).reshape(s.size, s.dtype.itemsize)
+
+
+# a bool cell's slot, indexed by the bool
+_BOOL_SLOTS = _byte_rows(np.array(["false", "true"], dtype="S5"))
 
 
 class Table:
     """Named report columns of one length, each a 1-D bool, int or float array.
 
     Column order is the CSV column order; JSON objects sort their keys.
-    A column is formatted on its first use and its strings are kept, so
-    JSON and CSV share them.
+    The cells are spelled on the table's first rendering, every float
+    column in one pass, and kept as NUL-padded byte slots, so JSON and CSV
+    share them.
     """
 
     def __init__(self, columns):
@@ -148,37 +165,74 @@ class Table:
             raise ValueError(f"table columns must be 1-D and of one length, "
                              f"got shapes {sorted(lengths)}")
         self.length = lengths.pop()[0] if lengths else 0
-        self._cells = {}
+        self._slots = None
 
     def __len__(self):
         return self.length
 
-    def cells(self, name, missing=None):
-        """The column's strings; a non-finite float reads ``missing``.
+    def slots(self):
+        """Column name -> (uint8 slot matrix, one NUL-padded row per cell;
+        mask of the missing cells or None).
 
-        A column with no missing cell returns its kept list itself, so
-        callers must not modify it.
+        A missing cell is a non-finite float; its slot is all NUL.
         """
-        cached = self._cells.get(name)
-        if cached is None:
-            a = self.columns[name]
-            if a.dtype.kind == "f":
-                cells = _fmt_column(a)
-            elif a.dtype.kind == "b":
-                cells = ["true" if v else "false" for v in a.tolist()]
-            elif a.dtype.kind in "iu" or (
-                    # Python ints beyond int64 stay exact in an object array
-                    a.dtype.kind == "O"
-                    and all(type(v) is int for v in a.tolist())):
-                cells = list(map(str, a.tolist()))
-            else:
-                raise TypeError(f"table column {name!r} has dtype {a.dtype}; "
-                                "expected bool, int or float")
-            cached = self._cells[name] = (cells, None not in cells)
-        cells, complete = cached
-        if complete:
-            return cells
-        return [missing if c is None else c for c in cells]
+        if self._slots is None:
+            slots, floats = {}, []
+            for name, a in self.columns.items():
+                if a.dtype.kind == "f":
+                    floats.append(name)
+                elif a.dtype.kind == "b":
+                    slots[name] = (_BOOL_SLOTS[a.view(np.uint8)], None)
+                elif a.dtype.kind in "iu" or (
+                        # Python ints beyond int64 stay exact in an object
+                        # array
+                        a.dtype.kind == "O"
+                        and all(type(v) is int for v in a.tolist())):
+                    text = np.array(list(map(str, a.tolist())), dtype="S")
+                    slots[name] = (_byte_rows(text), None)
+                else:
+                    raise TypeError(f"table column {name!r} has dtype "
+                                    f"{a.dtype}; expected bool, int or float")
+            if floats:
+                # one pass over every float column of the table
+                cells, missing = _float_slots(np.concatenate(
+                    [self.columns[name] for name in floats], dtype=float))
+                cells = cells.reshape(len(floats), self.length, _FLOAT_SLOT)
+                missing = missing.reshape(len(floats), self.length)
+                for name, c, m in zip(floats, cells, missing):
+                    slots[name] = (c, m if m.any() else None)
+            self._slots = slots
+        return self._slots
+
+
+def _spell_rows(table, names, seps, missing):
+    """The rows of ``table`` as one str: in each row seps[0], the cell of
+    names[0], seps[1], ..., the cell of names[-1], seps[-1], with a missing
+    cell read as ``missing``.
+
+    One concatenation of the slot matrices and the broadcast separators,
+    one bytes pass that strips the NUL padding, and one decode.
+    """
+    n = len(table)
+    slots = table.slots()
+    parts, fills, width = [], [], 0
+    for i, sep in enumerate(seps):
+        if sep:
+            sep = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
+            parts.append(np.broadcast_to(sep, (n, sep.size)))
+            width += sep.size
+        if i < len(names):
+            cells, absent = slots[names[i]]
+            if absent is not None and missing:
+                fills.append((width, absent))
+            parts.append(cells)
+            width += cells.shape[1]
+    rows = np.concatenate(parts, axis=1)
+    for at, absent in fills:
+        # a float slot (19 bytes) holds the marker
+        rows[absent, at:at + len(missing)] = np.frombuffer(
+            missing.encode("ascii"), dtype=np.uint8)
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _emit(obj, out, indent):
@@ -230,7 +284,7 @@ def _emit(obj, out, indent):
 
 def _emit_table(table, out, indent):
     # the bytes of the equivalent list of dicts: the cells interleaved with
-    # the fixed text between them, joined once
+    # the fixed text between them
     if not len(table):
         out.append("[]")
         return
@@ -240,11 +294,8 @@ def _emit_table(table, out, indent):
     seps = [pad + "{\n" + keys[0]]
     seps += [",\n" + key for key in keys[1:]]
     seps.append(f"\n{pad}}},\n")
-    parts = [repeat(seps[0])]
-    for name, sep in zip(names, seps[1:]):
-        parts += [table.cells(name, "null"), repeat(sep)]
     out.append("[\n")
-    out.append("".join(chain.from_iterable(zip(*parts)))[:-2])
+    out.append(_spell_rows(table, names, seps, "null")[:-2])
     out.append(f"\n{pad[2:]}]")
 
 
@@ -257,10 +308,12 @@ def json_report(obj):
 
 def csv_text(table):
     """CSV of a ``Table``: a header row, comma separator, LF endings."""
-    cols = [table.cells(name, "") for name in table.columns]
-    lines = [",".join(table.columns)]
-    lines.extend(map(",".join, zip(*cols)))
-    return "\n".join(lines) + "\n"
+    names = list(table.columns)
+    header = ",".join(names) + "\n"
+    if not len(table):
+        return header
+    seps = [""] + [","] * (len(names) - 1) + ["\n"]
+    return header + _spell_rows(table, names, seps, "")
 
 
 _SVG_W = 800
@@ -275,16 +328,13 @@ def _tick_label(v):
 
 def line_plot_svg(xs, ys, xlabel, ylabel):
     """Fixed-size 800x600 polyline plot with axis ticks (SVG 1.1 subset)."""
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
-    pairs = [(x, y) for x, y in zip(xs, ys)
-             if math.isfinite(x) and math.isfinite(y)]
-    if not pairs:
-        pairs = [(0.0, 0.0)]
-    x_min = min(p[0] for p in pairs)
-    x_max = max(p[0] for p in pairs)
-    y_min = min(p[1] for p in pairs)
-    y_max = max(p[1] for p in pairs)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    xs, ys = (xs[keep], ys[keep]) if keep.any() else (np.zeros(1),
+                                                       np.zeros(1))
+    x_min, x_max = float(xs.min()), float(xs.max())
+    y_min, y_max = float(ys.min()), float(ys.max())
     if x_max == x_min:
         x_min, x_max = x_min - 0.5, x_max + 0.5
     if y_max == y_min:
@@ -326,7 +376,11 @@ def line_plot_svg(xs, ys, xlabel, ylabel):
     parts.append(f'<text x="20" y="{_SVG_H / 2:.2f}" font-size="14" '
                  f'text-anchor="middle" transform="rotate(-90 20 {_SVG_H / 2:.2f})">'
                  f'{ylabel}</text>')
-    points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pairs)
+    # sx and sy over the arrays: the same operations, in the same order, as
+    # on one float, and as silent as Python's floats where a range overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = np.column_stack([sx(xs), sy(ys)]).ravel().tolist()
+    points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(coords)
     parts.append(f'<polyline points="{points}" fill="none" stroke="#1f4e8c" '
                  'stroke-width="1.5"/>')
     parts.append("</svg>")

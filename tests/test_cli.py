@@ -131,6 +131,36 @@ class TestParser:
         assert exc.value.code == EXIT_OK
         assert capsys.readouterr().out == f"{__version__}\n"
 
+    def test_shared_parser_keeps_no_state(self, tmp_path, capsys):
+        # main parses every run with one parser: no run, refused or not,
+        # leaves anything behind for the next
+        base = dict(profile=BOX_PROFILE, grid=GRID, sector="b",
+                    k_list=[-1.0, 0.5, 3.0])
+        runs = [("potential", "--plots"), ("scan", None)]
+
+        def run(i, command, flag):
+            out = tmp_path / f"o{i}"
+            cfg = write_cfg(tmp_path, f"c{i}.json", **base)
+            code, stdout, _ = run_cli(capsys, command, "--config", cfg,
+                                      "--out", str(out),
+                                      *([flag] if flag else []))
+            assert code == EXIT_OK
+            return stdout, {p.name: p.read_bytes() for p in out.iterdir()}
+
+        first = [run(i, *r) for i, r in enumerate(runs)]
+        assert sorted(first[0][1]) == ["potential.csv", "potential.json",
+                                       "potential.svg"]
+        assert sorted(first[1][1]) == ["scan.csv", "scan.json"]
+        with pytest.raises(SystemExit) as exc:
+            main(["fluxes", "--config", "x.json"])
+        assert exc.value.code == EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == EXIT_OK
+        capsys.readouterr()
+        again = [run(i + len(runs), *r) for i, r in enumerate(runs)]
+        assert again == first
+
 
 class TestConfigValidation:
     def test_unknown_top_key(self, tmp_path, capsys):
@@ -152,6 +182,46 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "flux", "--config", str(path))
         assert code == EXIT_CONFIG
         assert "line 2" in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        # JSON text is UTF-8 (RFC 8259), whatever the locale
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"profile": {"kind": "box", "B0": 1.0, "a": 2.0},'
+                         ' "out_dir": "\u00e9"}'.encode("latin-1"))
+        code, stdout, err = run_cli(capsys, "flux", "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err == (f"config error: config {path} is not valid UTF-8: "
+                       "byte 62: invalid continuation byte\n")
+
+    def test_config_utf8_out_dir(self, tmp_path, capsys):
+        path = tmp_path / "utf8.json"
+        out = tmp_path / "\u00e9\u03a6"
+        path.write_bytes('{"profile": {"kind": "box", "B0": 1.0, "a": 2.0}, '
+                         f'"out_dir": "{out}"}}'.encode("utf-8"))
+        code, stdout, _ = run_cli(capsys, "flux", "--config", str(path))
+        assert code == EXIT_OK
+        assert (out / "flux.json").read_text() == stdout
+
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    @pytest.mark.parametrize("option", ["--out", "out_dir"])
+    def test_out_dir_not_a_directory(self, tmp_path, capsys, where, option):
+        blocker = tmp_path / "reports"
+        blocker.write_text("not a directory\n")
+        out = blocker if where == "file" else blocker / "sub"
+        if option == "out_dir":
+            cfg = write_cfg(tmp_path, profile=BOX_PROFILE, out_dir=str(out))
+            args = ()
+        else:
+            cfg = write_cfg(tmp_path, profile=BOX_PROFILE)
+            args = ("--out", str(out))
+        code, stdout, err = run_cli(capsys, "flux", "--config", cfg, *args)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        reason = "File exists" if where == "file" else "Not a directory"
+        assert err == (f"config error: cannot write reports to {out}: "
+                       f"{reason}\n")
+        assert blocker.read_text() == "not a directory\n"
 
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, profile=BOX_PROFILE)

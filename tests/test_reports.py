@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zml.reports import (Table, _fmt_column, csv_text, fmt_float, json_report,
-                         line_plot_svg)
+from zml import reports
+from zml.reports import Table, csv_text, fmt_float, json_report, line_plot_svg
 
 
 class TestFmtFloat:
@@ -153,10 +153,17 @@ def _assert_same_text(got, want):
                     f"{want[i - 40:i + 40]!r}")
 
 
+def _column_cells(values):
+    # a one-column table's float cells as its CSV spells them, None for an
+    # empty (non-finite) cell: what fmt_float gives cell by cell
+    lines = csv_text(Table({"v": np.asarray(values, dtype=float)})).split("\n")
+    return [cell or None for cell in lines[1:-1]]
+
+
 def _assert_cells_match(values):
     # the column path against fmt_float cell by cell, naming the first
     # cells that differ
-    got = _fmt_column(values)
+    got = _column_cells(values)
     want = [fmt_float(v) for v in values.tolist()]
     bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want)
            if g != w]
@@ -176,8 +183,9 @@ class TestColumnPath:
     @given(values=st.lists(_floats, max_size=50))
     def test_fmt_column_matches_fmt_float(self, values):
         values += list(_SPECIAL_FLOATS)
-        assert _fmt_column(values) == [fmt_float(v) for v in values]
-        assert _fmt_column(np.array(values)) == [fmt_float(v) for v in values]
+        assert _column_cells(values) == [fmt_float(v) for v in values]
+        assert _column_cells(np.array(values)) == [fmt_float(v)
+                                                   for v in values]
 
     def test_near_ties_for_every_decided_exponent(self):
         # (N + 1/2) 10**(e - 11), the nearest float and its neighbours both
@@ -217,10 +225,10 @@ class TestColumnPath:
             -14.0, 36.0, length)
         values[::7] = math.nan
         _assert_cells_match(values)
-        assert len(_fmt_column(values)) == length
+        assert len(_column_cells(values)) == length
 
     def test_decade_round_up(self):
-        assert _fmt_column([9.9999999999951e5, 9.99999999999951e-300,
+        assert _column_cells([9.9999999999951e5, 9.99999999999951e-300,
                             -0.0]) == ["1.00000000000e+06",
                                        "1.00000000000e-299",
                                        "0.00000000000e+00"]
@@ -270,6 +278,68 @@ class TestColumnPath:
         table = Table({"j": [0, 10 ** 20]})
         assert csv_text(table) == "j\n0\n100000000000000000000\n"
         assert json_report(table) == json_report([{"j": 0}, {"j": 10 ** 20}])
+
+
+def _row_wise(columns):
+    # the JSON (a list of dicts) and CSV texts a table must reproduce
+    lists = {name: np.asarray(col).tolist() for name, col in columns.items()}
+    rows = [dict(zip(lists, row)) for row in zip(*lists.values())]
+    csv = [",".join(columns)]
+    csv += [",".join(_row_cell(v) for v in row.values()) for row in rows]
+    return json_report({"rows": rows}), "\n".join(csv) + "\n"
+
+
+class TestCellSlots:
+    # every float cell has a 19-byte slot, the widest "{:.11e}" spelling
+    WIDEST = {-1.7976931348623157e308: "-1.79769313486e+308",
+              -2.2250738585072014e-308: "-2.22507385851e-308",
+              -5e-324: "-4.94065645841e-324"}
+
+    def _check(self, columns):
+        table = Table(columns)
+        want_json, want_csv = _row_wise(columns)
+        _assert_same_text(json_report({"rows": table}), want_json)
+        _assert_same_text(csv_text(table), want_csv)
+
+    def test_widest_cells_fill_their_slots(self):
+        values = [*self.WIDEST, 0.0, -0.0, 1.0]
+        assert _column_cells(values) == [*self.WIDEST.values(),
+                                         "0.00000000000e+00",
+                                         "0.00000000000e+00",
+                                         "1.00000000000e+00"]
+        self._check({"x": values, "y": values[::-1], "j": list(range(6))})
+
+    def test_all_null_float_column(self):
+        nans = [math.nan, math.inf, -math.inf]
+        self._check({"k": [1.5, -2.0, 3.0], "n": nans})
+        assert csv_text(Table({"n": nans})) == "n\n\n\n\n"
+        assert '"n": null' in json_report(Table({"n": nans}))
+
+    def test_one_row_table(self):
+        self._check({"k": [-5e-324], "ok": [True], "j": [-7]})
+
+    def test_ints_of_mixed_widths(self):
+        self._check({"i": [0, -1, 2 ** 63 - 1, -2 ** 63, 12],
+                     "big": np.array([-10 ** 30, 0, 10 ** 20, -3, 7],
+                                     dtype=object),
+                     "f": [-0.0, math.nan, 1e300, -1e-300, 2.5]})
+
+    def test_one_digit_pass_per_table(self, monkeypatch):
+        calls = []
+        decide = reports._decide
+
+        def spy(a):
+            calls.append(a.size)
+            return decide(a)
+
+        monkeypatch.setattr(reports, "_decide", spy)
+        table = Table({"a": [1.0, 2.0], "b": [math.nan, -3.0],
+                       "c": [4.0, -0.0], "ok": [True, False]})
+        json_report(table)
+        csv_text(table)
+        # one pass over the finite cells of all three float columns, kept
+        # for both renderings
+        assert calls == [5]
 
 
 class TestSvg:
