@@ -75,15 +75,25 @@ _KRONROD = _mirror(_WK, 1.0)
 _GAUSS = _mirror(_WG, 1.0)
 
 
+def _rule_sums(fw, rule):
+    """sum_j fw[..., j] rule[j] over each cell's 15 nodes.
+
+    np.einsum, not BLAS: BLAS's per-row sums change with the batch's shape
+    and the CPU kernel it picks at run time, so a cell would integrate to
+    other bits alone than inside a batch, or on another machine.
+    """
+    return np.einsum("...j,j->...", fw, rule)
+
+
 def _gk15(profile, weights, a, b):
     """Per weight and cell [a, b]: the K15 value, its error estimate and int |w B|."""
     half = 0.5 * (b - a)
     t = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
     f = profile(t)
     fw = np.stack([w(t) * f for w in weights])
-    k = fw @ _KRONROD * half
-    mag = np.abs(fw) @ _KRONROD * half
-    err = np.maximum(np.abs(k - fw @ _GAUSS * half), _EPS50 * mag)
+    k = _rule_sums(fw, _KRONROD) * half
+    mag = _rule_sums(np.abs(fw), _KRONROD) * half
+    err = np.maximum(np.abs(k - _rule_sums(fw, _GAUSS) * half), _EPS50 * mag)
     return k, err, mag
 
 

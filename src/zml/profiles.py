@@ -120,6 +120,17 @@ class FieldProfile:
         return self.dimension == DIM_RADIAL
 
     @property
+    def is_even(self):
+        """Whether B(-x) = B(x): true for every parametric kind, all centred
+        at 0, and for a piecewise-linear profile whose breakpoints mirror
+        exactly, each (x, B) matched by (-x, B)."""
+        if self.kind != "piecewise-linear":
+            return True
+        pts = self.params["points"]
+        return all(x == -rx and v == rv
+                   for (x, v), (rx, rv) in zip(pts, reversed(pts)))
+
+    @property
     def kernel_params(self):
         """The parameters as one flat, hashable tuple: (B0, *widths), or
         the breakpoints' coordinates (x0, B0, x1, B1, ...)."""

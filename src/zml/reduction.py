@@ -35,6 +35,16 @@ is otherwise read off the deepest admissible channel's singular values,
 the |eigenvalues| of its tridiagonal A = J M; either way the next level
 up must clear the window (``_check_level_separation``).
 
+For an even field B(-x) = B(x) (``FieldProfile.is_even``) A_y is odd, and
+on a grid symmetric about 0 the reflection R: x -> -x gives R M_k R =
+-M_{-k} for M_k = D + diag(k + A_y): channels k and -k share their singular
+values, so their near-zero counts, and, when the support mask is its own
+mirror image, their bulk weights.  A sweep whose profile is even, whose
+grid has x_lo = -x_hi and (at level >= 1) whose support mask equals its
+reverse therefore solves each mirror pair once: a channel whose k is the
+exact negative of an earlier channel's takes that channel's count and
+weight.  Any other sweep, and any unpaired channel, is solved directly.
+
 The channels of a sweep are one NumPy record array, whose columns n, k_y,
 admissible, on_window_edge, near_zero_count and level_weight (with their
 dtypes) the ``DegeneracyReport`` docstring lists.
@@ -300,6 +310,10 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     float spacing at the center) raises ClusterResolutionError instead of
     guessing.  Nothing is assembled densely, so any grid size is accepted.
     Channels are processed in ascending n and the report is deterministic.
+    When the profile is even, ``grid.x_lo == -grid.x_hi`` and, at level
+    >= 1, the support mask equals its reverse, a channel whose k_gauge + k_y
+    is the exact negative of an earlier channel's is that channel reflected
+    and takes its count and weight without an operator of its own.
     """
     if int(level) != level or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level}")
@@ -354,8 +368,21 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
             raise ClusterResolutionError(
                 f"cluster_tol = {ctol:.3g} is below the float spacing at the "
                 f"level center {center!r}: the window around it is empty")
+    # an even field on a grid symmetric about 0 has R M_k R = -M_{-k}, R the
+    # reflection x -> -x: channel -k is channel k reflected, with the same
+    # singular values and, under a mirrored support mask, the same weight
+    mirrored = profile.is_even and grid.x_lo == -grid.x_hi and (
+        not level or np.array_equal(support_mask, support_mask[::-1]))
+    solved = {}   # k of each solved channel -> its row
     counts, weights = [], []
-    for i in range(ks.size):
+    for i, k in enumerate(ks.tolist()):
+        j = solved.get(-k) if mirrored else None
+        if j is not None:
+            counts.append(counts[j])
+            if level:
+                weights.append(weights[j])
+            continue
+        solved[k] = i
         op = channel(i)   # one operator gives the channel's count and weight
         counts.append(_sturm_count(op, tau0))
         if level:

@@ -326,6 +326,34 @@ def _tick_label(v):
     return f"{v:.6g}"
 
 
+def _axis(lo, hi):
+    """Map and tick values of a plot axis over finite values lo <= hi.
+
+    A single value v is widened by 0.5 each way or, where v +- 0.5 rounds
+    back to v (|v| of 2^52 or more), by 2^-10 |v| within the float range,
+    wide enough for the tick labels to differ.  A width hi - lo that
+    overflows is taken in halves: (x/2 - lo/2) / (hi/2 - lo/2) maps
+    [lo, hi] to [0, 1] and lo (1 - f) + hi f gives the ticks, all finite.
+    Every other axis keeps the plain (x - lo) / (hi - lo) and
+    lo + f (hi - lo).
+    """
+    if hi == lo:
+        v = lo
+        lo, hi = v - 0.5, v + 0.5
+        if hi == lo:
+            pad, top = 2.0 ** -10 * abs(v), np.finfo(float).max
+            lo, hi = max(v - pad, -top), min(v + pad, top)
+    fracs = [i / (_TICKS - 1) for i in range(_TICKS)]
+    if math.isfinite(hi - lo):
+        def unit(x):
+            return (x - lo) / (hi - lo)
+        return unit, [lo + f * (hi - lo) for f in fracs]
+
+    def halves(x):
+        return (0.5 * x - 0.5 * lo) / (0.5 * hi - 0.5 * lo)
+    return halves, [lo * (1.0 - f) + hi * f for f in fracs]
+
+
 def line_plot_svg(xs, ys, xlabel, ylabel):
     """Fixed-size 800x600 polyline plot with axis ticks (SVG 1.1 subset)."""
     xs = np.asarray(xs, dtype=float)
@@ -333,20 +361,16 @@ def line_plot_svg(xs, ys, xlabel, ylabel):
     keep = np.isfinite(xs) & np.isfinite(ys)
     xs, ys = (xs[keep], ys[keep]) if keep.any() else (np.zeros(1),
                                                        np.zeros(1))
-    x_min, x_max = float(xs.min()), float(xs.max())
-    y_min, y_max = float(ys.min()), float(ys.max())
-    if x_max == x_min:
-        x_min, x_max = x_min - 0.5, x_max + 0.5
-    if y_max == y_min:
-        y_min, y_max = y_min - 0.5, y_max + 0.5
+    x_unit, x_ticks = _axis(float(xs.min()), float(xs.max()))
+    y_unit, y_ticks = _axis(float(ys.min()), float(ys.max()))
     inner_w = _SVG_W - 2 * _MARGIN
     inner_h = _SVG_H - 2 * _MARGIN
 
     def sx(x):
-        return _MARGIN + (x - x_min) / (x_max - x_min) * inner_w
+        return _MARGIN + x_unit(x) * inner_w
 
     def sy(y):
-        return _SVG_H - _MARGIN - (y - y_min) / (y_max - y_min) * inner_h
+        return _SVG_H - _MARGIN - y_unit(y) * inner_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
@@ -357,10 +381,7 @@ def line_plot_svg(xs, ys, xlabel, ylabel):
         f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
         f'y2="{_SVG_H - _MARGIN}" stroke="black"/>',
     ]
-    for i in range(_TICKS):
-        f = i / (_TICKS - 1)
-        xv = x_min + f * (x_max - x_min)
-        yv = y_min + f * (y_max - y_min)
+    for xv, yv in zip(x_ticks, y_ticks):
         px = sx(xv)
         py = sy(yv)
         parts.append(f'<line x1="{px:.2f}" y1="{_SVG_H - _MARGIN}" '
@@ -377,9 +398,8 @@ def line_plot_svg(xs, ys, xlabel, ylabel):
                  f'text-anchor="middle" transform="rotate(-90 20 {_SVG_H / 2:.2f})">'
                  f'{ylabel}</text>')
     # sx and sy over the arrays: the same operations, in the same order, as
-    # on one float, and as silent as Python's floats where a range overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        coords = np.column_stack([sx(xs), sy(ys)]).ravel().tolist()
+    # on one float
+    coords = np.column_stack([sx(xs), sy(ys)]).ravel().tolist()
     points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(coords)
     parts.append(f'<polyline points="{points}" fill="none" stroke="#1f4e8c" '
                  'stroke-width="1.5"/>')

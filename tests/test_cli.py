@@ -162,6 +162,20 @@ class TestParser:
         assert again == first
 
 
+    def test_plot_of_an_overflowing_range(self, tmp_path, capsys):
+        # lambda spans -1.2e308 .. 1.2e308, whose width overflows: the
+        # plot's points and y ticks were nan and inf
+        cfg = write_cfg(tmp_path, profile={"kind": "box", "B0": 1.0,
+                                           "a": 0.5},
+                        grid={"x_lo": -6.0, "x_hi": 6.0, "n": 11}, k=2e307)
+        code, _, _ = run_cli(capsys, "potential", "--config", cfg, "--out",
+                             str(tmp_path / "o"), "--plots")
+        assert code == EXIT_OK
+        svg = (tmp_path / "o" / "potential.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
+        assert ">1.2e+308</text>" in svg
+
+
 class TestConfigValidation:
     def test_unknown_top_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, profile=BOX_PROFILE, wavelength=3.0)

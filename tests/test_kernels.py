@@ -215,3 +215,30 @@ def test_line_convolutions_random_profiles(profile, where, k):
                                rtol=0, atol=scale)
     np.testing.assert_allclose(lam[3:6] - lam[3], half_q * (outside[3:6] - hi),
                                rtol=0, atol=scale)
+
+
+def test_cell_sums_do_not_depend_on_the_batch():
+    """A cell's K15, G7 and |K15| sums are the same bits evaluated alone as
+    inside a batch, at any offset in it (BLAS's row sums were not: they
+    differed in most cells of this batch)."""
+    rng = np.random.default_rng(7)
+    fw = (rng.standard_normal((2, 1000, 15))
+          * 10.0 ** rng.uniform(-3.0, 3.0, (2, 1000, 1)))
+    for values, rule in ((fw, _quadrature._KRONROD), (fw, _quadrature._GAUSS),
+                         (np.abs(fw), _quadrature._KRONROD)):
+        batch = _quadrature._rule_sums(values, rule)
+        assert np.array_equal(_quadrature._rule_sums(values[:, 3:], rule),
+                              batch[:, 3:])
+        alone = [_quadrature._rule_sums(values[:, i:i + 1], rule)
+                 for i in range(values.shape[1])]
+        assert np.array_equal(np.concatenate(alone, axis=1), batch)
+    # and so each cell's value, error estimate and magnitude in _gk15
+    a = np.sort(rng.uniform(-2.5, 2.5, 1000))
+    b = a + rng.uniform(1e-6, 0.5, a.size)
+    weights = (_quadrature._one, _quadrature._t)
+    batch = _quadrature._gk15(PROFILES["bump"], weights, a, b)
+    for i in range(a.size):
+        alone = _quadrature._gk15(PROFILES["bump"], weights, a[i:i + 1],
+                                  b[i:i + 1])
+        for got, want in zip(alone, batch):
+            assert np.array_equal(got[:, 0], want[:, i])

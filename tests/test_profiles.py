@@ -95,6 +95,27 @@ class TestMakeProfile:
         with pytest.raises(ProfileError):
             piecewise_linear([(-1.0, 0.0), (1.0, 1.0)], dimension=DIM_RADIAL)
 
+    @pytest.mark.parametrize("profile, even", [
+        (box(-1.0, 2.0), True),
+        (bump(1.5, 3.0), True),
+        (truncated_gaussian(0.8, 1.0, 2.5), True),
+        (piecewise_linear([(-2.0, 0.0), (-0.5, 1.0), (0.5, 1.0),
+                           (2.0, 0.0)]), True),
+        (piecewise_linear([(-1.0, 0.0), (0.0, 2.0), (1.0, 0.0)]), True),
+        # one breakpoint or one value off its mirror image
+        (piecewise_linear([(-2.0, 0.0), (-0.5, 1.0), (0.6, 1.0),
+                           (2.0, 0.0)]), False),
+        (piecewise_linear([(-2.0, 0.0), (-0.5, 1.0), (0.5, 1.5),
+                           (2.0, 0.0)]), False),
+        (piecewise_linear([(0.0, 1.0), (1.0, 0.0)], dimension=DIM_RADIAL),
+         False)])
+    def test_is_even(self, profile, even):
+        assert profile.is_even is even
+        if even:
+            x = np.linspace(-4.0, 4.0, 801)
+            np.testing.assert_allclose(profile(-x), profile(x), rtol=1e-15,
+                                       atol=1e-15)
+
 
 class TestGrid1D:
     def test_point_ceiling(self, monkeypatch):

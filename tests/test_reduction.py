@@ -1,5 +1,6 @@
 """Channel quantization, analytic degeneracy, and the oracle reconciliation."""
 
+import dataclasses
 import math
 import time
 
@@ -16,6 +17,8 @@ from zml.profiles import (Grid1D, box, bump, piecewise_linear, total_flux,
                           truncated_gaussian)
 from zml.reduction import (MAX_CHANNELS, ReductionConfig, admissible_channels,
                            default_n_range, quantize_ky, verify_degeneracy)
+from zml.spectral import (_sturm_count, build_operator, default_zero_tolerance,
+                          windowed_singular_modes)
 
 TWO_PI = 2.0 * math.pi
 
@@ -209,22 +212,32 @@ class TestVerifyDegeneracy:
                                      int(round(sum(ch.level_weight.tolist()))))
             assert rep.discrepancy == abs(rep.g_numeric - rep.g_analytic)
 
-    def test_level1_builds_each_channel_once(self, setup6, monkeypatch):
-        # one operator object per channel gives both its Sturm count and
-        # its windowed weight
+    @pytest.mark.parametrize("k_gauge, grid, solved", [
+        # setup6's sweep: n and -n are mirror images, so n in [-4, 0] are
+        # solved and n in [1, 4] take their rows
+        (0.0, None, 5),
+        # no k is another's negative, so every channel is solved; the
+        # channel k = -2.6 needs 75 of padding
+        (0.4, Grid1D(-80.0, 80.0, 1062), 9)], ids=["mirrored", "k_gauge"])
+    def test_level1_builds_each_channel_once(self, setup6, monkeypatch,
+                                             k_gauge, grid, solved):
+        # one operator object per solved channel gives both its Sturm count
+        # and its windowed weight
         calls = {"_sturm_count": [], "windowed_singular_modes": []}
         for name in calls:
             def spy(op, *args, _name=name, _inner=getattr(reduction, name)):
                 calls[_name].append(op)
                 return _inner(op, *args)
             monkeypatch.setattr(reduction, name, spy)
-        profile, cfg, grid = setup6
-        rep = verify_degeneracy(profile, cfg, 1, grid)
+        profile, cfg, grid6 = setup6
+        cfg = dataclasses.replace(cfg, k_gauge=k_gauge)
+        rep = verify_degeneracy(profile, cfg, 1, grid or grid6)
         counted, windowed = calls.values()
-        assert len(counted) == len(windowed) == len(rep.channels) == 9
+        assert len(rep.channels) == 9
+        assert len(counted) == len(windowed) == solved
         assert all(a is b for a, b in zip(counted, windowed))
-        assert len({id(op) for op in counted}) == 9
-        assert [op.k_y for op in counted] == rep.channels.k_y.tolist()
+        assert len({id(op) for op in counted}) == solved
+        assert [op.k_y for op in counted] == rep.channels.k_y[:solved].tolist()
 
     def test_detected_center_matches_theory(self, setup6):
         profile, _, grid = setup6
@@ -417,3 +430,143 @@ class TestSweepSymmetries:
         assert counts(mirror, -kg, (-hi, -lo)).tolist() == base[::-1].tolist()
         shifted = counts(profile, kg + TWO_PI / ly, (lo - 1, hi - 1))
         assert shifted.tolist() == base.tolist()
+
+
+@st.composite
+def even_fields(draw):
+    """Even line fields B(-x) = B(x): box, bump and truncated gaussian of
+    either sign, and piecewise-linear fields whose breakpoints mirror."""
+    kind = draw(st.sampled_from(["box", "bump", "gaussian", "mirrored"]))
+    b0 = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    a = draw(st.floats(1.0, 3.0))
+    if kind == "box":
+        return box(b0, a)
+    if kind == "bump":
+        return bump(b0, a)
+    if kind == "gaussian":
+        return truncated_gaussian(b0, a / 3.0, a)
+    xs = sorted(draw(st.lists(st.floats(0.1, a - 0.1), min_size=1,
+                              max_size=3, unique=True)))
+    half = [(x, b0 * draw(st.floats(-0.5, 1.0))) for x in xs] + [(a, 0.0)]
+    return piecewise_linear([(-x, v) for x, v in reversed(half)] + half)
+
+
+def _solve_spy():
+    """A _sturm_count that records the k_y of each channel it counts."""
+    solved = []
+
+    def spy(op, s, _inner=reduction._sturm_count):
+        solved.append(float(op.k_y))
+        return _inner(op, s)
+    return solved, spy
+
+
+class TestMirrorPairs:
+    # for an even field on a grid symmetric about 0, R M_k R = -M_{-k}
+    # (R: x -> -x), so channels k and -k share their counts and weights;
+    # a sweep solves the first of each pair and copies it to the second
+
+    @settings(max_examples=30, deadline=None)
+    @given(profile=even_fields(), ly=st.floats(3.0, 9.0),
+           level=st.sampled_from([0, 1]), parity=st.sampled_from([0, 1]))
+    def test_mirror_channels_agree(self, profile, ly, level, parity):
+        q = total_flux(profile).value
+        lo, hi = default_n_range(q, ly)
+        ks = TWO_PI * np.arange(lo, hi + 1) / ly
+        margins = window_margin(q, ks)
+        # channels on or near the window edge need a long padding
+        assume(np.all(np.abs(margins) > 0.15))
+        pad = max([required_padding(q, k) for k in ks[margins > 0]],
+                  default=PADDING_FLOOR)
+        extent = profile.support[1] + pad + 1.0
+        # an even or odd n: x = 0 is a grid point or lies between two
+        grid = Grid1D(-extent, extent, 2 * int(6.0 * extent) + 1 + parity)
+        b_const = abs(profile.params["B0"]) if profile.kind == "box" else None
+        cfg = ReductionConfig(L_y=ly, n_range=(lo, hi), B_const=b_const)
+        solved, spy = _solve_spy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "_sturm_count", spy)
+            try:
+                rep = verify_degeneracy(profile, cfg, level, grid)
+            except ClusterResolutionError:
+                assume(False)   # no level 1 to find on this field
+        ch = rep.channels
+
+        base = build_operator(profile, 0.0, grid)
+        x, (s_lo, s_hi) = base.interior_x, profile.support
+        mask = ((x >= s_lo) & (x <= s_hi)).astype(float)
+        if level:
+            ctol = default_zero_tolerance(base)
+            window = (max(rep.cluster_center - ctol, 0.0),
+                      rep.cluster_center + ctol)
+
+        def direct(k):
+            op = dataclasses.replace(base, k_y=k, w_values=k + base.w_values)
+            # a value within 1e-9 of tau or of a window edge may fall on
+            # either side of it in k and -k
+            edges = [rep.tau, *(window if level else ())]
+            near = any(_sturm_count(op, e * (1 - 1e-9))
+                       != _sturm_count(op, e * (1 + 1e-9)) for e in edges)
+            count = _sturm_count(op, rep.tau)
+            weight = (reduction._smooth_bulk_weight(
+                *windowed_singular_modes(op, *window), mask) if level else None)
+            return count, weight, near
+
+        k_y = ch.k_y.tolist()
+        pairs = level == 0 or np.array_equal(mask, mask[::-1])
+        expect = [k for i, k in enumerate(k_y) if not (pairs and -k in k_y[:i])]
+        assert solved == expect
+        solves = {k: direct(k) for k in k_y}
+        for i, k in enumerate(k_y):
+            count, weight, near = solves[k]
+            if k in solved:
+                # a solved row is the direct solve, bit for bit
+                assert ch.near_zero_count[i] == count
+                assert not level or ch.level_weight[i] == weight
+                continue
+            # a copied row is its mirror's, and so, solved directly, is k
+            mirror = k_y.index(-k)
+            assert ch.near_zero_count[i] == ch.near_zero_count[mirror]
+            assert not level or ch.level_weight[i] == ch.level_weight[mirror]
+            m_count, m_weight, m_near = solves[-k]
+            if not (near or m_near):
+                assert count == m_count
+                assert not level or abs(weight - m_weight) <= 1e-12
+
+    @staticmethod
+    def _lopsided_box(grid):
+        """box(1, a), a near 3, whose support mask on the grid's interior is
+        not its own mirror image: -a is an interior point whose mirror
+        rounds to a little above a."""
+        x = grid.points()[1:-1]
+        i = next(i for i in range(x.size)
+                 if 2.9 < -x[i] < 3.0 and x[i] + x[-1 - i] > 0.0)
+        return box(1.0, -float(x[i]))
+
+    @pytest.mark.parametrize("case", ["k_gauge", "asymmetric field",
+                                      "asymmetric grid", "asymmetric mask"])
+    def test_any_broken_condition_solves_every_channel(self, case):
+        profile, grid = box(1.0, 3.0), Grid1D(-36.0, 36.0, 1202)
+        k_gauge, b_const, level = 0.0, 1.0, 1
+        if case == "k_gauge":
+            k_gauge, grid = 0.4, Grid1D(-80.0, 80.0, 1062)
+        elif case == "asymmetric field":
+            # a trapezoid whose right ramp is twice as long as its left one
+            profile = piecewise_linear([(-3.0, 0.0), (-2.9, 1.0), (2.8, 1.0),
+                                        (3.0, 0.0)])
+            b_const = None
+        elif case == "asymmetric grid":
+            # at level 0, where no support mask stands in for the grid
+            grid, level = Grid1D(-36.0, 37.0, 1219), 0
+        else:
+            profile = self._lopsided_box(grid)
+            x = grid.points()[1:-1]
+            mask = (x >= -profile.params["a"]) & (x <= profile.params["a"])
+            assert not np.array_equal(mask, mask[::-1])
+        cfg = ReductionConfig(L_y=TWO_PI, k_gauge=k_gauge, n_range=(-4, 4),
+                              B_const=b_const)
+        solved, spy = _solve_spy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "_sturm_count", spy)
+            rep = verify_degeneracy(profile, cfg, level, grid)
+        assert solved == rep.channels.k_y.tolist() and len(solved) == 9

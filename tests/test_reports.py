@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,3 +362,43 @@ class TestSvg:
     def test_non_finite_points_dropped(self):
         svg = line_plot_svg([0.0, 1.0, 2.0], [0.0, math.nan, 4.0], "x", "y")
         assert "nan" not in svg
+
+    @staticmethod
+    def _finite_numbers(svg):
+        # every attribute value and tick label is a finite number
+        assert "nan" not in svg and "inf" not in svg
+        return svg
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.0], [-1.92e176]),                    # one point
+        ([0.0, 1.0, 2.0], [5e15] * 3),           # +-0.5 rounds back to 5e15
+        ([3e200, 3e200], [1.0, 2.0]),
+        ([0.0, 1.0], [1.7976931348623157e308] * 2)])  # the largest float
+    def test_degenerate_range_beyond_half_a_unit(self, xs, ys):
+        # v +- 0.5 rounds to v, which divided by a zero width; the range is
+        # widened relative to |v| and the points sit mid-axis
+        svg = self._finite_numbers(line_plot_svg(xs, ys, "x", "y"))
+        # five distinct tick labels on each axis
+        ticks = re.findall(r">([^<>]*)</text>", svg)[:-2]
+        assert len(set(ticks[0::2])) == len(set(ticks[1::2])) == 5
+        points = svg.split('points="')[1].split('"')[0].split()
+        if len(set(xs)) == 1:
+            assert {p.split(",")[0] for p in points} == {"400.00"}
+        elif abs(ys[0]) < 1e308:
+            assert {p.split(",")[1] for p in points} == {"300.00"}
+
+    def test_overflowing_range(self):
+        # y_max - y_min overflows: the points and ticks were nan and inf
+        svg = self._finite_numbers(line_plot_svg(
+            [-1e308, 0.0, 1.7e308], [-1.2e308, 0.0, 1.2e308], "x", "y"))
+        assert 'points="70.00,530.00 ' in svg
+        assert ' 730.00,70.00"' in svg
+        assert ">-1.2e+308</text>" in svg and ">1.2e+308</text>" in svg
+        assert ">-1e+308</text>" in svg and ">1.7e+308</text>" in svg
+
+    def test_ordinary_ranges_keep_their_bytes(self):
+        # an ordinary one-value axis keeps its +-0.5 widening and the plain
+        # (x - lo) / (hi - lo) arithmetic, so its bytes do not move
+        svg = line_plot_svg([0.0, 1.0, 2.0], [3.0, 3.0, 3.0], "x", "y")
+        assert 'points="70.00,300.00 400.00,300.00 730.00,300.00"' in svg
+        assert ">2.5</text>" in svg and ">3.5</text>" in svg
