@@ -121,9 +121,12 @@ class FieldProfile:
 
     @property
     def is_even(self):
-        """Whether B(-x) = B(x): true for every parametric kind, all centred
-        at 0, and for a piecewise-linear profile whose breakpoints mirror
-        exactly, each (x, B) matched by (-x, B)."""
+        """Whether the line field has B(-x) = B(x): true for every parametric
+        kind, all centred at 0, and for a piecewise-linear profile whose
+        breakpoints mirror exactly, each (x, B) matched by (-x, B).  False
+        for a radial profile, whose r >= 0 has no mirror image."""
+        if self.is_radial:
+            return False
         if self.kind != "piecewise-linear":
             return True
         pts = self.params["points"]

@@ -44,6 +44,10 @@ grid has x_lo = -x_hi and (at level >= 1) whose support mask equals its
 reverse therefore solves each mirror pair once: a channel whose k is the
 exact negative of an earlier channel's takes that channel's count and
 weight.  Any other sweep, and any unpaired channel, is solved directly.
+A paired row is k's result by construction: the grid points come from
+``linspace`` and A_y is odd only to rounding, so a singular value within
+rounding of tau (or, at level >= 1, of a window edge) may fall on the
+other side of it in a direct solve of -k.
 
 The channels of a sweep are one NumPy record array, whose columns n, k_y,
 admissible, on_window_edge, near_zero_count and level_weight (with their
@@ -313,7 +317,10 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     When the profile is even, ``grid.x_lo == -grid.x_hi`` and, at level
     >= 1, the support mask equals its reverse, a channel whose k_gauge + k_y
     is the exact negative of an earlier channel's is that channel reflected
-    and takes its count and weight without an operator of its own.
+    and takes its count and weight without an operator of its own.  The
+    copy is k's result by construction: a channel with a singular value
+    within rounding of tau, or of a window edge, can differ from a direct
+    solve of -k, whose A_y is odd only to rounding.
     """
     if int(level) != level or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level}")

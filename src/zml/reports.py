@@ -331,27 +331,29 @@ def _axis(lo, hi):
 
     A single value v is widened by 0.5 each way or, where v +- 0.5 rounds
     back to v (|v| of 2^52 or more), by 2^-10 |v| within the float range,
-    wide enough for the tick labels to differ.  A width hi - lo that
-    overflows is taken in halves: (x/2 - lo/2) / (hi/2 - lo/2) maps
-    [lo, hi] to [0, 1] and lo (1 - f) + hi f gives the ticks, all finite.
-    Every other axis keeps the plain (x - lo) / (hi - lo) and
-    lo + f (hi - lo).
+    wide enough for the tick labels to differ.  The axis is mapped as
+    (s x - s lo) / (s hi - s lo), with ticks (s lo + f (s hi - s lo)) / s,
+    where s = 1 or, when the width hi - lo overflows, s = 1/2: halving is
+    exact on normal floats and keeps the width finite.  Times 1 is exact on
+    every float, subnormals too, so an ordinary axis keeps the plain
+    (x - lo) / (hi - lo) and lo + f (hi - lo) bit for bit.  Ticks are capped
+    at the largest float: at hi there, the top tick's half may round up
+    past hi/2 and double to inf.
     """
+    top = float(np.finfo(float).max)
     if hi == lo:
         v = lo
         lo, hi = v - 0.5, v + 0.5
         if hi == lo:
-            pad, top = 2.0 ** -10 * abs(v), np.finfo(float).max
+            pad = 2.0 ** -10 * abs(v)
             lo, hi = max(v - pad, -top), min(v + pad, top)
-    fracs = [i / (_TICKS - 1) for i in range(_TICKS)]
-    if math.isfinite(hi - lo):
-        def unit(x):
-            return (x - lo) / (hi - lo)
-        return unit, [lo + f * (hi - lo) for f in fracs]
+    s = 1.0 if math.isfinite(hi - lo) else 0.5
+    s_lo, span = s * lo, s * hi - s * lo
 
-    def halves(x):
-        return (0.5 * x - 0.5 * lo) / (0.5 * hi - 0.5 * lo)
-    return halves, [lo * (1.0 - f) + hi * f for f in fracs]
+    def unit(x):
+        return (s * x - s_lo) / span
+    return unit, [min((s_lo + i / (_TICKS - 1) * span) / s, top)
+                  for i in range(_TICKS)]
 
 
 def line_plot_svg(xs, ys, xlabel, ylabel):

@@ -107,8 +107,10 @@ class TestMakeProfile:
                            (2.0, 0.0)]), False),
         (piecewise_linear([(-2.0, 0.0), (-0.5, 1.0), (0.5, 1.5),
                            (2.0, 0.0)]), False),
+        # a radial field has no mirror image
         (piecewise_linear([(0.0, 1.0), (1.0, 0.0)], dimension=DIM_RADIAL),
-         False)])
+         False),
+        (box(1.0, 2.0, dimension=DIM_RADIAL), False)])
     def test_is_even(self, profile, even):
         assert profile.is_even is even
         if even:

@@ -396,6 +396,15 @@ class TestSvg:
         assert ">-1.2e+308</text>" in svg and ">1.2e+308</text>" in svg
         assert ">-1e+308</text>" in svg and ">1.7e+308</text>" in svg
 
+    @pytest.mark.parametrize("ys", [
+        # the top tick's half rounds up past hi/2, whose double is inf
+        [-5 * 2.0 ** 970, 1.7976931348623157e308],
+        # a width of one subnormal unit, which halved would be zero
+        [0.0, 5e-324]])
+    def test_extreme_widths(self, ys):
+        svg = self._finite_numbers(line_plot_svg([0.0, 1.0], ys, "x", "y"))
+        assert 'points="70.00,530.00 730.00,70.00"' in svg
+
     def test_ordinary_ranges_keep_their_bytes(self):
         # an ordinary one-value axis keeps its +-0.5 widening and the plain
         # (x - lo) / (hi - lo) arithmetic, so its bytes do not move
