@@ -72,17 +72,7 @@ def _mirror(half, sign):
 
 _NODES = _mirror(_XK, -1.0)
 _KRONROD = _mirror(_WK, 1.0)
-_GAUSS = _mirror(_WG, 1.0)
-
-
-def _rule_sums(fw, rule):
-    """sum_j fw[..., j] rule[j] over each cell's 15 nodes.
-
-    np.einsum, not BLAS: BLAS's per-row sums change with the batch's shape
-    and the CPU kernel it picks at run time, so a cell would integrate to
-    other bits alone than inside a batch, or on another machine.
-    """
-    return np.einsum("...j,j->...", fw, rule)
+_RULES = np.stack([_KRONROD, _mirror(_WG, 1.0)])   # K15 and G7 weights
 
 
 def _gk15(profile, weights, a, b):
@@ -91,9 +81,12 @@ def _gk15(profile, weights, a, b):
     t = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
     f = profile(t)
     fw = np.stack([w(t) * f for w in weights])
-    k = _rule_sums(fw, _KRONROD) * half
-    mag = _rule_sums(np.abs(fw), _KRONROD) * half
-    err = np.maximum(np.abs(k - _rule_sums(fw, _GAUSS) * half), _EPS50 * mag)
+    # np.einsum, not BLAS: BLAS's per-row sums change with the batch's shape
+    # and the CPU kernel it picks at run time, so a cell would integrate to
+    # other bits alone than inside a batch, or on another machine
+    k, gauss = np.einsum("...j,rj->r...", fw, _RULES) * half
+    mag = np.einsum("...j,j->...", np.abs(fw), _KRONROD) * half
+    err = np.maximum(np.abs(k - gauss), _EPS50 * mag)
     return k, err, mag
 
 

@@ -155,7 +155,10 @@ class FieldProfile:
             s, cut = p["sigma"], p["cutoff"]
             inside = np.abs(t) <= cut
             t = np.where(inside, t, 0.0)   # no overflow in t * t far outside
-            gauss = np.exp(-t * t / (2.0 * s * s)) - math.exp(-cut * cut / (2.0 * s * s))
+            # t * t overflows inside a cutoff above ~1e154: exp(-inf) = 0
+            with np.errstate(over="ignore"):
+                gauss = (np.exp(-t * t / (2.0 * s * s))
+                         - math.exp(-cut * cut / (2.0 * s * s)))
             values = np.where(inside, p["B0"] * gauss, 0.0)
         else:   # bump
             inside = np.abs(t) < p["a"]

@@ -30,7 +30,10 @@ of LAPACK's tridiagonal routines on A, and nothing is assembled densely:
   ``dstein`` eigenvectors of A, and the values are the singular values of
   M restricted to it (Rayleigh-Ritz), accurate relative to their own size
   (cf. Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990), on the
-  accuracy of small singular values).
+  accuracy of small singular values).  The product M V is a compensated
+  dot product in float64 (``DiracOperator.m_matvec``), as accurate as if
+  formed in twice the working precision and rounded once, and the same
+  bits on every platform.
 - Channel sweeps need no full spectrum.  The number of singular values
   below s is the number of eigenvalues of A in (-s, s], two Sturm counts of
   A by ``dstebz`` (Parlett, The Symmetric Eigenvalue Problem, ch. 3): O(m).
@@ -78,6 +81,30 @@ __all__ = [
 ]
 
 
+_SPLITTER = 134217729.0   # 2^27 + 1: Dekker's split of a float64
+
+
+def _split(a):
+    """(a, hi, lo) with a = hi + lo exactly, each half 26 bits or fewer."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return a, hi, a - hi
+
+
+def _two_product(a, b):
+    """fl(a b) and its exact error, from two ``_split`` triples (Dekker)."""
+    (a, a_hi, a_lo), (b, b_hi, b_lo) = a, b
+    p = a * b
+    return p, a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _two_sum(a, b):
+    """fl(a + b) and its exact error (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
 @dataclass(frozen=True, eq=False)
 class DiracOperator:
     """One-channel discretization on the interior points of a grid."""
@@ -100,14 +127,28 @@ class DiracOperator:
     def m_matvec(self, v):
         """(D + W) v with Dirichlet neighbours outside the interior.
 
-        ``v`` is a vector or a block of columns; the product takes its dtype
-        when that is wider than float64.
+        ``v`` is a float64 vector or a block of columns.  Row i is the dot
+        product w_i v_i + c v_{i+1} - c v_{i-1}, c = 1/(2h), computed as
+        Dot2 (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005)):
+        each product is split into its float64 value and exact error
+        (``_two_product``), the values are summed with the exact error of
+        each addition (``_two_sum``), and the errors are added back before
+        the one final rounding.  The result is as accurate as if formed in
+        twice the working precision and rounded once: within
+        eps |exact| + O(eps^2) sum |terms| of the exact row, so a row that
+        cancels down to the size of a near-null singular value keeps its
+        leading digits.  Every step is float64, the same on every platform.
         """
+        w = _split(self.w_values if v.ndim == 1 else self.w_values[:, None])
         c = 1.0 / (2.0 * self.h)
-        out = (self.w_values * v.T).T
-        out[:-1] += c * v[1:]
-        out[1:] -= c * v[:-1]
-        return out
+        vs = _split(v)
+        out, err = _two_product(w, vs)
+        for rows, terms, coef in ((np.s_[:-1], np.s_[1:], _split(c)),
+                                  (np.s_[1:], np.s_[:-1], _split(-c))):
+            prod, prod_err = _two_product(coef, [a[terms] for a in vs])
+            out[rows], sum_err = _two_sum(out[rows], prod)
+            err[rows] += sum_err + prod_err
+        return out + err
 
     def tridiagonal(self):
         """(diagonal, off-diagonal) of A = J M, J = diag((-1)^i): the
@@ -180,16 +221,16 @@ def eigen_spectrum(op, tau=None):
     ``dstein`` eigenvectors V of A for those values
     (``windowed_singular_modes``) span their right singular subspace, and
     the refined values are the singular values of the m x k product M V
-    (Rayleigh-Ritz on M).  M V is formed in extended precision
-    (``np.longdouble``) and rounded once: its rows cancel down to the size
-    of the values, and forming them in double leaves an error of up to
-    about eps ||M|| in them.  Where the platform's long double is double,
-    that is the accuracy.  With a field the refinement stops at half the
-    first gap sqrt(2 max|B|), where ``_check_tau`` warns, whatever tau: the
-    values above it are accurate as they are, and a larger tau would grow
-    V, m doubles per column, to the whole spectrum.  A field-free operator
-    has no gap, so every value below tau is refined.  The count is s < tau
-    over all values either way.
+    (Rayleigh-Ritz on M).  The rows of M V cancel down to the size of the
+    values, and a plain float64 product leaves an error of up to about
+    eps ||M|| in them; ``m_matvec`` forms them as a compensated dot product
+    (Dot2) in float64, as accurate as if formed in twice the working
+    precision and rounded once, on every platform.  With a field the
+    refinement stops at half the first gap sqrt(2 max|B|), where
+    ``_check_tau`` warns, whatever tau: the values above it are accurate as
+    they are, and a larger tau would grow V, m doubles per column, to the
+    whole spectrum.  A field-free operator has no gap, so every value below
+    tau is refined.  The count is s < tau over all values either way.
     """
     if tau is None:
         tau = default_zero_tolerance(op)
@@ -204,7 +245,7 @@ def eigen_spectrum(op, tau=None):
         op, 0.0, cut + math.sqrt(np.finfo(float).eps) * s[-1])
     k = v.shape[1]
     if k:
-        mv = op.m_matvec(v.astype(np.longdouble)).astype(float)
+        mv = op.m_matvec(v)
         try:
             s[:k] = np.linalg.svd(mv, compute_uv=False)[::-1]
         except np.linalg.LinAlgError as exc:

@@ -18,7 +18,7 @@ tail rule admits one mode fewer.
 Modes are stored in log space (exp(+-lambda) overflows casually) and all
 norms are computed from the log samples with a max shift, as one weighted
 row sum with the grid's composite-Simpson weights (``_simpson_weights``);
-they equal ``_simpson``'s, SciPy's arithmetic, to a few ulp.
+they equal ``scipy.integrate.simpson``'s value to a few ulp.
 """
 
 import math
@@ -143,37 +143,13 @@ def _representable(log_values):
     return vals
 
 
-def _simpson(y, x):
-    """Row-wise composite Simpson integral of y over the points x (n >= 3).
+def _simpson_weights(x):
+    """Per-point weights w of composite Simpson on the points x (n >= 3).
 
-    The arithmetic of ``scipy.integrate.simpson`` since SciPy 1.11: the
+    The rule is ``scipy.integrate.simpson``'s since SciPy 1.11: the
     spacing-aware three-point rule on the leading interval pairs and, for an
     even number of points, Cartwright's correction on the last interval.
-    The norms use this rule's per-point weights (``_simpson_weights``); this
-    form is the SciPy-exact reference they are checked against.
-    """
-    n = x.size
-    h = np.diff(x)
-    stop = n - 2 if n % 2 else n - 3
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum, ratio = h0 + h1, h0 / h1
-    pairs = hsum / 6.0 * (y[:, 0:stop:2] * (2.0 - 1.0 / ratio)
-                          + y[:, 1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-                          + y[:, 2:stop + 2:2] * (2.0 - ratio))
-    result = np.sum(pairs, axis=-1)
-    if n % 2 == 0:
-        a, b = h[-2:-1], h[-1:]
-        alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
-        beta = (b ** 2 + 3.0 * a * b) / (6 * a)
-        eta = b ** 3 / (6 * a * (a + b))
-        result += alpha * y[:, -1] + beta * y[:, -2] - eta * y[:, -3]
-    return result
-
-
-def _simpson_weights(x):
-    """Per-point weights w of ``_simpson``'s rule on the points x (n >= 3).
-
-    w @ y is _simpson(y, x) up to rounding: a few ulp of sum |w y|.  The
+    w @ y is simpson(y, x=x) up to rounding: a few ulp of sum |w y|.  The
     weights gather the rule's coefficients in O(n): an interval pair
     (h0, h1) gives its ends hsum/6 (2 - h1/h0) and hsum/6 (2 - h0/h1) and
     its middle hsum/6 (hsum/h0)(hsum/h1), and an even n adds Cartwright's
@@ -227,9 +203,10 @@ def build_mode_1d(pot, sector):
     flux are the mode's (``ZeroMode.flux``).  The normalizability verdict is
     the window rule on its exact k and Q alone.  The L2 norm is composite
     Simpson quadrature over the grid extent, the routine scan_k uses, so
-    the two agree bit for bit; it equals ``_simpson``'s value to a few ulp.
-    It is flagged infinite for non-normalizable modes; how well the grid
-    resolves a normalizable tail is the caller's ``check_padding``.
+    the two agree bit for bit; it equals ``scipy.integrate.simpson``'s value
+    to a few ulp.  It is flagged infinite for non-normalizable modes; how
+    well the grid resolves a normalizable tail is the caller's
+    ``check_padding``.
     """
     if not isinstance(pot, ScalarPotential):
         raise ProfileError("build_mode_1d needs a line potential "
@@ -267,9 +244,10 @@ def scan_k(base, sector, k_list):
     place after its row-max shift, and one weighted row sum with the grid's
     Simpson weights, built once per scan.  So the temporaries stay flat
     however long k_list is, and each norm is build_mode_1d's at its k bit
-    for bit and ``_simpson``'s to a few ulp.  Norms are computed on base's
-    grid, so near the window edges (where the padding rule would demand
-    enormous grids) they are truncation-limited; the verdict is not.
+    for bit and ``scipy.integrate.simpson``'s to a few ulp.  Norms are
+    computed on base's grid, so near the window edges (where the padding
+    rule would demand enormous grids) they are truncation-limited; the
+    verdict is not.
     """
     if sector is SECTOR_NONE or not isinstance(sector, SpinSector):
         raise ValueError("scan_k needs sector a or b")

@@ -817,6 +817,20 @@ class TestSpectrum:
         assert lines[0] == "channel_ky,index,eigenvalue"
         assert len(lines) == 1 + 2 * 400
 
+    def test_huge_gaussian_cutoff_is_one_padding_error(self, tmp_path,
+                                                       capsys):
+        # B at |t| > 1.3e154 inside the cutoff overflows t * t on the way to
+        # exp(-inf) = 0; stderr carries the padding error and nothing else
+        cfg = write_cfg(tmp_path, profile={
+            "kind": "truncated-gaussian", "B0": 1.0, "sigma": 1.0,
+            "cutoff": 1e300}, grid={"x_lo": -20.0, "x_hi": 20.0, "n": 41},
+            k_y=0.0, out_dir=str(tmp_path / "o"))
+        code, stdout, err = run_cli(capsys, "spectrum", "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith("config error: grid [-20.0, 20.0] extends only")
+        assert err.count("\n") == 1
+
     def test_golden_bytes(self, tmp_path, capsys):
         # box(1, 2) at k_y = 0.4 on 60 interior points: one near-null
         # singular value, refined on M over its windowed eigenvector

@@ -218,27 +218,25 @@ def test_line_convolutions_random_profiles(profile, where, k):
 
 
 def test_cell_sums_do_not_depend_on_the_batch():
-    """A cell's K15, G7 and |K15| sums are the same bits evaluated alone as
-    inside a batch, at any offset in it (BLAS's row sums were not: they
-    differed in most cells of this batch)."""
+    """A cell's K15 value, error estimate and int |w B| are the same bits
+    evaluated alone as inside a batch, at any offset in it (BLAS's row sums
+    were not: they differed in most cells of such a batch)."""
     rng = np.random.default_rng(7)
-    fw = (rng.standard_normal((2, 1000, 15))
-          * 10.0 ** rng.uniform(-3.0, 3.0, (2, 1000, 1)))
-    for values, rule in ((fw, _quadrature._KRONROD), (fw, _quadrature._GAUSS),
-                         (np.abs(fw), _quadrature._KRONROD)):
-        batch = _quadrature._rule_sums(values, rule)
-        assert np.array_equal(_quadrature._rule_sums(values[:, 3:], rule),
-                              batch[:, 3:])
-        alone = [_quadrature._rule_sums(values[:, i:i + 1], rule)
-                 for i in range(values.shape[1])]
-        assert np.array_equal(np.concatenate(alone, axis=1), batch)
-    # and so each cell's value, error estimate and magnitude in _gk15
     a = np.sort(rng.uniform(-2.5, 2.5, 1000))
     b = a + rng.uniform(1e-6, 0.5, a.size)
     weights = (_quadrature._one, _quadrature._t)
-    batch = _quadrature._gk15(PROFILES["bump"], weights, a, b)
-    for i in range(a.size):
-        alone = _quadrature._gk15(PROFILES["bump"], weights, a[i:i + 1],
-                                  b[i:i + 1])
-        for got, want in zip(alone, batch):
-            assert np.array_equal(got[:, 0], want[:, i])
+
+    def wild(t):
+        # values of either sign over six decades
+        return np.sin(37.0 * t) * 10.0 ** (3.0 * np.cos(5.0 * t))
+
+    for profile in (PROFILES["bump"], wild):
+        batch = _quadrature._gk15(profile, weights, a, b)
+        offset = _quadrature._gk15(profile, weights, a[3:], b[3:])
+        for got, want in zip(offset, batch):
+            assert np.array_equal(got, want[:, 3:])
+        for i in range(a.size):
+            alone = _quadrature._gk15(profile, weights, a[i:i + 1],
+                                      b[i:i + 1])
+            for got, want in zip(alone, batch):
+                assert np.array_equal(got[:, 0], want[:, i])

@@ -166,6 +166,16 @@ class TestSample:
         vals = truncated_gaussian(1.0, 1.0, 2.0)(Grid1D(-4.0, 4.0, 9).points())
         assert vals[2] == 0.0 and vals[6] == 0.0
 
+    def test_truncated_gaussian_huge_cutoff(self):
+        # t * t overflows for |t| above ~1.3e154 inside the cutoff, and
+        # exp(-inf) = 0 is the value: no overflow warning on the way
+        p = truncated_gaussian(1.0, 1.0, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = p(np.array([-1e300, -1e200, 0.0, 1e155, 2e300]))
+            assert p(1e200) == 0.0
+        np.testing.assert_array_equal(vals, [0.0, 0.0, 1.0, 0.0, 0.0])
+
     def test_support_exactness_random_grids(self, rng):
         profiles = [box(1.0, 1.7), truncated_gaussian(2.0, 0.7, 2.1),
                     bump(1.0, 1.2),

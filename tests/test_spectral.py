@@ -60,6 +60,31 @@ def free_operator(n=202, half_width=10.0):
                           Grid1D(-half_width, half_width, n))
 
 
+def exact_rows(op, v):
+    """The terms of each row of M v for a vector v, as exact rationals."""
+    m = op.size
+    c = Fraction(1.0 / (2.0 * op.h))
+    w = [Fraction(x) for x in op.w_values.tolist()]
+    f = [Fraction(x) for x in v.tolist()]
+    return [[w[i] * f[i]] + ([c * f[i + 1]] if i + 1 < m else [])
+            + ([-c * f[i - 1]] if i else []) for i in range(m)]
+
+
+def exact_matvec(op, v):
+    """M V formed exactly and rounded once, column by column."""
+    return np.array([[float(sum(row)) for row in exact_rows(op, col)]
+                     for col in v.T]).T
+
+
+def kink_operator(m):
+    # kink, antikink and kink in W: one value near 1e-16 and a tunnelling
+    # pair near 3e-7 at m >= 600
+    x = np.linspace(-24.0, 24.0, m)
+    w = 2.0 * (np.tanh(x + 9.0) - np.tanh(x) + np.tanh(x - 9.0))
+    return DiracOperator(grid=None, k_y=0.0, interior_x=x, w_values=w,
+                         h=x[1] - x[0], bmax=1.0)
+
+
 class TestBuildOperator:
     def test_w_values_box_channel(self):
         g = Grid1D(-7.0, 7.0, 701)
@@ -111,6 +136,35 @@ class TestBuildOperator:
         assert np.all(np.diag(m, 1) == c)
         assert np.all(np.diag(m, -1) == -c)
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 12), h=st.floats(0.05, 1.0),
+           k=st.floats(-3.0, 3.0), noise=st.floats(0.1, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matvec_within_dot2_bound(self, m, h, k, noise, seed):
+        # each entry within eps |exact| + 10 eps^2 sum |terms| of the exact
+        # product (Ogita, Rump & Oishi's bound for Dot2).  The second column
+        # solves rows 0 .. m-2 for the next entry, so those rows cancel as
+        # a near-null vector's do; a plain float64 product misses them by
+        # up to eps sum |terms|
+        op = random_operator(m, h, k, noise, seed)
+        c = 1.0 / (2.0 * h)
+        near_null = np.ones(m)
+        near_null[1] = -op.w_values[0] / c
+        for i in range(1, m - 1):
+            near_null[i + 1] = (near_null[i - 1]
+                                - op.w_values[i] * near_null[i] / c)
+        v = np.stack([np.random.default_rng(seed).standard_normal(m),
+                      near_null], axis=1)
+        got = op.m_matvec(v)
+        eps = Fraction(np.finfo(float).eps)
+        for j in range(2):
+            assert np.array_equal(op.m_matvec(v[:, j]), got[:, j])
+            for i, terms in enumerate(exact_rows(op, v[:, j])):
+                exact = sum(terms)
+                bound = (eps * abs(exact)
+                         + 10 * eps ** 2 * sum(map(abs, terms)))
+                assert abs(Fraction(got[i, j]) - exact) <= bound
+
 
 class TestEigenSpectrum:
     def test_free_even_interior_gap(self):
@@ -156,12 +210,8 @@ class TestEigenSpectrum:
 
     @pytest.mark.parametrize("m", [600, 1200])
     def test_near_null_cluster_matches_dense_svd(self, m):
-        # kink, antikink and kink in W: one value near 1e-16 and a
-        # tunnelling pair near 3e-7, all three refined together
-        x = np.linspace(-24.0, 24.0, m)
-        w = 2.0 * (np.tanh(x + 9.0) - np.tanh(x) + np.tanh(x - 9.0))
-        op = DiracOperator(grid=None, k_y=0.0, interior_x=x, w_values=w,
-                           h=x[1] - x[0], bmax=1.0)
+        # all three near-null values refined together
+        op = kink_operator(m)
         spec = eigen_spectrum(op, tau=0.1)
         ref = scipy.linalg.svdvals(dense_m(op))[::-1][:3]
         assert ref[0] < 1e-14 and 1e-9 < ref[1] <= ref[2] < 1e-6
@@ -175,13 +225,27 @@ class TestEigenSpectrum:
         # it at 0.0
         op = build_operator(box(1.0, 2.0), 0.4, Grid1D(-21.0, 21.0, 3002))
         smallest = np.min(np.abs(eigen_spectrum(op, tau=0.1).eigenvalues))
-        assert smallest == pytest.approx(4.7104695425e-7, rel=1e-9,
+        # M V formed as Dot2 (m_matvec), the same on every platform;
+        # forming it in plain double misses the value by up to ~5e-10
+        assert smallest == pytest.approx(4.71046954025e-7, rel=1e-11,
                                          abs=0.0)
-        if np.finfo(np.longdouble).eps < np.finfo(float).eps:
-            # M V formed in extended precision and rounded once; forming
-            # it in double misses the value by up to ~5e-10
-            assert smallest == pytest.approx(4.71046954025e-7,
-                                             rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_operator(box(1.0, 2.0), 0.4, Grid1D(-21.0, 21.0, 302)),
+        lambda: kink_operator(300)], ids=["box", "kinks"])
+    def test_refined_values_of_the_exact_product(self, make):
+        # the refined values are the singular values of M V formed exactly
+        # and rounded once, V the vectors eigen_spectrum refines on (tau is
+        # below half the first gap, so it is the refinement cut)
+        op, tau = make(), 0.1
+        spec = eigen_spectrum(op, tau=tau)
+        top = spec.eigenvalues[-1]   # above the cut: not refined
+        _, v = windowed_singular_modes(
+            op, 0.0, tau + math.sqrt(np.finfo(float).eps) * top)
+        k = v.shape[1]
+        assert k == spec.near_zero_count >= 1
+        ref = np.linalg.svd(exact_matvec(op, v), compute_uv=False)[::-1]
+        assert np.array_equal(spec.eigenvalues[op.size:op.size + k], ref)
 
     def test_counts_inside_and_outside_window(self):
         p = box(1.0, 2.0)
