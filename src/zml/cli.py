@@ -34,7 +34,7 @@ from .profiles import (DEFAULT_RTOL, DIM_LINE, DIM_RADIAL, Grid1D,
 from .potential import check_padding, lambda_1d, lambda_2d_radial
 from .reduction import ReductionConfig, admissible_channels, verify_degeneracy
 from .reports import Table, csv_text, json_report, line_plot_svg
-from .spectral import build_operator, default_zero_tolerance, eigen_spectrum
+from .spectral import build_operator, eigen_spectrum
 from .zeromodes import (SECTOR_A, SECTOR_B, build_mode_1d, build_mode_2d,
                         count_2d_zero_modes, scan_k)
 
@@ -338,12 +338,9 @@ def cmd_spectrum(cfg, profile, grid, rtol, out):
     check_padding(profile, cfg["k_y"], grid,
                   Q=total_flux(profile, rtol=rtol).value)
     tau = _tol(cfg, "zero_tol")
-    if tau is None:
-        try:
-            tau = default_zero_tolerance(op)
-        except ValueError as exc:
-            raise ConfigError("a field-free channel has no Landau scale to "
-                              "set tau from; set tolerances.zero_tol") from exc
+    if tau is None and np.isinf(op.gap):
+        raise ConfigError("a field-free channel has no Landau scale to "
+                          "set tau from; set tolerances.zero_tol")
     spec = eigen_spectrum(op, tau=tau)
     out.json("spectrum.json", {
         "ky": op.k_y, "tau": spec.zero_tolerance,

@@ -49,6 +49,18 @@ A paired row is k's result by construction: the grid points come from
 rounding of tau (or, at level >= 1, of a window edge) may fall on the
 other side of it in a direct solve of -k.
 
+Every tolerance of a sweep is a fraction of the base operator's
+``DiracOperator.gap``, sqrt(2 max|B|): tau defaults to the smaller of a
+tenth of it and pi / (8 min_pad), min_pad the grid's padding (both
+inverse lengths), ``cluster_tol`` to a tenth of it, and the bulk weight
+groups values closer than (1e-3 / sqrt 2) gap, exactly 1e-3 at
+max|B| = 1.  So a sweep dilated by c = 2^j as in ``zml.spectral``, with
+L_y -> L_y / c, keeps its counts and weights bit for bit.  Two absolute
+constants are left, both the maintainers' decision since changing either
+changes when a sweep is refused or flagged: ``potential.PADDING_FLOOR``
+= 5, a length, and the 1.0 floor of ``potential._on_edge``'s relative
+scale.
+
 The channels of a sweep are one NumPy record array, whose columns n, k_y,
 admissible, on_window_edge, near_zero_count and level_weight (with their
 dtypes) the ``DegeneracyReport`` docstring lists.
@@ -85,8 +97,9 @@ MAX_CHANNELS = 100_000
 
 # near-degenerate eigenvalues are handled as one subspace (the solver may
 # rotate their basis arbitrarily); genuine neighbours sit >= the continuum
-# spacing apart, orders of magnitude above this
-_GROUP_TOL = 1e-3
+# spacing apart, orders of magnitude above this fraction of the Landau gap
+# (1e-3 exactly at max|B| = 1)
+_GROUP_FRACTION = 1e-3 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -215,15 +228,6 @@ def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
     return report
 
 
-def _sweep_zero_tolerance(base, min_pad):
-    # stay below both a tenth of the Landau gap and half the first rung of
-    # the flat-region ladder that window-edge channels develop
-    scales = [0.5 * math.pi / (4.0 * min_pad)]
-    if base.bmax > 0.0:
-        scales.append(default_zero_tolerance(base))
-    return min(scales)
-
-
 def _check_level_separation(level, top, upper, ctol):
     """Require level + 1, starting at ``upper``, 2 ctol above ``top`` of level.
 
@@ -266,20 +270,21 @@ def _detect_cluster_center(vals, level, ctol):
     return float(np.median(cluster))
 
 
-def _smooth_bulk_weight(svals, vecs, support_mask):
+def _smooth_bulk_weight(svals, vecs, support_mask, group_tol):
     """Bulk-projected weight of the non-doubler states in a singular window.
 
-    Near-degenerate values are treated as one group (LAPACK may rotate the
-    basis within such a group arbitrarily, so classification must be
-    basis-free).  In a group B the smooth (non-doubler) directions u have
-    less difference- than sum-energy, |D u| < |S u| for D, S = B[1:] -+
-    B[:-1]; as D^T D - S^T S = -2 (G + G^T), G = B[1:]^T B[:-1], they are
-    the eigenvectors of G + G^T with positive eigenvalues.  Each is a unit
+    Values closer than ``group_tol`` are treated as one group (LAPACK may
+    rotate the basis within such a group arbitrarily, so classification
+    must be basis-free); a sweep passes a fixed fraction of the Landau gap.
+    In a group B the smooth (non-doubler) directions u have less
+    difference- than sum-energy, |D u| < |S u| for D, S = B[1:] -+ B[:-1];
+    as D^T D - S^T S = -2 (G + G^T), G = B[1:]^T B[:-1], they are the
+    eigenvectors of G + G^T with positive eigenvalues.  Each is a unit
     state, since B's columns are orthonormal as ``windowed_singular_modes``
     returns them, and contributes its probability weight inside the support.
     """
     weight = 0.0
-    for run in _gap_runs(svals, _GROUP_TOL):
+    for run in _gap_runs(svals, group_tol):
         basis = vecs[:, run]
         g = basis[1:].T @ basis[:-1]
         split, rot = np.linalg.eigh(g + g.T)
@@ -330,26 +335,28 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
         raise ValueError(f"cluster_tol must be positive and finite, "
                          f"got {cluster_tol}")
     report = admissible_channels(profile, cfg, rtol=rtol)
-    # read once as plain arrays: each record attribute read costs microseconds
-    k_y = report.channels.k_y
-    ks = cfg.k_gauge + k_y
+    # read once as a plain array: each record attribute read costs microseconds
+    ks = cfg.k_gauge + report.channels.k_y
     # inside the window the padding a channel needs grows with |k|, so the
     # admissible channel farthest from k = 0 binds; without one, the floor
     inside = np.flatnonzero(report.channels.admissible)
     k_bind = ks[inside[np.argmax(np.abs(ks[inside]))]] if inside.size else ks[0]
     min_pad = check_padding(profile, k_bind, grid, Q=report.Q)
     base = build_operator(profile, 0.0, grid, rtol=rtol)
-    tau0 = zero_tol if zero_tol is not None else _sweep_zero_tolerance(base, min_pad)
-    _check_tau(base.bmax, tau0)
+    # below both a tenth of the Landau gap and half the first rung of the
+    # flat-region ladder that window-edge channels develop
+    tau0 = zero_tol if zero_tol is not None else min(
+        math.pi / (8.0 * min_pad), default_zero_tolerance(base))
+    _check_tau(base.gap, tau0)
 
     def channel(i):
-        return dataclasses.replace(base, k_y=k_y[i],
+        return dataclasses.replace(base, k_y=ks[i],
                                    w_values=ks[i] + base.w_values)
 
     if level:
         ctol = cluster_tol
         if ctol is None:
-            if base.bmax <= 0.0:
+            if math.isinf(base.gap):
                 raise ClusterResolutionError("field-free sweep has no level "
                                              "structure to cluster")
             ctol = default_zero_tolerance(base)
@@ -371,6 +378,7 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
         x_int, (s_lo, s_hi) = base.interior_x, profile.support
         support_mask = ((x_int >= s_lo) & (x_int <= s_hi)).astype(float)
         lo, hi = max(center - ctol, 0.0), center + ctol
+        group_tol = _GROUP_FRACTION * base.gap
         if not lo < hi:
             raise ClusterResolutionError(
                 f"cluster_tol = {ctol:.3g} is below the float spacing at the "
@@ -394,7 +402,8 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
         counts.append(_sturm_count(op, tau0))
         if level:
             svals, vecs = windowed_singular_modes(op, lo, hi)
-            weights.append(_smooth_bulk_weight(svals, vecs, support_mask))
+            weights.append(_smooth_bulk_weight(svals, vecs, support_mask,
+                                               group_tol))
     names = [*report.channels.dtype.names, "near_zero_count"]
     columns = [report.channels[name] for name in names[:-1]] + [counts]
     g_numeric = sum(counts)

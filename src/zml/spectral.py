@@ -52,6 +52,14 @@ of LAPACK's tridiagonal routines on A, and nothing is assembled densely:
 SciPy's LAPACK is imported by the first such call (``_lapack``), not with
 the module, so the stages that take no channel spectrum never load SciPy.
 
+Every spectral tolerance is a fraction of one scale, ``DiracOperator.gap``,
+the first Landau gap sqrt(2 max|B|) (inf with no field): the default zero
+tolerance is a tenth of it, ``_check_tau`` warns at half of it, and
+``eigen_spectrum`` refines below min(tau, gap / 2).  In units hbar = e = 1
+no other scale enters, so the dilation x -> x / c, B -> c^2 B(c x),
+k -> c k leaves every count alone and scales every eigenvalue and
+tolerance by c, exactly when c is a power of two.
+
 Central differences carry the usual lattice artifact: M also hosts a
 staggered ("doubler") branch whose levels coincide with the partner tower.
 ``windowed_singular_modes`` exposes the right-singular vectors in a value
@@ -85,9 +93,16 @@ _SPLITTER = 134217729.0   # 2^27 + 1: Dekker's split of a float64
 
 
 def _split(a):
-    """(a, hi, lo) with a = hi + lo exactly, each half 26 bits or fewer."""
-    t = _SPLITTER * a
-    hi = t - (t - a)
+    """(a, hi, lo) with a = hi + lo exactly, each half 26 bits or fewer.
+
+    _SPLITTER a overflows for |a| above about 2^997, so a value above 2^996
+    is split at 2^-28 times its size and both halves are scaled back; either
+    scaling is exact, and every smaller value keeps its bits.
+    """
+    scale = np.where(np.abs(a) > 2.0 ** 996, 2.0 ** -28, 1.0)
+    scaled = a * scale
+    t = _SPLITTER * scaled
+    hi = (t - (t - scaled)) / scale
     return a, hi, a - hi
 
 
@@ -114,7 +129,7 @@ class DiracOperator:
     interior_x: np.ndarray
     w_values: np.ndarray    # k_y + A_y at the interior points
     h: float
-    bmax: float             # max |B|, sets the Landau scale sqrt(2 bmax)
+    bmax: float             # max |B|
 
     def __post_init__(self):
         self.interior_x.setflags(write=False)
@@ -123,6 +138,12 @@ class DiracOperator:
     @property
     def size(self):
         return self.w_values.size
+
+    @property
+    def gap(self):
+        """sqrt(2 max|B|), the first Landau gap: the one scale every
+        spectral tolerance is a fraction of; inf with no field."""
+        return math.sqrt(2.0 * self.bmax) if self.bmax > 0.0 else math.inf
 
     def m_matvec(self, v):
         """(D + W) v with Dirichlet neighbours outside the interior.
@@ -191,23 +212,18 @@ def build_operator(profile, k_y, grid, rtol=DEFAULT_RTOL):
 
 
 def default_zero_tolerance(op):
-    """0.1 sqrt(2 max|B|): a tenth of the first Landau gap."""
-    if op.bmax <= 0.0:
-        raise ValueError("field-free operator has no Landau scale; "
-                         "pass tau explicitly")
-    return 0.1 * math.sqrt(2.0 * op.bmax)
+    """A tenth of the first Landau gap ``op.gap``; inf with no field."""
+    return 0.1 * op.gap
 
 
-def _check_tau(bmax, tau):
+def _check_tau(gap, tau):
     # written so that nan fails too: it would count nothing, inf everything
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    if bmax > 0.0:
-        gap = math.sqrt(2.0 * bmax)
-        if tau >= 0.5 * gap:
-            warnings.warn(f"zero tolerance {tau:.3g} is not below half the "
-                          f"first gap {gap:.3g}; counts may absorb the first "
-                          "excited cluster", stacklevel=3)
+    if tau >= 0.5 * gap:
+        warnings.warn(f"zero tolerance {tau:.3g} is not below half the "
+                      f"first gap {gap:.3g}; counts may absorb the first "
+                      "excited cluster", stacklevel=3)
 
 
 def eigen_spectrum(op, tau=None):
@@ -225,24 +241,23 @@ def eigen_spectrum(op, tau=None):
     values, and a plain float64 product leaves an error of up to about
     eps ||M|| in them; ``m_matvec`` forms them as a compensated dot product
     (Dot2) in float64, as accurate as if formed in twice the working
-    precision and rounded once, on every platform.  With a field the
-    refinement stops at half the first gap sqrt(2 max|B|), where
-    ``_check_tau`` warns, whatever tau: the values above it are accurate as
-    they are, and a larger tau would grow V, m doubles per column, to the
-    whole spectrum.  A field-free operator has no gap, so every value below
-    tau is refined.  The count is s < tau over all values either way.
+    precision and rounded once, on every platform.  The refinement stops
+    at half the first gap ``op.gap``, where ``_check_tau`` warns, whatever
+    tau: the values above it are accurate as they are, and a larger tau
+    would grow V, m doubles per column, to the whole spectrum.  A
+    field-free operator's gap is inf, so every value below tau is refined.
+    The count is s < tau over all values either way.
     """
     if tau is None:
         tau = default_zero_tolerance(op)
     tau = float(tau)
-    _check_tau(op.bmax, tau)
+    _check_tau(op.gap, tau)
     s = _singular_values(op)
-    # every value below cut + sqrt(eps) ||A||, ||A|| the largest value: a
-    # margin far above the rounding of dsterf and dstebz, so none below cut
-    # is missed
-    cut = tau if op.bmax <= 0.0 else min(tau, 0.5 * math.sqrt(2.0 * op.bmax))
-    _, v = windowed_singular_modes(
-        op, 0.0, cut + math.sqrt(np.finfo(float).eps) * s[-1])
+    # every value below min(tau, gap/2) + sqrt(eps) ||A||, ||A|| the largest
+    # value: a margin far above the rounding of dsterf and dstebz, so none
+    # below min(tau, gap/2) is missed
+    cut = min(tau, 0.5 * op.gap) + math.sqrt(np.finfo(float).eps) * s[-1]
+    _, v = windowed_singular_modes(op, 0.0, cut)
     k = v.shape[1]
     if k:
         mv = op.m_matvec(v)
@@ -303,8 +318,9 @@ def mode_residual(op, mode, drop_edge=0):
     resid = op.m_matvec(v)
     if drop_edge > 0:
         resid = resid[drop_edge:-drop_edge]
-    denom = float(np.linalg.norm(v))
-    return float(np.linalg.norm(resid)) / denom
+    # math.hypot scales as it sums, so finite entries give a finite norm
+    # (np.linalg.norm squares them first)
+    return math.hypot(*resid) / math.hypot(*v)
 
 
 def _gap_runs(vals, tol):

@@ -1,6 +1,7 @@
 """Channel quantization, analytic degeneracy, and the oracle reconciliation."""
 
 import dataclasses
+import functools
 import math
 import time
 
@@ -8,17 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from zml import reduction
-from zml.errors import (ClusterResolutionError, GridError, PaddingError,
-                        ProfileError)
+from zml import reduction, spectral
+from zml.errors import (ClusterResolutionError, EigenSolveError, GridError,
+                        PaddingError, ProfileError)
 from zml.potential import (PADDING_FLOOR, _on_edge, required_padding,
                            vector_potential_y, window_margin)
-from zml.profiles import (Grid1D, box, bump, piecewise_linear, total_flux,
-                          truncated_gaussian)
+from zml.profiles import (Grid1D, box, bump, make_profile, piecewise_linear,
+                          total_flux, truncated_gaussian)
 from zml.reduction import (MAX_CHANNELS, ReductionConfig, admissible_channels,
                            default_n_range, quantize_ky, verify_degeneracy)
 from zml.spectral import (_sturm_count, build_operator, default_zero_tolerance,
-                          windowed_singular_modes)
+                          eigen_spectrum, windowed_singular_modes)
 
 TWO_PI = 2.0 * math.pi
 
@@ -222,7 +223,8 @@ class TestVerifyDegeneracy:
     def test_level1_builds_each_channel_once(self, setup6, monkeypatch,
                                              k_gauge, grid, solved):
         # one operator object per solved channel gives both its Sturm count
-        # and its windowed weight
+        # and its windowed weight, and carries the channel's own k:
+        # k_y = k_gauge + 2 pi n / L_y, with w_values = k_y + A_y
         calls = {"_sturm_count": [], "windowed_singular_modes": []}
         for name in calls:
             def spy(op, *args, _name=name, _inner=getattr(reduction, name)):
@@ -237,7 +239,22 @@ class TestVerifyDegeneracy:
         assert len(counted) == len(windowed) == solved
         assert all(a is b for a, b in zip(counted, windowed))
         assert len({id(op) for op in counted}) == solved
-        assert [op.k_y for op in counted] == rep.channels.k_y[:solved].tolist()
+        assert [op.k_y for op in counted] == \
+            (k_gauge + rep.channels.k_y[:solved]).tolist()
+        a_y = build_operator(profile, 0.0, grid or grid6).w_values
+        assert all(np.array_equal(op.w_values, op.k_y + a_y) for op in counted)
+
+    def test_eigen_failure_names_the_channel_k(self, setup6, monkeypatch):
+        # a LAPACK failure in a sweep at k_gauge = 0.4 names the channel by
+        # its own k = k_gauge + k_y, here 0.4 - 4
+        def fail(op, lo, hi):
+            spectral._lapack_ok(op, "dstein", 1, 2)
+        monkeypatch.setattr(reduction, "windowed_singular_modes", fail)
+        profile, cfg, _ = setup6
+        cfg = dataclasses.replace(cfg, k_gauge=0.4)
+        with pytest.raises(EigenSolveError,
+                           match=r"dstein failed for channel k_y=-3\.6 "):
+            verify_degeneracy(profile, cfg, 1, Grid1D(-80.0, 80.0, 1062))
 
     def test_detected_center_matches_theory(self, setup6):
         profile, _, grid = setup6
@@ -432,6 +449,100 @@ class TestSweepSymmetries:
         assert shifted.tolist() == base.tolist()
 
 
+def dilate(profile, c):
+    """The line field B(x) mapped to c^2 B(c x): widths / c, values * c^2."""
+    p = profile.params
+    if profile.kind == "piecewise-linear":
+        return piecewise_linear([(x / c, c * c * b) for x, b in p["points"]])
+    widths = {name: v / c for name, v in p.items() if name != "B0"}
+    return make_profile(profile.kind, B0=c * c * p["B0"], **widths)
+
+
+def dilated_grid(grid, c):
+    return Grid1D(grid.x_lo / c, grid.x_hi / c, grid.n)
+
+
+class TestDilation:
+    # in units hbar = e = 1, x -> x / c, B -> c^2 B(c x), k -> c k and
+    # L_y -> L_y / c map the problem onto itself, and for c = 2^j every
+    # float step scales exactly: counts and weights are bit-equal, and every
+    # inverse length (tau, k_y, the level centre, each eigenvalue) is c times
+    # the original, bit for bit.  Two absolute constants are left, and
+    # draws that meet them are skipped: PADDING_FLOOR = 5, a length, and the
+    # 1.0 floor of _on_edge's relative scale
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def level1_sweep(c, named_field):
+        cfg = ReductionConfig(L_y=TWO_PI / c, k_gauge=0.4 * c, n_range=(-8, 8),
+                              B_const=c * c if named_field else None)
+        return verify_degeneracy(box(c * c, 5.0 / c), cfg, 1,
+                                 Grid1D(-80.0 / c, 80.0 / c, 1062))
+
+    @pytest.mark.parametrize("named_field", [False, True],
+                             ids=["detected", "B_const"])
+    @pytest.mark.parametrize("c", [0.25, 0.5, 2.0, 4.0])
+    def test_level1_sweep_is_dilation_exact(self, c, named_field):
+        # the bulk weight's grouping tolerance is a fraction of the Landau
+        # gap sqrt(2 max|B|); an absolute 1e-3 moved these weights by up to
+        # 0.85 and g from 8 to 7 at c = 4
+        ref = self.level1_sweep(1.0, named_field)
+        rep = self.level1_sweep(c, named_field)
+        ch, ref_ch = rep.channels, ref.channels
+        assert ref.g_numeric == 8
+        assert rep.g_numeric == ref.g_numeric
+        assert ch.near_zero_count.tolist() == ref_ch.near_zero_count.tolist()
+        assert ch.level_weight.tolist() == ref_ch.level_weight.tolist()
+        assert rep.tau == c * ref.tau
+        assert ch.k_y.tolist() == (c * ref_ch.k_y).tolist()
+        assert rep.cluster_center == c * ref.cluster_center
+
+    @settings(max_examples=20)
+    @given(field=signed_fields(), j=st.integers(-3, 3),
+           ly=st.floats(3.0, 9.0), kg=st.floats(-0.4, 0.4))
+    def test_level0_sweep_and_spectrum_are_dilation_exact(self, field, j, ly,
+                                                          kg):
+        profile, c = field(1.0), 2.0 ** j
+        q = total_flux(profile).value
+        lo, hi = default_n_range(q, ly, kg)
+        ks = kg + TWO_PI * np.arange(lo, hi + 1) / ly
+        margins = window_margin(q, ks)
+        # channels on or near the window edge need a long padding, and
+        # within 1e-9 of it _on_edge's flag depends on the scale
+        assume(np.all(np.abs(margins) > 0.15))
+        pad = max([required_padding(q, k) for k in ks[margins > 0]],
+                  default=PADDING_FLOOR)
+        s_lo, s_hi = profile.support
+        extent = max(-s_lo, s_hi) + pad + 1.0
+        grid = Grid1D(-extent, extent, 2 * int(3.0 * extent) + 1)
+        cfg = ReductionConfig(L_y=ly, k_gauge=kg, n_range=(lo, hi))
+        dcfg = ReductionConfig(L_y=ly / c, k_gauge=kg * c, n_range=(lo, hi))
+        ref = verify_degeneracy(profile, cfg, 0, grid)
+        try:
+            rep = verify_degeneracy(dilate(profile, c), dcfg, 0,
+                                    dilated_grid(grid, c))
+        except PaddingError:
+            assume(False)   # PADDING_FLOOR is a length: the floor refused it
+        except RuntimeWarning:
+            assume(False)   # the dilated draw overflows or underflows
+        ch, ref_ch = rep.channels, ref.channels
+        # _on_edge flags |margin| <= 1e-9 max(1, |Q|/2), not scale-free; the
+        # margins above keep every channel far from that, so no flag is set
+        assert not ch.on_window_edge.any() and not ref_ch.on_window_edge.any()
+        assert rep.Q == c * ref.Q
+        assert rep.g_numeric == ref.g_numeric
+        assert ch.near_zero_count.tolist() == ref_ch.near_zero_count.tolist()
+        assert ch.admissible.tolist() == ref_ch.admissible.tolist()
+        assert rep.tau == c * ref.tau
+        assert ch.k_y.tolist() == (c * ref_ch.k_y).tolist()
+        spec = eigen_spectrum(build_operator(profile, kg, grid))
+        dspec = eigen_spectrum(build_operator(dilate(profile, c), c * kg,
+                                              dilated_grid(grid, c)))
+        assert dspec.near_zero_count == spec.near_zero_count
+        assert dspec.zero_tolerance == c * spec.zero_tolerance
+        assert np.array_equal(dspec.eigenvalues, c * spec.eigenvalues)
+
+
 @st.composite
 def even_fields(draw):
     """Even line fields B(-x) = B(x): box, bump and truncated gaussian of
@@ -509,7 +620,8 @@ class TestMirrorPairs:
                        != _sturm_count(op, e * (1 + 1e-9)) for e in edges)
             count = _sturm_count(op, rep.tau)
             weight = (reduction._smooth_bulk_weight(
-                *windowed_singular_modes(op, *window), mask) if level else None)
+                *windowed_singular_modes(op, *window), mask,
+                reduction._GROUP_FRACTION * base.gap) if level else None)
             return count, weight, near
 
         k_y = ch.k_y.tolist()
@@ -569,4 +681,6 @@ class TestMirrorPairs:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reduction, "_sturm_count", spy)
             rep = verify_degeneracy(profile, cfg, level, grid)
-        assert solved == rep.channels.k_y.tolist() and len(solved) == 9
+        # each channel's operator carries its own k = k_gauge + k_y
+        assert solved == (k_gauge + rep.channels.k_y).tolist()
+        assert len(solved) == 9

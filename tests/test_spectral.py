@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from zml.errors import GridError
 from zml.potential import lambda_1d, required_padding
 from zml.profiles import Grid1D, box, total_flux, truncated_gaussian
-from zml.reduction import (_GROUP_TOL, ReductionConfig, _smooth_bulk_weight,
-                           verify_degeneracy)
+from zml.reduction import (_GROUP_FRACTION, ReductionConfig,
+                           _smooth_bulk_weight, verify_degeneracy)
 from zml.spectral import (DiracOperator, _gap_runs, _sturm_count,
                           build_operator, eigen_spectrum, mode_residual,
                           windowed_singular_modes)
@@ -164,6 +165,36 @@ class TestBuildOperator:
                 bound = (eps * abs(exact)
                          + 10 * eps ** 2 * sum(map(abs, terms)))
                 assert abs(Fraction(got[i, j]) - exact) <= bound
+
+
+    @pytest.mark.parametrize("w, h", [(1e301, 0.15), (0.5, 2.0 ** -999)],
+                             ids=["huge w", "huge 1/(2h)"])
+    def test_matvec_finite_where_the_plain_product_is(self, w, h):
+        # Dekker's split multiplies by 2^27 + 1 and overflows above about
+        # 2^997: w = 1e301, or 1/(2h) = 2^998 here, gave nan in every row
+        g = Grid1D(0.0, 6.0 * h, 7)
+        op = DiracOperator(grid=g, k_y=0.0, interior_x=g.points()[1:-1],
+                           w_values=w * (1.0 + 0.1 * np.arange(5)),
+                           h=g.h, bmax=1.0)
+
+        class FlatMode:
+            grid = g
+            log_values = np.zeros(g.n)
+            sector = SECTOR_B
+
+        v = np.random.default_rng(7).standard_normal(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = op.m_matvec(v)
+            plain = dense_m(op) @ v
+            residual = mode_residual(op, FlatMode())
+        assert np.all(np.isfinite(plain))
+        eps = Fraction(np.finfo(float).eps)
+        for i, terms in enumerate(exact_rows(op, v)):
+            exact = sum(terms)
+            bound = eps * abs(exact) + 10 * eps ** 2 * sum(map(abs, terms))
+            assert abs(Fraction(got[i]) - exact) <= bound
+        assert math.isfinite(residual) and residual > 0.0
 
 
 class TestEigenSpectrum:
@@ -377,6 +408,12 @@ class TestSusyPartners:
 # the zero tolerance and the level-1 window of a sweep at B = 1
 TAU = 0.1 * math.sqrt(2.0)
 LEVEL1 = (math.sqrt(2.0) - TAU, math.sqrt(2.0) + TAU)
+
+
+def group_tol(op):
+    """The bulk weight's grouping tolerance, as a sweep sets it for the
+    operator: exactly 1e-3 at max|B| = 1."""
+    return _GROUP_FRACTION * op.gap
 
 
 def random_operator(m, h, k, noise, seed):
@@ -650,8 +687,9 @@ class TestWindowedModes:
         assert np.all(np.diff(svals) >= 0.0)
         np.testing.assert_allclose(svals, ref, rtol=0.0, atol=1e-10)
         mask = (np.abs(op.interior_x) <= 0.25 * m * h).astype(float)
-        assert abs(_smooth_bulk_weight(svals, vecs, mask)
-                   - _smooth_bulk_weight(ref, ref_vecs, mask)) <= 1e-10
+        tol = group_tol(op)
+        assert abs(_smooth_bulk_weight(svals, vecs, mask, tol)
+                   - _smooth_bulk_weight(ref, ref_vecs, mask, tol)) <= 1e-10
 
 
 def full_precision_modes(op, lo, hi):
@@ -732,8 +770,10 @@ class TestWindowedAccuracy:
         np.testing.assert_allclose(svals, ref_vals, rtol=0.0,
                                    atol=1e-12 * norm)
         mask = (np.abs(op.interior_x) <= 0.25 * m * h).astype(float)
-        assert abs(_smooth_bulk_weight(svals, vecs, mask)
-                   - _smooth_bulk_weight(ref_vals, ref_vecs, mask)) <= 1e-12
+        tol = group_tol(op)
+        assert abs(_smooth_bulk_weight(svals, vecs, mask, tol)
+                   - _smooth_bulk_weight(ref_vals, ref_vecs, mask, tol)) \
+            <= 1e-12
 
     def test_pairs_closer_than_the_bisection_tolerance(self):
         # wells 100 sites apart: each level is a pair split by 1e-13 to
@@ -760,8 +800,9 @@ class TestWindowedAccuracy:
             overlap = np.linalg.svd(ref_vecs[:, j:j + 2].T @ vecs[:, j:j + 2],
                                     compute_uv=False)
             np.testing.assert_allclose(overlap, 1.0, rtol=0.0, atol=1e-10)
-        assert abs(_smooth_bulk_weight(svals, vecs, mask)
-                   - _smooth_bulk_weight(ref_vals, ref_vecs, mask)) \
+        tol = group_tol(op)
+        assert abs(_smooth_bulk_weight(svals, vecs, mask, tol)
+                   - _smooth_bulk_weight(ref_vals, ref_vecs, mask, tol)) \
             <= 1e-12
 
     @pytest.mark.parametrize("pair", [2, 3, 4, 5])
@@ -783,16 +824,17 @@ class TestWindowedAccuracy:
         svals, vecs = windowed_singular_modes(op, lo, hi)
         assert svals.shape == ref_vals.shape
         conditioning = np.finfo(float).eps * tridiagonal_norm(op) / split
-        assert abs(_smooth_bulk_weight(svals, vecs, mask)
-                   - _smooth_bulk_weight(ref_vals, ref_vecs, mask)) \
+        tol = group_tol(op)
+        assert abs(_smooth_bulk_weight(svals, vecs, mask, tol)
+                   - _smooth_bulk_weight(ref_vals, ref_vecs, mask, tol)) \
             <= 10.0 * conditioning
 
 
-def qr_bulk_weight(svals, vecs, support_mask):
+def qr_bulk_weight(svals, vecs, support_mask, tol):
     """The bulk weight in its difference/sum form on a QR basis of each
     group: the reference for the Gram form of ``_smooth_bulk_weight``."""
     weight = 0.0
-    for run in _gap_runs(svals, _GROUP_TOL):
+    for run in _gap_runs(svals, tol):
         basis, _ = np.linalg.qr(vecs[:, run])
         d = np.diff(basis, axis=0)
         s = basis[1:] + basis[:-1]
@@ -833,8 +875,9 @@ class TestBulkWeightPremises:
         assume(lo < hi)
         svals, vecs = windowed_singular_modes(op, lo, hi)
         mask = (np.abs(op.interior_x) <= 0.25 * m * h).astype(float)
-        assert abs(_smooth_bulk_weight(svals, vecs, mask)
-                   - qr_bulk_weight(svals, vecs, mask)) <= 1e-12
+        tol = group_tol(op)
+        assert abs(_smooth_bulk_weight(svals, vecs, mask, tol)
+                   - qr_bulk_weight(svals, vecs, mask, tol)) <= 1e-12
 
     @pytest.mark.parametrize("case", ["landau", "double_well"])
     def test_gram_form_on_degenerate_groups(self, case):
@@ -847,9 +890,11 @@ class TestBulkWeightPremises:
         else:
             (op, mask), lo, hi = double_well(100), 0.3, 2.25
         svals, vecs = windowed_singular_modes(op, lo, hi)
+        tol = group_tol(op)
+        assert tol == 1e-3
         assert max(run.stop - run.start for run
-                   in _gap_runs(svals, _GROUP_TOL)) > 1
+                   in _gap_runs(svals, tol)) > 1
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(svals.size),
                                    rtol=0.0, atol=1e-12)
-        assert abs(_smooth_bulk_weight(svals, vecs, mask)
-                   - qr_bulk_weight(svals, vecs, mask)) <= 1e-12
+        assert abs(_smooth_bulk_weight(svals, vecs, mask, tol)
+                   - qr_bulk_weight(svals, vecs, mask, tol)) <= 1e-12
