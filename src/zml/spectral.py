@@ -44,10 +44,11 @@ of LAPACK's tridiagonal routines on A, and nothing is assembled densely:
   bisection stops at eps^(2/3) ||A||, not ulp ||A||: inverse iteration
   from a shift that close already gives vectors as good as a
   full-precision shift, except against a neighbour closer than
-  eps^(1/3) ||A||, which Rayleigh-Ritz parts inside the window and a
-  full-precision bisection of the edge zone keeps out across an edge.
-  The values returned are the Ritz values (Rayleigh quotients) of the
-  vectors, accurate to about eps ||A|| again (Parlett, ch. 4 and 11).
+  eps^(1/3) ||A||, which Rayleigh-Ritz parts.  The window is bisected
+  that much wider at both edges, so a neighbour across an edge has a
+  vector of its own too, and only the Ritz values (Rayleigh quotients)
+  that fall in the window are returned, accurate to about eps ||A||
+  again (Parlett, ch. 4 and 11).
 
 SciPy's LAPACK is imported by the first such call (``_lapack``), not with
 the module, so the stages that take no channel spectrum never load SciPy.
@@ -245,10 +246,14 @@ def eigen_spectrum(op, tau=None):
     at half the first gap ``op.gap``, where ``_check_tau`` warns, whatever
     tau: the values above it are accurate as they are, and a larger tau
     would grow V, m doubles per column, to the whole spectrum.  A
-    field-free operator's gap is inf, so every value below tau is refined.
+    field-free operator's gap is inf: it needs an explicit tau, and every
+    value below it is refined.
     The count is s < tau over all values either way.
     """
     if tau is None:
+        if math.isinf(op.gap):
+            raise ValueError("a field-free channel has no Landau scale to "
+                             "default tau from; pass tau")
         tau = default_zero_tolerance(op)
     tau = float(tau)
     _check_tau(op.gap, tau)
@@ -347,9 +352,9 @@ def _sturm_count(op, s):
 def windowed_singular_modes(op, lo, hi):
     """Singular values of M in [lo, hi] with their right singular vectors.
 
-    The values are the eigenvalues of A in (lo, hi] and in (-hi, -lo],
-    each singular value once; their number is that of the Sturm counts at
-    the window's edges, and an empty window costs its four Sturm counts
+    The values are the |eigenvalues| of A in [lo, hi], each singular
+    value once; their number is that of the Sturm counts at the window's
+    edges, and a window with nothing near it costs its Sturm counts
     only.  Their eigenvectors, which are right singular vectors of M, come
     from inverse iteration on A (``dstein``), deterministic and O(m) per
     value rather than the O(m^2) of a full eigensolver.
@@ -361,15 +366,12 @@ def windowed_singular_modes(op, lo, hi):
     distance g in the vector with a relative weight of about
     (eps^(2/3) ||A|| / g)^3, which is below eps once g exceeds
     eps^(1/3) ||A||: as good as a full-precision shift.  Closer neighbours
-    are dealt with where they can be:
-
-    - inside the window, the vectors of each run of values closer than
-      eps^(1/3) ||A|| are rotated to the Ritz vectors of A on their span
-      (Rayleigh-Ritz), which parts them as well as A's conditioning allows;
-    - beyond an edge, where no vector is computed, a neighbour can only be
-      kept out by a full-precision shift, so when a value falls within
-      eps^(1/3) ||A|| of an edge, the window is bisected again with those
-      edge zones to full precision.
+    get a vector of their own: the window is bisected eps^(1/3) ||A||
+    wider at both edges, once per sign half, or as one interval when the
+    halves overlap, and the vectors of each run of values closer than
+    eps^(1/3) ||A|| are rotated to the Ritz vectors of A on their span
+    (Rayleigh-Ritz), which parts them as well as A's conditioning allows.
+    Only the values that fall in [lo, hi] are returned.
 
     The values returned are the Ritz values |theta| (for a lone value the
     Rayleigh quotient |v^T A v|, one O(m) product), whose error is
@@ -377,7 +379,7 @@ def windowed_singular_modes(op, lo, hi):
     Symmetric Eigenvalue Problem, ch. 4 and 11).  A tolerance of
     sqrt(eps) ||A|| is not enough: the weight above also scales with the
     ratio of the start vector's components, and one start vector left
-    1e-10 of a neighbour 8e-3 away; and with no edge zones, a window edge
+    1e-10 of a neighbour 8e-3 away; and with no widening, a window edge
     between two levels 1e-6 apart mixes the level outside into the vector
     of the one inside.  Values are ascending; the vectors are the b-sector
     components, suitable for smooth/staggered and bulk/edge
@@ -385,43 +387,31 @@ def windowed_singular_modes(op, lo, hi):
     """
     if not 0.0 <= lo <= hi:
         raise ValueError("need 0 <= lo <= hi for a singular-value window")
-    if lo == hi:  # dstebz refuses an empty interval (info -5)
-        return np.empty(0), np.empty((op.size, 0))
     d, e = op.tridiagonal()
     eps = np.finfo(float).eps
     norm = float(np.max(np.abs(op.w_values))) + 1.0 / op.h  # Gershgorin
     abstol = eps ** (2.0 / 3.0) * norm
     margin = eps ** (1.0 / 3.0) * norm
     lapack = _lapack()
-
-    def bisect(a, b, tol):
-        """Eigenvalues of A in (a, b] to tol, their blocks, the splitting."""
-        k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, a, b, 0, 0, tol,
-                                                   b"B")
-        _lapack_ok(op, "dstebz", info)
-        return w[:k], iblock[:k], isplit
-
+    # widened by margin, so a neighbour across an edge has its own vector
+    if lo <= margin:
+        windows = [(-hi - margin, hi + margin)]
+    else:
+        windows = [(-hi - margin, -lo + margin), (lo - margin, hi + margin)]
     found = []
-    for vl, vu in ((-hi, -lo), (lo, hi)):
-        pieces = [bisect(vl, vu, abstol)]
-        w = pieces[0][0]
-        if np.any((w < vl + margin + abstol) | (w > vu - margin - abstol)):
-            # a value within margin of an edge: again, with the edge zones
-            # to full precision; a piece that rounds to nothing holds none
-            cuts = [vl, min(vl + margin, vu)]
-            cuts += [max(vu - margin, cuts[1]), vu]
-            pieces = [bisect(a, b, tol) for a, b, tol
-                      in zip(cuts[:-1], cuts[1:], (0.0, abstol, 0.0))
-                      if a < b]
-        found += pieces
-    vals = np.concatenate([w for w, _, _ in found])
-    blocks = np.concatenate([b for _, b, _ in found])
-    isplit = found[0][2]
+    for vl, vu in windows:
+        k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, vl, vu, 0, 0,
+                                                   abstol, b"B")
+        _lapack_ok(op, "dstebz", info)
+        found.append((w[:k], iblock[:k]))
+    vals = np.concatenate([w for w, _ in found])
+    blocks = np.concatenate([b for _, b in found])
     k = vals.size
     if k == 0:
         return np.empty(0), np.empty((op.size, 0))
     # dstein takes the values grouped by block, ascending within each,
-    # and an m-long block array of which it reads the first k entries
+    # and an m-long block array of which it reads the first k entries;
+    # isplit, A's splitting into blocks, is the same for every window
     order = np.lexsort((vals, blocks))
     vals = vals[order]
     iblock = np.zeros(op.size, dtype=blocks.dtype)
@@ -446,5 +436,6 @@ def windowed_singular_modes(op, lo, hi):
                 ) from exc
             vecs[:, run] = vecs[:, run] @ rot
     svals = np.abs(theta)
-    order = np.argsort(svals, kind="stable")
+    inside = np.flatnonzero((svals >= lo) & (svals <= hi))
+    order = inside[np.argsort(svals[inside], kind="stable")]
     return svals[order], vecs[:, order]

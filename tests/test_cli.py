@@ -305,6 +305,10 @@ class TestConfigValidation:
         ("potential", {"profile": RADIAL_BOX, "k": 0.5},
          "k must be 0 (or absent) for radial potentials: linear terms "
          "destroy plane normalizability"),
+        ("modes", {"sector": 1, "k": 0.0}, "sector must be a string"),
+        ("potential", {"grid": [-17.0, 17.0, 341]}, "grid must be an object"),
+        ("modes2d", {"profile": RADIAL_BOX, "j_list": [0, 1.5]},
+         "j_list must be a non-empty list of integers"),
     ])
     def test_refusal_message(self, tmp_path, capsys, command, fields,
                              message):
@@ -316,6 +320,14 @@ class TestConfigValidation:
         assert stdout == ""
         assert err == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_config_unreadable(self, tmp_path, capsys):
+        # a directory where the config file should be
+        code, stdout, err = run_cli(capsys, "flux", "--config", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith(f"config error: cannot read config {tmp_path}: ")
+        assert err.endswith("\n") and err.count("\n") == 1
 
     def test_config_root_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

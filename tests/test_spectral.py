@@ -293,7 +293,9 @@ class TestEigenSpectrum:
         assert first == pytest.approx(math.sqrt(2.0), rel=0.01)
 
     def test_default_tau_requires_field(self):
-        with pytest.raises(ValueError):
+        # a field-free channel's gap is inf: no tau can be read from it
+        with pytest.raises(ValueError, match="no Landau scale to default "
+                                             "tau from; pass tau"):
             eigen_spectrum(free_operator())
 
     def test_non_finite_tau_rejected(self):
@@ -655,13 +657,50 @@ class TestWindowedModes:
         assert svals.size == 0 and vecs.shape[1] == 0
 
     def test_zero_width_window(self):
-        # dstebz refuses an interval with vl >= vu (info -5); a level-1
-        # sweep gets lo == hi when cluster_tol is below the centre's spacing
+        # a level-1 sweep gets lo == hi when cluster_tol is below the
+        # centre's spacing: the widened bisection may find values near the
+        # centre, but none is exactly the centre
         op = build_operator(box(1.0, 5.0), 0.0, Grid1D(-35.0, 35.0, 702))
         center = math.sqrt(2.0)
         assert center - 1e-20 == center + 1e-20
         svals, vecs = windowed_singular_modes(op, center, center)
         assert svals.shape == (0,) and vecs.shape == (op.size, 0)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.5), (-0.5, 1.0),
+                                        (-1.0, -0.5), (math.nan, 1.0)])
+    def test_window_refused(self, lo, hi):
+        op = free_operator(102)
+        with pytest.raises(ValueError, match="need 0 <= lo <= hi"):
+            windowed_singular_modes(op, lo, hi)
+
+    # 40 examples under the Tier-1 profile, 200 under the deep one
+    # (tests/conftest.py)
+    @settings(max_examples=settings.default.max_examples * 2 // 5)
+    @given(edges=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                    st.floats(-11.5, -1.0),
+                                    st.sampled_from([-1.0, 1.0])),
+                          min_size=3, max_size=3), **operators)
+    def test_window_partition(self, edges, m, h, k, noise, seed):
+        # [lo, hi] cut at mid: each value lands on exactly one side, as the
+        # Sturm counts at the edges say.  Each edge sits 10^-11.5 to 10^-1
+        # ||A|| from a singular value, mostly well within the
+        # eps^(1/3) ||A|| that the bisection is widened by
+        op = random_operator(m, h, k, noise, seed)
+        s = np.sort(np.abs(scipy.linalg.eigvalsh_tridiagonal(
+            *op.tridiagonal())))
+        norm = float(s[-1])
+        lo, mid, hi = sorted(
+            max(0.0, s[int(pick * (m - 1))] + side * 10.0 ** offset * norm)
+            for pick, offset, side in edges)
+        assume(lo < mid < hi)
+        assume(all(np.min(np.abs(s - x)) > 1e-12 * norm
+                   for x in (lo, mid, hi)))
+        whole = windowed_singular_modes(op, lo, hi)[0]
+        parts = np.concatenate([windowed_singular_modes(op, lo, mid)[0],
+                                windowed_singular_modes(op, mid, hi)[0]])
+        assert whole.size == _sturm_count(op, hi) - _sturm_count(op, lo)
+        assert parts.shape == whole.shape
+        np.testing.assert_allclose(parts, whole, rtol=0.0, atol=1e-12 * norm)
 
     @given(start=st.floats(0.0, 1.0), width=st.integers(1, 30), **operators)
     @example(start=0.0, width=30, m=5, h=0.1, k=2.0, noise=0.1, seed=0)
@@ -739,10 +778,10 @@ def double_well(barrier):
 
 
 class TestWindowedAccuracy:
-    # windowed_singular_modes bisects only to eps^(2/3) ||A|| away from the
-    # window's edges and returns Ritz values: against bisection to full
-    # precision it must keep the count, the values to about eps ||A|| and
-    # the bulk weights
+    # windowed_singular_modes bisects only to eps^(2/3) ||A||, on a window
+    # eps^(1/3) ||A|| wider, and returns Ritz values: against bisection to
+    # full precision it must keep the count, the values to about eps ||A||
+    # and the bulk weights
 
     @given(lo_frac=st.floats(0.0, 1.1), width_frac=st.floats(0.0, 1.1),
            **operators)
