@@ -55,7 +55,11 @@ PADDING_FLOOR = 5.0
 
 @dataclass(frozen=True, eq=False)
 class ScalarPotential:
-    """Sampled lambda_k on a line grid plus its exact asymptotic slopes."""
+    """Sampled lambda_k on a line grid plus its exact asymptotic slopes.
+
+    ``support`` is the interval outside which lambda_k is exactly affine;
+    the whole line by default, which claims nothing.
+    """
 
     grid: Grid1D
     values: np.ndarray
@@ -63,6 +67,7 @@ class ScalarPotential:
     flux: object
     slope_left: float   # k - Q/2, the affine slope for x <= support start
     slope_right: float  # k + Q/2, the affine slope for x >= support end
+    support: tuple = (-math.inf, math.inf)
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -170,7 +175,8 @@ def lambda_1d(profile, k, grid, rtol=DEFAULT_RTOL):
     _check_finite(values, grid)
     return ScalarPotential(grid=grid, values=values, k=float(k), flux=flux,
                            slope_left=k - 0.5 * flux.value,
-                           slope_right=k + 0.5 * flux.value)
+                           slope_right=k + 0.5 * flux.value,
+                           support=profile.support)
 
 
 def lambda_2d_radial(profile, grid, rtol=DEFAULT_RTOL):

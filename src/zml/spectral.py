@@ -371,7 +371,10 @@ def windowed_singular_modes(op, lo, hi):
     halves overlap, and the vectors of each run of values closer than
     eps^(1/3) ||A|| are rotated to the Ritz vectors of A on their span
     (Rayleigh-Ritz), which parts them as well as A's conditioning allows.
-    Only the values that fall in [lo, hi] are returned.
+    Only the values that fall in [lo, hi] are returned.  Which values those
+    are is decided by the Ritz values, which are accurate to about
+    eps ||A||, so a singular value within 1e-12 ||A|| of lo or hi may fall
+    on either side of that edge.
 
     The values returned are the Ritz values |theta| (for a lone value the
     Rayleigh quotient |v^T A v|, one O(m) product), whose error is

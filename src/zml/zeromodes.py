@@ -16,9 +16,18 @@ part of |Phi|/2pi; exactly integer flux is flagged because there the strict
 tail rule admits one mode fewer.
 
 Modes are stored in log space (exp(+-lambda) overflows casually) and all
-norms are computed from the log samples with a max shift, as one weighted
-row sum with the grid's composite-Simpson weights (``_simpson_weights``);
-they equal ``scipy.integrate.simpson``'s value to a few ulp.
+line norms are computed from the log samples with a max shift.  Only the
+support block is exponentiated: the grid points from the last one at or
+left of the support to the first at or right of it, widened where the grid
+allows to a multiple of four intervals (``_support_block``).  The block is
+one weighted row sum with its composite-Simpson weights
+(``_simpson_weights``), and past each end where the grid reaches beyond
+the support the mode is an exact exponential, so the Simpson sum over the
+grid's infinite continuation there is a geometric series in closed form,
+(h/3) f_end (1 + 4r + r^2)/(1 - r^2) with r = exp(-2|k -/+ Q/2| h).  A side
+where the grid ends inside the support keeps the sum truncated at the
+grid's end; a potential whose support is the whole line gets the plain
+Simpson sum over its grid.
 """
 
 import math
@@ -48,11 +57,9 @@ __all__ = [
 
 # exp overflows float64 above this argument
 _LOG_MAX = 709.0
-# k values per norm block in scan_k: one 512 x n float64 temporary keeps a
-# scan's memory flat, and is no slower than one block (the 10 000-k,
-# 121-point scan, median of 40 interleaved runs on one core: ~5.2 ms at 512,
-# ~6.4 ms in one block, ~5.5 ms at 128)
-_SCAN_BLOCK = 512
+# log samples per norm block in scan_k, as k rows of the support block's
+# width: one such float64 temporary (0.5 MB) keeps a scan's memory flat
+_SCAN_SAMPLES = 512 * 121
 
 
 @dataclass(frozen=True)
@@ -175,14 +182,51 @@ def _simpson_weights(x):
     return w
 
 
-def _norms(log_rows, weights):
-    """Row-wise sqrt int exp(2 log psi) dx of the log samples log_rows.
+def _support_block(x, support):
+    """The support block of the grid points x, and which ends carry a tail.
 
-    Each row is shifted by its maximum and exponentiated in place (log_rows
-    is consumed), and the integrals are one weighted row sum with the
-    ``_simpson_weights`` of the grid: np.einsum, not BLAS, so the result
-    does not depend on the BLAS build or its thread count.  A norm whose
-    logarithm exceeds _LOG_MAX is inf.
+    Returns a slice of x, from the last point at or left of the support to
+    the first at or right of it, and (left, right): whether the grid reaches
+    that far on each side.  A side where it does not ends at the grid's end
+    and carries no tail.  Where the grid allows, the block takes one more
+    point at a time, alternately on the left and on the right, until it has
+    a multiple of four intervals (a point outside the support keeps the
+    tail's exact form).  Its middle point is then a panel boundary, so for a
+    support centred on a symmetric grid of n = 1 (mod 4) points the block's
+    Simpson panels are the whole grid's: a mode whose tails the grid
+    resolves keeps its norm.  The block depends on the points over the
+    support alone, not on how far the grid is padded past two points.
+    """
+    n = x.size
+    first = int(np.searchsorted(x, support[0], side="right")) - 1
+    last = int(np.searchsorted(x, support[1], side="left"))
+    i0, i1 = max(first, 0), min(last, n - 1)
+    left = True
+    while (i1 - i0) % 4 or i0 == i1:
+        if i0 > 0 and (left or i1 == n - 1):
+            i0 -= 1
+        elif i1 < n - 1:
+            i1 += 1
+        else:
+            break
+        left = not left
+    return slice(i0, i1 + 1), (first >= 0, last < n)
+
+
+def _norms(log_rows, weights, h, tails, slopes):
+    """Row-wise sqrt int exp(2 log psi) dx of the support-block samples.
+
+    Each row of log_rows is shifted by its maximum and exponentiated in
+    place (log_rows is consumed), and the block's integrals are one weighted
+    row sum with its ``_simpson_weights``: np.einsum, not BLAS, so the
+    result does not depend on the BLAS build or its thread count.  Past each
+    end of the block where ``tails`` (left, right) is true, log psi falls at
+    the rate |slope| of ``slopes`` (k - Q/2, k + Q/2), per row; the tail
+    adds the Simpson sum of the grid's continuation, samples f_end r^m of
+    spacing h with r = exp(-2 |slope| h): (h/3) f_end (1 + 4r + r^2)/(1 - r^2),
+    with 1 - r^2 as -expm1(-4 |slope| h).  For an admissible k the row's
+    maximum lies in the block, so f_end <= 1.  A norm whose logarithm
+    exceeds _LOG_MAX is inf.
     """
     shifts = log_rows.max(axis=-1)
     # overflows go to -inf below the shift (a sample of exactly 0) and to
@@ -192,6 +236,12 @@ def _norms(log_rows, weights):
         log_rows *= 2.0
         np.exp(log_rows, out=log_rows)
         integrals = np.einsum("ij,j->i", log_rows, weights)
+        for end, tail, slope in zip((0, -1), tails, slopes):
+            if tail:
+                rate = np.abs(slope)
+                r = np.exp(-2.0 * h * rate)
+                integrals += (h / 3.0) * log_rows[:, end] * (
+                    (1.0 + r * (4.0 + r)) / -np.expm1(-4.0 * h * rate))
         log_norms = shifts + 0.5 * np.log(integrals)
         return np.where(log_norms <= _LOG_MAX, np.exp(log_norms), math.inf)
 
@@ -201,12 +251,14 @@ def build_mode_1d(pot, sector):
 
     ``pot`` is lambda_k, a ScalarPotential from lambda_1d; its k, grid and
     flux are the mode's (``ZeroMode.flux``).  The normalizability verdict is
-    the window rule on its exact k and Q alone.  The L2 norm is composite
-    Simpson quadrature over the grid extent, the routine scan_k uses, so
-    the two agree bit for bit; it equals ``scipy.integrate.simpson``'s value
-    to a few ulp.  It is flagged infinite for non-normalizable modes; how
-    well the grid resolves a normalizable tail is the caller's
-    ``check_padding``.
+    the window rule on its exact k and Q alone.  The L2 norm is the support
+    block's composite Simpson sum plus, on each side where the grid reaches
+    past pot's support, the closed-form Simpson sum of the grid's infinite
+    exponential continuation (the module docstring): the routine scan_k
+    uses, so the two agree bit for bit.  The exterior is exact, so the norm
+    does not depend on how far the grid is padded, and it grows like
+    (2 delta)^(-1/2) as delta = ``window_margin`` -> 0, as the continuum
+    norm does.  It is flagged infinite for non-normalizable modes.
     """
     if not isinstance(pot, ScalarPotential):
         raise ProfileError("build_mode_1d needs a line potential "
@@ -216,8 +268,11 @@ def build_mode_1d(pot, sector):
     normalizable = bool(_normalizable(sector, pot.flux.value, pot.k))
     log_values = sector.gamma * pot.values
     if normalizable:
-        norm = float(_norms(log_values[None, :].copy(),
-                            _simpson_weights(pot.grid.points()))[0])
+        x = pot.grid.points()
+        block, tails = _support_block(x, pot.support)
+        norm = float(_norms(log_values[None, block].copy(),
+                            _simpson_weights(x[block]), pot.grid.h, tails,
+                            (pot.slope_left, pot.slope_right))[0])
     else:
         norm = math.inf
     return ZeroMode(sector=sector, k=pot.k, flux=pot.flux, grid=pot.grid,
@@ -239,15 +294,15 @@ def scan_k(base, sector, k_list):
 
     Verdicts are exact: true precisely in the sector ``flux_sector`` picks
     where ``window_margin`` is positive.  The norms of the admissible k are
-    taken in blocks of _SCAN_BLOCK values: one block x n matrix of log
-    samples gamma (lambda_0 + k x) (0.5 MB at n = 121), exponentiated in
-    place after its row-max shift, and one weighted row sum with the grid's
-    Simpson weights, built once per scan.  So the temporaries stay flat
-    however long k_list is, and each norm is build_mode_1d's at its k bit
-    for bit and ``scipy.integrate.simpson``'s to a few ulp.  Norms are
-    computed on base's grid, so near the window edges (where the padding
-    rule would demand enormous grids) they are truncation-limited; the
-    verdict is not.
+    build_mode_1d's at each k, bit for bit: the support block's Simpson sum
+    plus the closed-form exterior tails.  Only the block's columns are
+    exponentiated, as one (rows x block) matrix of log samples
+    gamma (lambda_0 + k x) of at most _SCAN_SAMPLES values at a time, so the
+    temporaries stay flat however long k_list is; the block's weights are
+    built once per scan.  The exterior is exact however far base's grid
+    reaches past the support, so the norms hold up to the window edges,
+    where they diverge like (2 delta)^(-1/2); a side where the grid ends
+    inside the support is truncated there.
     """
     if sector is SECTOR_NONE or not isinstance(sector, SpinSector):
         raise ValueError("scan_k needs sector a or b")
@@ -259,15 +314,20 @@ def scan_k(base, sector, k_list):
     ok = _normalizable(sector, base.flux.value, ks)
     norms = np.full(ks.shape, math.inf)
     admissible = np.flatnonzero(ok)
+    block, tails = _support_block(x, base.support)
+    x, values = x[block], base.values[block]
     weights = _simpson_weights(x)
-    for start in range(0, admissible.size, _SCAN_BLOCK):
-        rows = admissible[start:start + _SCAN_BLOCK]
+    step = max(1, _SCAN_SAMPLES // x.size)
+    half_q = 0.5 * base.flux.value
+    for start in range(0, admissible.size, step):
+        rows = admissible[start:start + step]
         # gamma (lambda_0 + k x), built in place
         log_rows = ks[rows, None] * x
-        log_rows += base.values
+        log_rows += values
         if sector.gamma < 0:
             np.negative(log_rows, out=log_rows)
-        norms[rows] = _norms(log_rows, weights)
+        norms[rows] = _norms(log_rows, weights, base.grid.h, tails,
+                             (ks[rows] - half_q, ks[rows] + half_q))
     return np.rec.fromarrays((ks, ok, norms),
                              names=("k", "normalizable", "l2_norm"))
 

@@ -419,7 +419,7 @@ class TestSweepSymmetries:
     # exact symmetries of the level-0 sweep: A_y is odd in B, the operator
     # of (-B, -k) is -J A(B, k) J, and k_gauge + 2 pi / L_y is the sweep
     # relabelled n -> n - 1
-    @settings(max_examples=40)
+    @settings(max_examples=settings.default.max_examples * 2 // 5)
     @given(field=signed_fields(), ly=st.floats(3.0, 9.0),
            kg=st.floats(-0.4, 0.4))
     def test_level0_sweep_symmetries(self, field, ly, kg):
@@ -497,7 +497,7 @@ class TestDilation:
         assert ch.k_y.tolist() == (c * ref_ch.k_y).tolist()
         assert rep.cluster_center == c * ref.cluster_center
 
-    @settings(max_examples=20)
+    @settings(max_examples=settings.default.max_examples // 5)
     @given(field=signed_fields(), j=st.integers(-3, 3),
            ly=st.floats(3.0, 9.0), kg=st.floats(-0.4, 0.4))
     def test_level0_sweep_and_spectrum_are_dilation_exact(self, field, j, ly,
@@ -577,7 +577,8 @@ class TestMirrorPairs:
     # (R: x -> -x), so channels k and -k share their counts and weights;
     # a sweep solves the first of each pair and copies it to the second
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=settings.default.max_examples * 3 // 10,
+              deadline=None)
     @given(profile=even_fields(), ly=st.floats(3.0, 9.0),
            level=st.sampled_from([0, 1]), parity=st.sampled_from([0, 1]))
     def test_mirror_channels_agree(self, profile, ly, level, parity):

@@ -234,7 +234,7 @@ class TestColumnPath:
                                        "1.00000000000e-299",
                                        "0.00000000000e+00"]
 
-    @settings(max_examples=60)
+    @settings(max_examples=settings.default.max_examples * 3 // 5)
     @given(columns=_columns, depth=st.sampled_from([0, 1, 2]))
     def test_json_table_matches_list_of_dicts(self, columns, depth):
         length = len(next(iter(columns.values())))
@@ -247,7 +247,7 @@ class TestColumnPath:
             doc_rows = {"entries": doc_rows, "Q": 1.5, "z": [level]}
         _assert_same_text(json_report(doc_table), json_report(doc_rows))
 
-    @settings(max_examples=60)
+    @settings(max_examples=settings.default.max_examples * 3 // 5)
     @given(columns=_columns)
     def test_csv_matches_row_wise_text(self, columns):
         lists = [col.tolist() for col in columns.values()]

@@ -137,7 +137,8 @@ class TestBuildOperator:
         assert np.all(np.diag(m, 1) == c)
         assert np.all(np.diag(m, -1) == -c)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=settings.default.max_examples * 3 // 5,
+              deadline=None)
     @given(m=st.integers(2, 12), h=st.floats(0.05, 1.0),
            k=st.floats(-3.0, 3.0), noise=st.floats(0.1, 3.0),
            seed=st.integers(0, 2**32 - 1))
@@ -568,7 +569,7 @@ class TestExactSturmCount:
         assert exact_window_count(d, e, 1e-12) == 1
         assert exact_window_count(d, e, 0.0) == 0
 
-    @settings(max_examples=60)
+    @settings(max_examples=settings.default.max_examples * 3 // 5)
     @given(m=st.integers(2, 200), h=st.floats(0.05, 0.5),
            k=st.floats(-3.0, 3.0), noise=st.floats(0.1, 3.0),
            seed=st.integers(0, 2**32 - 1), pick=st.floats(0.0, 1.0),
@@ -797,10 +798,14 @@ class TestWindowedAccuracy:
     def test_matches_full_precision(self, lo_frac, width_frac, m, h, k,
                                     noise, seed):
         op = random_operator(m, h, k, noise, seed)
-        norm = tridiagonal_norm(op)
+        s = np.abs(scipy.linalg.eigvalsh_tridiagonal(*op.tridiagonal()))
+        norm = float(s.max())
         lo = lo_frac * norm
         hi = lo + width_frac * norm
         assume(lo < hi)
+        # a singular value within 1e-12 ||A|| of an edge may fall on either
+        # side of it (windowed_singular_modes), as in test_window_partition
+        assume(all(np.min(np.abs(s - x)) > 1e-12 * norm for x in (lo, hi)))
         ref_vals, ref_vecs = full_precision_modes(op, lo, hi)
         svals, vecs = windowed_singular_modes(op, lo, hi)
         assert svals.shape == ref_vals.shape
