@@ -54,7 +54,10 @@ TWO_PI = 2.0 * math.pi
 MAX_GRID_POINTS = 10_000_000
 # Floor on the step h, in float spacings at the grid's largest |x|: above
 # it the sampled points are distinct and their spacings differ by at most
-# 1/_MIN_STEP_ULPS of h, so every composite-Simpson weight is positive.
+# 1/_MIN_STEP_ULPS of h, so every composite-Simpson weight is positive.  In
+# the subnormal range, where every spacing is ulp(0), linspace's rounded
+# step and points drift by up to (n - 1) ulp(0) over the grid, so there the
+# floor is _MIN_STEP_ULPS (n - 1) ulp(0).
 _MIN_STEP_ULPS = 16
 
 # the parametric kinds and their widths; the last width is the support's
@@ -69,8 +72,9 @@ class Grid1D:
     """Uniform grid of 3 <= n <= MAX_GRID_POINTS points on [x_lo, x_hi].
 
     The width x_hi - x_lo must be finite (so the bounds and h are too), and
-    h at least _MIN_STEP_ULPS float spacings at the larger |bound|, so the
-    points do not collapse onto each other.
+    h at least _MIN_STEP_ULPS float spacings at the larger |bound|, and at
+    least _MIN_STEP_ULPS (n - 1) subnormal spacings ulp(0), so the points do
+    not collapse onto each other.
     """
 
     x_lo: float
@@ -90,12 +94,14 @@ class Grid1D:
             raise GridError(f"grid n = {self.n} exceeds the ceiling "
                             f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
         object.__setattr__(self, "n", int(self.n))
-        floor = _MIN_STEP_ULPS * math.ulp(max(-self.x_lo, self.x_hi))
+        floor = _MIN_STEP_ULPS * max(math.ulp(max(-self.x_lo, self.x_hi)),
+                                     (self.n - 1) * math.ulp(0.0))
         if self.h < floor:
             raise GridError(f"grid [{self.x_lo}, {self.x_hi}] with n = "
-                            f"{self.n}: step h = {self.h:.3e} is below "
-                            f"{_MIN_STEP_ULPS} float spacings ({floor:.3e}) "
-                            "at its bounds, so its points collapse")
+                            f"{self.n}: step h = {self.h:.3e} is below its "
+                            f"floor {floor:.3e} ({_MIN_STEP_ULPS} float "
+                            "spacings at its bounds, or per point in the "
+                            "subnormal range), so its points collapse")
 
     @property
     def h(self):

@@ -138,6 +138,11 @@ class TestGrid1D:
         (0.5, 0.5000000000000002, 5),   # spacings [0, 1.1e-16, 1.1e-16, 0]
         (1e6, 1e6 + 1e-9, 1001),
         (0.0, 1e-322, 3),               # subnormal: 20 spacings of 5e-324
+        # subnormal steps of 15-18 ulp(0) that linspace rounds unevenly:
+        # some steps 0, -8e-323 or negative Simpson weights before
+        (0.0, 1008 * math.ulp(0.0), 66),
+        (0.0, 496 * math.ulp(0.0), 33),
+        (0.0, 490 * math.ulp(0.0), 29),
     ])
     def test_collapsing_points_refused(self, lo, hi, n):
         with pytest.raises(GridError, match="collapse") as err:
