@@ -1,5 +1,6 @@
 """Cumulative moments of any field profile, and the Green-kernel
-convolutions built from them.
+convolutions built from them: the package's only quadrature, and so the
+only QuadratureError (the fluxes are ``zml.profiles``' closed forms).
 
 Every convolution of a compactly supported field B is a combination of its
 cumulative moments
@@ -46,8 +47,6 @@ unreachable tolerance can tell the two apart: the chain's halvings count
 toward neither MAX_SPLITS nor the depth of the cells beside it, so its
 QuadratureError may report another achieved estimate.
 """
-
-import math
 
 import numpy as np
 
@@ -193,13 +192,6 @@ def _t_log_t(t):
     # its limit 0 at t = 0, a node only of a cell [0, b] with b subnormal
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(t > 0.0, t * np.log(t), 0.0)
-
-
-def flux(profile, rtol):
-    """Total flux: int B dt on the line, 2 pi int t B dt in the radial plane."""
-    if profile.is_radial:
-        return 2.0 * math.pi * float(_moments(profile, (), (_t,), rtol)[1][0])
-    return float(_moments(profile, (), (_one,), rtol)[1][0])
 
 
 def convolve_abs(profile, xs, rtol):

@@ -15,8 +15,9 @@ so identical configs produce byte-identical outputs.
 
 Exit codes: 0 success; 2 config/input error (parse failure, bad field,
 wrong profile dimension, insufficient grid, non-finite grid or lambda,
-non-finite flux, too many channels); 3 numerical failure (quadrature or
-eigensolver non-convergence, unresolved level clusters).
+non-finite flux, too many channels); 3 numerical failure (quadrature of a
+convolution or eigensolver non-convergence, unresolved level clusters), so
+never from ``flux`` or ``count``, which take only closed-form fluxes.
 """
 
 import argparse
@@ -271,7 +272,7 @@ class _Out:
 
 
 def cmd_flux(cfg, profile, grid, rtol, out):
-    flux = total_flux(profile, rtol=rtol)
+    flux = total_flux(profile)
     out.json("flux.json", {"Phi" if profile.is_radial else "Q": flux.value,
                            "method": flux.method})
 
@@ -290,7 +291,7 @@ def cmd_potential(cfg, profile, grid, rtol, out):
     else:
         k = cfg.get("k", 0.0)
         pot = lambda_1d(profile, k, grid, rtol=rtol)
-        check_padding(profile, k, grid, Q=pot.flux.value)
+        check_padding(profile, k, grid)
         out.json("potential.json", {
             "Q": pot.flux.value, "flux_method": pot.flux.method,
             "k": pot.k, "slope_left": pot.slope_left,
@@ -309,7 +310,7 @@ def cmd_modes(cfg, profile, grid, rtol, out):
     if mode.normalizable:
         # the padding rule protects decaying tails; a mode this sector
         # cannot normalize has none
-        check_padding(profile, k, grid, Q=mode.flux.value)
+        check_padding(profile, k, grid)
     out.json("modes.json", {
         "Q": mode.flux.value, "sector": sector.label, "k": mode.k,
         "normalizable": mode.normalizable,
@@ -335,8 +336,7 @@ def cmd_scan(cfg, profile, grid, rtol, out):
 
 def cmd_spectrum(cfg, profile, grid, rtol, out):
     op = build_operator(profile, cfg["k_y"], grid, rtol=rtol)
-    check_padding(profile, cfg["k_y"], grid,
-                  Q=total_flux(profile, rtol=rtol).value)
+    check_padding(profile, cfg["k_y"], grid)
     tau = _tol(cfg, "zero_tol")
     if tau is None and np.isinf(op.gap):
         raise ConfigError("a field-free channel has no Landau scale to "
@@ -355,12 +355,11 @@ def cmd_spectrum(cfg, profile, grid, rtol, out):
 
 def cmd_count(cfg, profile, grid, rtol, out):
     if profile.is_radial:
-        flux = total_flux(profile, rtol=rtol)
-        out.json("count.json", _plane_count_json(flux))
+        out.json("count.json", _plane_count_json(total_flux(profile)))
         return
     if "Ly" not in cfg:
         raise ConfigError("'count' on a line profile requires config key Ly")
-    rep = admissible_channels(profile, _reduction_config(cfg), rtol=rtol)
+    rep = admissible_channels(profile, _reduction_config(cfg))
     out.json("count.json", _degeneracy_json(rep))
 
 

@@ -126,12 +126,13 @@ def required_padding(Q, k):
     return PADDING_FLOOR
 
 
-def check_padding(profile, k, grid, Q):
+def check_padding(profile, k, grid):
     """Padding the grid provides past the support on its shorter side.
 
     Raise PaddingError naming the padding ``required_padding(Q, k)`` asks
     for if the grid provides less; the message says when the floor sets it.
     """
+    Q = total_flux(profile).value
     need = required_padding(Q, k)
     s_lo, s_hi = profile.support
     left = s_lo - grid.x_lo
@@ -168,7 +169,7 @@ def lambda_1d(profile, k, grid, rtol=DEFAULT_RTOL):
     if profile.is_radial:
         raise ProfileError("lambda_1d needs a line profile; "
                            "use lambda_2d_radial for radial ones")
-    flux = total_flux(profile, rtol=rtol)
+    flux = total_flux(profile)
     x = grid.points()
     with np.errstate(over="ignore", invalid="ignore"):
         values = _quadrature.convolve_abs(profile, x, rtol) + k * x
@@ -190,7 +191,7 @@ def lambda_2d_radial(profile, grid, rtol=DEFAULT_RTOL):
         raise ProfileError("lambda_2d_radial needs a radial-plane profile")
     if grid.x_lo < 0.0:
         raise GridError("radial grids must have x_lo >= 0")
-    flux = total_flux(profile, rtol=rtol)
+    flux = total_flux(profile)
     with np.errstate(over="ignore", invalid="ignore"):
         values = _quadrature.convolve_log_radial(profile, grid.points(), rtol)
     _check_finite(values, grid)

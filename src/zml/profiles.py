@@ -14,10 +14,10 @@ radially symmetric plane case).  Four kinds are provided:
 
 ``FieldProfile`` is the one place that knows the kinds: a profile
 evaluates itself, and ``zml._quadrature`` integrates whatever profile it is
-given.  Fluxes use closed forms where they exist and that module's
-Gauss-Kronrod quadrature otherwise; uniform fields on the whole line are
-out of scope (use a wide box).  All objects are immutable and evaluation is pure, so
-everything here is safe to share across threads.
+given.  Every kind's flux is a closed form, in both dimensions, so a flux
+depends on no tolerance and never fails to converge; uniform fields on the
+whole line are out of scope (use a wide box).  All objects are immutable and
+evaluation is pure, so everything here is safe to share across threads.
 """
 
 import math
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _quadrature
 from .errors import GridError, ProfileError
 
 __all__ = [
@@ -270,48 +269,56 @@ def piecewise_linear(points, dimension=DIM_LINE):
     return make_profile("piecewise-linear", dimension, points=points)
 
 
+# int_{-1}^1 exp(1 - 1/(1 - u^2)) du; u = tanh(s/2) makes it 2e f(1/2), with
+# f(z) = int_0^inf e^(-z(1 + cosh s)) ds/(1 + cosh s) = z e^-z (K1(z) - K0(z)):
+# both vanish at infinity with derivative -e^-z K0(z) (DLMF 10.29, 10.32.9)
+_BUMP_LINE = 1.2069003224378763   # correctly rounded
+# int_0^1 2u exp(1 - 1/(1 - u^2)) du = e E2(1) by s = 1/(1 - u^2), and
+# E2(1) = e^-1 - E1(1) (DLMF 8.19, 6.2)
+_BUMP_DISC = 0.4036526376768059   # correctly rounded
+
+
 def _analytic_flux(profile):
     p = profile.params
     radial = profile.is_radial
     if profile.kind == "box":
         b0, a = p["B0"], p["a"]
         return math.pi * a * a * b0 if radial else 2.0 * a * b0
+    if profile.kind == "bump":
+        b0, a = p["B0"], p["a"]
+        return (math.pi * _BUMP_DISC * b0 * a * a if radial
+                else _BUMP_LINE * b0 * a)
     if profile.kind == "truncated-gaussian":
         b0, s, c = p["B0"], p["sigma"], p["cutoff"]
-        tail = math.exp(-c * c / (2.0 * s * s))
+        u = c * c / (2.0 * s * s)
+        tail = math.exp(-u)
         if radial:
-            # c * c overflows long after tail underflows: no inf * 0 edge term
-            edge = 0.5 * c * c * tail if tail else 0.0
-            return TWO_PI * b0 * (s * s * (1.0 - tail) - edge)
+            # 2 pi s^2 int_0^u (e^-t - e^-u) dt; expm1 keeps a cutoff << sigma,
+            # and tail = 0 long before u = inf: no inf * 0 edge term
+            edge = u * tail if tail else 0.0
+            return TWO_PI * b0 * (s * s * (-math.expm1(-u) - edge))
         return b0 * (s * math.sqrt(TWO_PI) * math.erf(c / (s * math.sqrt(2.0)))
                      - 2.0 * c * tail)
-    if profile.kind == "piecewise-linear":
-        total = 0.0
-        for (x0, v0), (x1, v1) in zip(p["points"], p["points"][1:]):
-            if radial:
-                slope = (v1 - v0) / (x1 - x0)
-                total += ((v0 - slope * x0) * (x1 * x1 - x0 * x0) / 2.0
-                          + slope * (x1 ** 3 - x0 ** 3) / 3.0)
-            else:
-                total += 0.5 * (v0 + v1) * (x1 - x0)
-        return TWO_PI * total if radial else total
-    return None  # bump has no closed form
+    # piecewise-linear: each segment's exact int B (line) or int r B (radial)
+    # from its end points alone, so no thin ring cancels, no steep one overflows
+    total = 0.0
+    for (x0, v0), (x1, v1) in zip(p["points"], p["points"][1:]):
+        if radial:
+            total += (x1 - x0) * (x0 * (2.0 * v0 + v1)
+                                  + x1 * (v0 + 2.0 * v1)) / 6.0
+        else:
+            total += 0.5 * (v0 + v1) * (x1 - x0)
+    return TWO_PI * total if radial else total
 
 
-def total_flux(profile, rtol=DEFAULT_RTOL):
+def total_flux(profile):
     """Total flux Q = int B dx (line) or Phi = int B d^2r (radial).
 
-    The closed form is used where the kind has one; otherwise Gauss-Kronrod
-    quadrature at relative tolerance rtol (error estimate at most
-    rtol * int |B|; QuadratureError otherwise).  ``Flux.method`` reports
-    which of the two ran.  A flux that overflows raises ProfileError.
+    Every kind has a closed form, so ``Flux.method`` is always
+    ``"analytic"``.  A flux that overflows raises ProfileError.
     """
-    value, method = _analytic_flux(profile), "analytic"
-    if value is None:
-        # an overflow is reported once, below, not as NumPy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            value, method = _quadrature.flux(profile, rtol), "quadrature"
+    value = _analytic_flux(profile)
     if not math.isfinite(value):
         raise ProfileError(f"the {profile.kind} profile's flux {value} is "
                            "not finite")
-    return Flux(value=value, method=method)
+    return Flux(value=value, method="analytic")

@@ -184,7 +184,7 @@ def default_n_range(Q, L_y, k_gauge=0.0):
     return (math.floor(lo) - 1, math.ceil(hi) + 1)
 
 
-def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
+def admissible_channels(profile, cfg):
     """Analytic degeneracy report: per-channel window verdicts and floor(|Q| L_y/2pi).
 
     A channel is admissible iff ``window_margin(Q, k_gauge + k_y)`` > 0,
@@ -205,7 +205,7 @@ def admissible_channels(profile, cfg, rtol=DEFAULT_RTOL):
             f"B_const = {b} must be the field of a line box profile; the "
             f"{profile.dimension} {profile.kind} has max|B| = "
             f"{profile.max_abs()}")
-    q = total_flux(profile, rtol=rtol).value
+    q = total_flux(profile).value
     g_real = abs(q) * cfg.L_y / TWO_PI
     if not math.isfinite(g_real):
         raise GridError(f"g = |Q| L_y / 2pi = {g_real} is not finite")
@@ -334,14 +334,14 @@ def verify_degeneracy(profile, cfg, level, grid, zero_tol=None,
     if cluster_tol is not None and not 0.0 < cluster_tol < math.inf:
         raise ValueError(f"cluster_tol must be positive and finite, "
                          f"got {cluster_tol}")
-    report = admissible_channels(profile, cfg, rtol=rtol)
+    report = admissible_channels(profile, cfg)
     # read once as a plain array: each record attribute read costs microseconds
     ks = cfg.k_gauge + report.channels.k_y
     # inside the window the padding a channel needs grows with |k|, so the
     # admissible channel farthest from k = 0 binds; without one, the floor
     inside = np.flatnonzero(report.channels.admissible)
     k_bind = ks[inside[np.argmax(np.abs(ks[inside]))]] if inside.size else ks[0]
-    min_pad = check_padding(profile, k_bind, grid, Q=report.Q)
+    min_pad = check_padding(profile, k_bind, grid)
     base = build_operator(profile, 0.0, grid, rtol=rtol)
     # below both a tenth of the Landau gap and half the first rung of the
     # flat-region ladder that window-edge channels develop

@@ -15,6 +15,7 @@ from scipy.linalg import lapack
 import zml
 from zml import __version__, _quadrature, reduction
 from zml.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from zml.potential import lambda_1d, lambda_2d_radial
 from zml.profiles import Grid1D, bump, total_flux
 
 
@@ -640,25 +641,27 @@ class TestScan:
         assert lines[1].startswith("-2.1") and lines[1].endswith(",false,")
 
     def test_reported_q_is_the_verdicts_q(self, tmp_path, capsys):
-        # at quadrature_tol 1e-3 this bump's flux differs from the
-        # default-tolerance one in the sixth digit; k values between the two
-        # half-fluxes tell which one the verdicts used
+        # the flux is a closed form, so at quadrature_tol 1e-3 this bump's Q
+        # is the default-tolerance Q bit for bit; k values one float inside
+        # and outside Q/2 tell that the verdicts use that Q
         profile = {"kind": "bump", "B0": 1.7, "a": 2.1}
         tol = {"quadrature_tol": 1e-3}
-        q_tol = total_flux(bump(1.7, 2.1), rtol=1e-3).value
-        q_default = total_flux(bump(1.7, 2.1)).value
-        assert abs(q_tol - q_default) > 1e-6
-        mid = 0.25 * (q_tol + q_default)
+        grid = Grid1D(-30.0, 30.0, 301)
+        q = total_flux(bump(1.7, 2.1)).value
+        assert lambda_1d(bump(1.7, 2.1), 0.0, grid, rtol=1e-3).flux.value == q
+        inside = math.nextafter(0.5 * q, 0.0)
+        outside = math.nextafter(0.5 * q, math.inf)
+        k_list = [-outside, -inside, -1.0, 0.0, 1.0, inside, outside]
         cfg = write_cfg(tmp_path, profile=profile,
                         grid={"x_lo": -30.0, "x_hi": 30.0, "n": 301},
-                        sector="b", k_list=[-mid, -1.0, 0.0, 1.0, mid],
+                        sector="b", k_list=k_list,
                         tolerances=tol, out_dir=str(tmp_path / "s"))
         code, stdout, _ = run_cli(capsys, "scan", "--config", cfg)
         assert code == EXIT_OK
         doc = json.loads(stdout)
-        assert doc["Q"] == pytest.approx(q_tol, rel=1e-11)
-        for entry in doc["entries"]:
-            assert entry["normalizable"] == (abs(entry["k"]) < 0.5 * doc["Q"])
+        assert doc["Q"] == float(f"{q:.11e}")
+        assert [e["normalizable"] for e in doc["entries"]] == [
+            abs(k) < 0.5 * q for k in k_list]
 
         # modes and flux report the same Q at the same tolerance
         reported = []
@@ -1398,23 +1401,25 @@ class TestModes2D:
             "1,9.00000000000e+00,-5.49306144334e+00,4.11522633745e-03\n"
             "1,1.00000000000e+01,-5.75646273249e+00,3.16227766017e-03\n")
 
-        # modes2d, count and flux report the same Phi at the same tolerance,
-        # which for this bump differs from the default-tolerance Phi
+        # the flux is a closed form, so at quadrature_tol 1e-3 this bump's
+        # Phi is the default-tolerance Phi bit for bit, and modes2d, count
+        # and flux all report it
         profile = {"kind": "bump", "B0": 1.7, "a": 2.1,
                    "dimension": "radial-plane"}
-        tol = {"quadrature_tol": 1e-3}
+        radial = bump(1.7, 2.1, dimension="radial-plane")
+        phi = total_flux(radial).value
+        pot = lambda_2d_radial(radial, Grid1D(0.0, 10.0, 21), rtol=1e-3)
+        assert pot.flux.value == phi
         reported = []
         for command in ("modes2d", "count", "flux"):
             cfg = write_cfg(tmp_path, f"{command}.json", profile=profile,
                             grid={"x_lo": 0.0, "x_hi": 10.0, "n": 21},
-                            j_list=[0], tolerances=tol,
+                            j_list=[0], tolerances={"quadrature_tol": 1e-3},
                             out_dir=str(tmp_path / command))
             code, stdout, _ = run_cli(capsys, command, "--config", cfg)
             assert code == EXIT_OK
             reported.append(json.loads(stdout)["Phi"])
-        radial = bump(1.7, 2.1, dimension="radial-plane")
-        assert abs(reported[0] - total_flux(radial).value) > 1e-7
-        assert reported[0] == reported[1] == reported[2]
+        assert reported == [float(f"{phi:.11e}")] * 3
 
 
 def _counting(calls, name, kernel):
@@ -1426,10 +1431,11 @@ def _counting(calls, name, kernel):
 
 def test_one_flux_and_one_convolution_per_stage(tmp_path, capsys,
                                                 monkeypatch):
-    # every stage takes its flux once and each convolution at most once, all
-    # at the configured quadrature_tol (bump fields: no closed-form flux)
+    # every stage makes at most one convolution, at the configured
+    # quadrature_tol, and no quadrature for its flux: every _moments pass is
+    # a convolution's (bump fields, whose flux was once a quadrature)
     calls = []
-    for name in ("flux", "convolve_abs", "convolve_sign",
+    for name in ("_moments", "convolve_abs", "convolve_sign",
                  "convolve_log_radial"):
         monkeypatch.setattr(_quadrature, name,
                             _counting(calls, name, getattr(_quadrature, name)))
@@ -1456,20 +1462,28 @@ def test_one_flux_and_one_convolution_per_stage(tmp_path, capsys,
         code, _, err = run_cli(capsys, command, "--config", path)
         assert code == EXIT_OK, (command, err)
         names = [name for name, _ in calls]
-        assert names.count("flux") == 1, (command, names)
-        assert len(names) <= 2, (command, names)
+        passes = names.count("_moments")
+        expected = 0 if command in ("flux", "count") else 1
+        assert passes == len(names) - passes == expected, (command, names)
         assert all(rtol == 1e-9 for _, rtol in calls), (command, calls)
 
 
 class TestNumericalFailureExit:
     def test_unreachable_quadrature_tolerance(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path,
-                        profile={"kind": "bump", "B0": 1.0, "a": 2.0},
+        # only a convolution can miss its tolerance: the potential exits 3
+        # with the estimate, the closed-form flux of the same field exits 0
+        bump_cfg = {"kind": "bump", "B0": 1.0, "a": 2.0}
+        cfg = write_cfg(tmp_path, profile=bump_cfg,
+                        grid={"x_lo": -30.0, "x_hi": 30.0, "n": 61},
                         tolerances={"quadrature_tol": 1e-18},
                         out_dir=str(tmp_path / "o"))
-        code, _, err = run_cli(capsys, "flux", "--config", cfg)
+        code, _, err = run_cli(capsys, "potential", "--config", cfg)
         assert code == EXIT_NUMERICAL
-        assert "tolerance" in err
+        assert "tolerance" in err and "achieved error estimate" in err
+        code, stdout, _ = run_cli(capsys, "flux", "--config", cfg)
+        assert code == EXIT_OK
+        assert json.loads(stdout)["Q"] == float(
+            f"{total_flux(bump(1.0, 2.0)).value:.11e}")
 
     def test_windowed_eigensolver_failure(self, tmp_path, capsys,
                                           monkeypatch):

@@ -123,13 +123,13 @@ class TestPadding:
     def test_insufficient_padding_names_requirement(self):
         g = Grid1D(-5.0, 5.0, 11)
         with pytest.raises(PaddingError) as err:
-            check_padding(box(1.0, 2.0), 0.0, g, Q=4.0)
+            check_padding(box(1.0, 2.0), 0.0, g)
         assert err.value.required == 15.0
         assert err.value.available == 3.0
         assert "15" in str(err.value)
 
     def test_check_padding_passes_on_wide_grid(self):
-        check_padding(box(1.0, 2.0), 0.0, Grid1D(-17.0, 17.0, 11), Q=4.0)
+        check_padding(box(1.0, 2.0), 0.0, Grid1D(-17.0, 17.0, 11))
 
 
 class TestLambda2DRadial:
