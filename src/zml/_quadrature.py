@@ -31,21 +31,12 @@ floored at 50 eps int |w B| over the cell, and the depth and the number of
 bisections are capped, so an unreachable tolerance fails quickly with a
 QuadratureError that carries the requested and the achieved error.
 
-The radial weight t ln t has an unbounded derivative at t = 0, so
-bisection would halve the cell [0, first] next to the origin (first being
-the smallest node above 0) about 20 times, one round each, before the cell
-at 0 met its share.  A support starting at 0 has that cell split dyadically
-up front instead: the first round also integrates every cell bisection could
-make on its way to 0, [0, first 2^-d] and [first 2^-(d+1), first 2^-d] for
-d up to MAX_DEPTH, and keeps the ones bisection would have ended with.  The
-points first 2^-d are the midpoints bisection computes, to the bit, so they
-scale exactly under a dilation by a power of 2, and they stop at MAX_DEPTH
-because bisection does.  So the cells, the tolerance and every value are
-those of plain bisection, in one round.  Where no cell at 0 passes within
-MAX_DEPTH halvings, [0, first] is bisected as any other cell.  Only an
-unreachable tolerance can tell the two apart: the chain's halvings count
-toward neither MAX_SPLITS nor the depth of the cells beside it, so its
-QuadratureError may report another achieved estimate.
+The radial weight t ln t has an unbounded derivative at t = 0, where
+bisection would halve the cell at the origin about 20 times, one round each,
+so a support starting at 0 also has the nodes first 2^-d, d = 1 ... MAX_DEPTH,
+first being the smallest node above 0.  They are exact, so they scale exactly
+under a dilation by a power of 2, and their cells are checked and bisected as
+any other.
 """
 
 import numpy as np
@@ -105,18 +96,6 @@ def _gk15(profile, weights, a, b):
     return k, err, mag
 
 
-def _origin_chain(first):
-    """The cells that bisecting [0, first] toward 0 makes, MAX_DEPTH levels
-    deep: [0, first/2^d] for d = 1 ... MAX_DEPTH, then the cells
-    [first/2^(d+1), first/2^d] it leaves beside them, d = 0 ... MAX_DEPTH - 1."""
-    ends = [first]
-    for _ in range(MAX_DEPTH):
-        ends.append(0.5 * ends[-1])   # bisection's midpoint 0.5 (0 + b)
-    ends = np.array(ends)
-    return (np.concatenate([np.zeros(MAX_DEPTH), ends[1:]]),
-            np.concatenate([ends[1:], ends[:-1]]))
-
-
 def _moments(profile, xs, weights, rtol):
     """Prefix moments int_lo^x w(t) B(t) dt at each x, one row per weight.
 
@@ -127,27 +106,14 @@ def _moments(profile, xs, weights, rtol):
     xs = np.asarray(xs, dtype=float).ravel()
     nodes = np.unique(np.concatenate(
         ([lo, hi], profile.seeds, xs[(xs > lo) & (xs < hi)])))
-    a, b = nodes[:-1], nodes[1:]
-    n = a.size
     if lo == 0.0 and _t_log_t in weights:
-        chain_a, chain_b = _origin_chain(b[0])
-        a, b = np.concatenate([a, chain_a]), np.concatenate([b, chain_b])
+        nodes = np.unique(np.concatenate(
+            (nodes, np.ldexp(nodes[1], -np.arange(1, MAX_DEPTH + 1)))))
+    a, b = nodes[:-1], nodes[1:]
     k, err, mag = _gk15(profile, weights, a, b)
-    tol = rtol * mag[:, :n].sum(axis=1)
+    tol = rtol * mag.sum(axis=1)
     rate = (tol / (hi - lo))[:, None]
     bad = np.any(err > rate * (b - a), axis=0)
-    if a.size > n:
-        # bisection stops at the first cell [0, first/2^d] that passes and
-        # keeps the d cells it left beside the ones before it; if none
-        # passes, argmin gives d = 0 and [0, first] is bisected level by level
-        at_0 = np.concatenate([bad[:1], bad[n:n + MAX_DEPTH]])
-        d = int(np.argmin(at_0))
-        keep = np.arange(a.size) < n
-        if d:
-            keep[0] = False                                  # [0, first]
-            keep[n + d - 1] = True                           # [0, first/2^d]
-            keep[n + MAX_DEPTH:n + MAX_DEPTH + d] = True     # the d beside it
-        a, b, k, err, bad = a[keep], b[keep], k[:, keep], err[:, keep], bad[keep]
     cells = []
     splits = 0
     for depth in range(MAX_DEPTH + 1):
@@ -211,15 +177,7 @@ def convolve_sign(profile, xs, rtol):
 
 
 def convolve_log_radial(profile, rs, rtol):
-    """int t B(t) ln(max(r, t)) dt for every radius r in rs (r0 = 1).
-
-    For a support starting at r = 0, the cell at the origin is split at the
-    dyadic points first 2^-d, d <= MAX_DEPTH, in the first round, where
-    first is the smallest radius, breakpoint or support end above 0 (see
-    the module docstring): they are exactly the nodes bisection reaches, so
-    the result is the bisection's to the bit, and bisection goes no deeper
-    than MAX_DEPTH.
-    """
+    """int t B(t) ln(max(r, t)) dt for every radius r in rs (r0 = 1)."""
     r = np.asarray(rs, dtype=float)
     (g, h), (_, h1) = _moments(profile, r, (_t, _t_log_t), rtol)
     log_r = np.log(np.where(r.ravel() > 0.0, r.ravel(), 1.0))

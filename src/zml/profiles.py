@@ -291,10 +291,24 @@ def _analytic_flux(profile):
     if profile.kind == "truncated-gaussian":
         b0, s, c = p["B0"], p["sigma"], p["cutoff"]
         u = c * c / (2.0 * s * s)
+        if u < 0.75:
+            # the closed forms below lose about eps/u to cancellation; these
+            # series are within 2.3 eps where u < 0.75, and the closed forms
+            # within 3.5 eps above it (against a 60-digit reference):
+            #   Q   = 4 B0 c sum_{n>=1} (-1)^(n+1) u^n / ((n-1)! (2n+1)),
+            #   Phi = 2 pi B0 s^2 sum_{n>=2} (-1)^n (n-1) u^n / n!,
+            # each a sum of (-1)^(n+1) w_n u^(n-1) / n!, smallest first, with
+            # u (line) or 2 pi s^2 u = pi c^2 (plane) taken out; 18 terms
+            # reach eps at u = 0.75
+            series = sum(
+                (-1) ** (n + 1) * (1 - n if radial else n / (2 * n + 1))
+                * u ** (n - 1) / math.factorial(n) for n in range(18, 0, -1))
+            return (math.pi * b0 * c * c * series if radial
+                    else 4.0 * b0 * c * u * series)
         tail = math.exp(-u)
         if radial:
-            # 2 pi s^2 int_0^u (e^-t - e^-u) dt; expm1 keeps a cutoff << sigma,
-            # and tail = 0 long before u = inf: no inf * 0 edge term
+            # 2 pi s^2 int_0^u (e^-t - e^-u) dt; tail = 0 long before
+            # u = inf: no inf * 0 edge term
             edge = u * tail if tail else 0.0
             return TWO_PI * b0 * (s * s * (-math.expm1(-u) - edge))
         return b0 * (s * math.sqrt(TWO_PI) * math.erf(c / (s * math.sqrt(2.0)))

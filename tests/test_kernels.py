@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from zml import _quadrature
@@ -89,13 +89,13 @@ def test_convolve_abs_matches_quadpack(kernels, name, x0):
     assert mine == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
-def _signed_ref(profile, x0):
+def _signed_ref(profile, x0, epsabs=1e-13):
     def signed(t):
         return 0.5 * math.copysign(1.0, x0 - t) * profile(t) if t != x0 else 0.0
 
     lo, hi = profile.support
     return quad(signed, lo, hi, points=_break_points(profile, x0), limit=200,
-                epsabs=1e-13, epsrel=1e-13)[0]
+                epsabs=epsabs, epsrel=1e-13)[0]
 
 
 @pytest.mark.parametrize("name", sorted(PROFILES))
@@ -186,14 +186,14 @@ def test_line_convolutions_random_profiles(profile, where, k):
     for x0, mine_lam, mine_ay in zip(xs, lam, ay):
         pts = _break_points(profile, x0)
         ref = quad(lambda t: 0.5 * abs(x0 - t) * profile(t), lo, hi,
-                   points=pts, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
+                   points=pts, limit=200, epsabs=0.0, epsrel=1e-13)[0]
         size = quad(lambda t: 0.5 * abs((x0 - t) * profile(t)), lo, hi,
-                    points=pts, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
+                    points=pts, limit=200, epsabs=0.0, epsrel=1e-13)[0]
         assert mine_lam == pytest.approx(ref, rel=1e-9, abs=1e-9 * size)
         size = quad(lambda t: 0.5 * abs(profile(t)), lo, hi, points=pts,
-                    limit=200, epsabs=1e-13, epsrel=1e-13)[0]
-        assert mine_ay == pytest.approx(_signed_ref(profile, x0), rel=1e-9,
-                                        abs=1e-9 * size)
+                    limit=200, epsabs=0.0, epsrel=1e-13)[0]
+        assert mine_ay == pytest.approx(_signed_ref(profile, x0, epsabs=0.0),
+                                        rel=1e-9, abs=1e-9 * size)
 
     grid = Grid1D(lo - width, hi + width, 41)
     base = lambda_1d(profile, 0.0, grid).values
@@ -242,10 +242,24 @@ def test_cell_sums_do_not_depend_on_the_batch():
                 assert np.array_equal(got[:, 0], want[:, i])
 
 
-# --- the radial convolution's origin cell, split up front -------------------
+# --- rounds, and the radial convolution's dyadic nodes at the origin --------
 
-# the benchmark's seed-41 radial fields on their grids, and the _gk15 rounds
-# their convolution takes (plain bisection of the origin cell takes 20 and 22)
+# the benchmark's seed-41 fields on their grids, and the _gk15 rounds their
+# convolution takes: the 12 rounds of a seed-41 smooth-potentials pass
+# (bisecting the radial origin cell alone takes 20 and 22)
+SEED41_LINE = {
+    "potential-bump": (
+        bump(2.4541511029620047, 2.2679320906355995),
+        Grid1D(-17.536962515817567, 17.536962515817567, 121), 3),
+    "modes-gaussian": (
+        truncated_gaussian(1.040999963398657, 1.004563693886184,
+                           2.948931245530631),
+        Grid1D(-30.953767267282622, 30.953767267282622, 121), 1),
+    "scan-bump": (
+        bump(2.232484674078038, 2.361088280411402),
+        Grid1D(-12.792552801719665, 12.792552801719665, 121), 3),
+}
+
 SEED41_RADIAL = {
     "gaussian": (truncated_gaussian(1.1396288293724781, 1.130795234372298,
                                     3.3244397621486437, dimension=DIM_RADIAL),
@@ -255,24 +269,31 @@ SEED41_RADIAL = {
 }
 
 
-def _radial_rounds(monkeypatch):
-    """The cells [a, b] of every _gk15 round of the radial convolution."""
+def _rounds(monkeypatch):
+    """The cells [a, b] of every _gk15 round."""
     rounds = []
     gk15 = _quadrature._gk15
 
     def spy(profile, weights, a, b):
-        if _quadrature._t_log_t in weights:
-            rounds.append((a.copy(), b.copy()))
+        rounds.append((a.copy(), b.copy()))
         return gk15(profile, weights, a, b)
 
     monkeypatch.setattr(_quadrature, "_gk15", spy)
     return rounds
 
 
+@pytest.mark.parametrize("name", sorted(SEED41_LINE))
+def test_line_convolution_rounds(monkeypatch, name):
+    profile, grid, expected = SEED41_LINE[name]
+    rounds = _rounds(monkeypatch)
+    lambda_1d(profile, 0.0, grid)
+    assert len(rounds) == expected
+
+
 @pytest.mark.parametrize("name", sorted(SEED41_RADIAL))
 def test_radial_convolution_rounds(monkeypatch, name):
     profile, grid, expected = SEED41_RADIAL[name]
-    rounds = _radial_rounds(monkeypatch)
+    rounds = _rounds(monkeypatch)
     lambda_2d_radial(profile, grid)
     assert len(rounds) == expected
 
@@ -299,41 +320,54 @@ _radial_profiles = st.one_of(
 @settings(max_examples=settings.default.max_examples * 2 // 5)
 @given(profile=_radial_profiles,
        where=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=6))
+# a small integral, where an absolute epsabs of 1e-13 stopped QUADPACK
+# 2.1e-15 off the closed form
+@example(profile=box(0.0625, 0.125, dimension=DIM_RADIAL), where=[1e-5])
 def test_radial_convolution_random_profiles(profile, where):
     """On random radial fields and radii:
 
     - the convolution matches QUADPACK to 1e-12 of the integral of the
       absolute integrand (the worst of 3 600 random values was 2.8e-14);
     - its first round integrates the cells between the nodes, plus the
-      2 MAX_DEPTH cells of the origin chain where the support starts at 0;
-    - it equals plain bisection of the origin cell bit for bit.
+      MAX_DEPTH cells of the dyadic points where the support starts at 0
+      (fewer only below a subnormal first node);
+    - those points are nothing but nodes: asking for the convolution at them
+      too leaves its values at rs unchanged, bit for bit.
     """
     lo, hi = profile.support
     rs = hi * np.array(where)
     with pytest.MonkeyPatch.context() as mp:
-        rounds = _radial_rounds(mp)
+        rounds = _rounds(mp)
         lam = _quadrature.convolve_log_radial(profile, rs, RTOL)
     for r0, mine in zip(rs, lam):
         def kernel(t):
             return t * profile(t) * math.log(max(r0, t)) if t > 0.0 else 0.0
 
         pts = _break_points(profile, r0)
-        ref = quad(kernel, lo, hi, points=pts, limit=200, epsabs=1e-13,
+        ref = quad(kernel, lo, hi, points=pts, limit=200, epsabs=0.0,
                    epsrel=1e-13)[0]
         size = quad(lambda t: abs(kernel(t)), lo, hi, points=pts, limit=200,
-                    epsabs=1e-13, epsrel=1e-13)[0]
+                    epsabs=0.0, epsrel=1e-13)[0]
         assert abs(mine - ref) <= 1e-12 * size
 
     nodes = np.unique(np.concatenate(
         ([lo, hi], profile.seeds, rs[(rs > lo) & (rs < hi)])))
-    chain = 2 * _quadrature.MAX_DEPTH if lo == 0.0 else 0
-    assert rounds[0][0].size == nodes.size - 1 + chain
+    depth = _quadrature.MAX_DEPTH
+    cells = rounds[0][0].size
+    if lo > 0.0:
+        assert cells == nodes.size - 1
+    elif np.ldexp(nodes[1], -depth) >= np.finfo(float).tiny:
+        assert cells == nodes.size - 1 + depth
+    else:
+        # the subnormal halvings of a first node this small may round
+        # together or to 0
+        assert nodes.size - 1 <= cells <= nodes.size - 1 + depth
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_quadrature, "_origin_chain",
-                   lambda first: (np.empty(0), np.empty(0)))
-        bisected = _quadrature.convolve_log_radial(profile, rs, RTOL)
-    assert lam.tobytes() == bisected.tobytes()
+    if lo == 0.0:
+        points = np.ldexp(nodes[1], -np.arange(1, depth + 1))
+        more = _quadrature.convolve_log_radial(
+            profile, np.concatenate([rs, points]), RTOL)
+        assert lam.tobytes() == more[:rs.size].tobytes()
 
 
 def _dilate_radial(profile, c):
@@ -358,12 +392,12 @@ DILATED = {
 @pytest.mark.parametrize("name", sorted(DILATED))
 def test_radial_potential_under_dilation(monkeypatch, name, c):
     """r -> r / c and B -> c^2 B(c r) map the plane field onto itself.  For
-    c = 2^j every cell of the first round, the dyadic origin chain too, is the
+    c = 2^j every cell of the first round, the dyadic nodes' too, is the
     original's divided by c, bit for bit, and so is the flux; lambda moves by
     -(Phi / 2 pi) ln c, to rounding (t ln t is not scale-free, so the rounds
     after the first may differ)."""
     profile, grid = DILATED[name]
-    rounds = _radial_rounds(monkeypatch)
+    rounds = _rounds(monkeypatch)
     pot = lambda_2d_radial(profile, grid)
     a, b = rounds[0]
     rounds.clear()
@@ -380,7 +414,7 @@ def test_radial_potential_under_dilation(monkeypatch, name, c):
 
 def test_radial_subnormal_radii():
     # a cell [0, 5e-324] has every K15 node at t = 0, where t ln t is 0, not
-    # 0 * -inf; and the origin chain of 1e-320 halves down to 0
+    # 0 * -inf; and the dyadic nodes below 1e-320 round down to 0
     profile = RADIAL_PROFILES["disc"]
     rs = np.array([0.0, 5e-324, 1e-320, 1e-310])
     lam = _quadrature.convolve_log_radial(profile, rs, RTOL)

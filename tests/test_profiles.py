@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,33 @@ def _exact_pw_flux(points):
     total = sum((x1 - x0) * (x0 * (2 * v0 + v1) + x1 * (v0 + 2 * v1)) / 6
                 for (x0, v0), (x1, v1) in zip(pts, pts[1:]))
     return 2.0 * math.pi * float(total)
+
+
+EPS = np.finfo(float).eps
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _decimal_gaussian_flux(b0, s, c, radial):
+    """The truncated gaussian's flux to 60 digits from the float inputs:
+    int_-c^c e^(-x^2/2s^2) dx is s sqrt(2 pi) erf(c / s sqrt 2), taken from
+    erf's Taylor series as 2c sum_n (-u)^n / (n! (2n+1)), u = c^2 / 2s^2;
+    the rest is Decimal.exp."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b0, s, c = Decimal(b0), Decimal(s), Decimal(c)
+        u = c * c / (2 * s * s)
+        if radial:
+            return 2 * _PI * b0 * s * s * (1 - (-u).exp() * (1 + u))
+        total, term, n = Decimal(0), Decimal(1), 0     # term = (-u)^n / n!
+        while abs(term) > Decimal("1e-70"):
+            total += term / (2 * n + 1)
+            n += 1
+            term *= -u / n
+        return 2 * b0 * c * (total - (-u).exp())
+
+
+def _relative_error(value, exact):
+    return float((Decimal(value) - exact) / abs(exact))
 
 
 _amplitude = st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3)
@@ -370,9 +398,9 @@ class TestTotalFlux:
 
     @pytest.mark.parametrize("ratio", [1e-1, 1e-2, 1e-3])
     def test_radial_gaussian_cutoff_far_below_sigma(self, ratio):
-        # the closed form loses about eps / u of its digits, u = c^2 / 2s^2
-        # (0.4 eps / u measured at each ratio); the reference integrand is
-        # tail * expm1((c^2 - r^2) / 2s^2), which does not cancel
+        # a QUADPACK reference: the integrand tail * expm1((c^2 - r^2) / 2s^2)
+        # does not cancel; the bound is the closed form's loss of about
+        # eps / u, u = c^2 / 2s^2, which the series now stay well within
         s, c = 2.0, 2.0 * ratio
         u = c * c / (2.0 * s * s)
         tail = math.exp(-u)
@@ -389,6 +417,44 @@ class TestTotalFlux:
         assert count_2d_zero_modes(flux).sector is SECTOR_B
         big = total_flux(truncated_gaussian(1e12, 2.0, 1e-4, DIM_RADIAL))
         assert big.value == pytest.approx(1.9634953e-5, rel=1e-7)
+
+    @pytest.mark.parametrize("dimension", [DIM_LINE, DIM_RADIAL])
+    @pytest.mark.parametrize("ratio", [1e-1, 1e-2, 1e-4, 1e-6, 1e-8])
+    def test_gaussian_flux_cutoff_far_below_sigma(self, ratio, dimension):
+        # the closed forms lost about eps / u to cancellation, u = c^2 / 2s^2:
+        # at c/s = 1e-8 the line Q was -3.3e-24 for +6.7e-25 and the disc's
+        # Phi was 0.0; the series are within 2.3 eps (measured over u = 5e-17
+        # ... 0.75, sigma 1e-3 ... 1e3)
+        radial = dimension == DIM_RADIAL
+        for b0, s in [(1.0, 1.0), (-2.5, 3.0), (1e30, 1e-3)]:
+            c = ratio * s
+            flux = total_flux(truncated_gaussian(b0, s, c, dimension))
+            assert math.copysign(1.0, flux.value) == math.copysign(1.0, b0)
+            exact = _decimal_gaussian_flux(b0, s, c, radial)
+            assert abs(_relative_error(flux.value, exact)) <= 4 * EPS
+        if radial:
+            flux = total_flux(truncated_gaussian(1.0, 1.0, ratio, dimension))
+            assert count_2d_zero_modes(flux).sector is SECTOR_B
+
+    @pytest.mark.parametrize("dimension", [DIM_LINE, DIM_RADIAL])
+    def test_gaussian_flux_series_meets_closed_form(self, dimension):
+        # cutoffs a few ulp either side of u = 0.75, where the flux goes from
+        # its series to its closed form: both within 4 eps of the reference
+        # (3.5 eps measured just above the switch, 2.3 eps below it), so the
+        # flux does not jump there
+        radial = dimension == DIM_RADIAL
+        cs = [math.sqrt(1.5)]
+        for _ in range(6):
+            cs = ([math.nextafter(cs[0], 0.0)] + cs
+                  + [math.nextafter(cs[-1], 2.0)])
+        us = [c * c / 2.0 for c in cs]
+        assert min(us) < 0.75 <= max(us)
+        fluxes = [total_flux(truncated_gaussian(1.0, 1.0, c, dimension)).value
+                  for c in cs]
+        for c, flux in zip(cs, fluxes):
+            exact = _decimal_gaussian_flux(1.0, 1.0, c, radial)
+            assert abs(_relative_error(flux, exact)) <= 4 * EPS
+        assert np.all(np.abs(np.diff(fluxes)) <= 8 * EPS * fluxes[0])
 
     @pytest.mark.parametrize("points", [
         [(0.0, 0.0), (1e-300, 1e10), (1.0, 0.0)],      # the slope overflows
