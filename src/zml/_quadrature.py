@@ -26,9 +26,12 @@ and the query points inside the support split [lo, hi] into cells, each cell
 is integrated with the Gauss-Kronrod 7/15 pair of QUADPACK's QK15 (Piessens
 et al., 1983), and a cumsum over the cells gives the moments at every node.
 A cell whose estimate |K15 - G7| misses its width-proportional share of
-rtol * int |w B| is bisected, level by level.  As in QUADPACK the estimate is
-floored at 50 eps int |w B| over the cell, and the depth and the number of
-bisections are capped, so an unreachable tolerance fails quickly with a
+rtol * int |w B| is bisected, level by level.  As in QUADPACK, int |w B| is
+the current estimate, recomputed each round as the sum over the cells
+accepted so far and the round's own, so a narrow peak that the first cells
+miss does not shrink the tolerance.  The error estimate is floored at
+50 eps int |w B| over the cell, and the depth and the number of bisections
+are capped, so an unreachable tolerance fails quickly with a
 QuadratureError that carries the requested and the achieved error.
 
 The radial weight t ln t has an unbounded derivative at t = 0, where
@@ -110,13 +113,15 @@ def _moments(profile, xs, weights, rtol):
         nodes = np.unique(np.concatenate(
             (nodes, np.ldexp(nodes[1], -np.arange(1, MAX_DEPTH + 1)))))
     a, b = nodes[:-1], nodes[1:]
-    k, err, mag = _gk15(profile, weights, a, b)
-    tol = rtol * mag.sum(axis=1)
-    rate = (tol / (hi - lo))[:, None]
-    bad = np.any(err > rate * (b - a), axis=0)
+    accepted = 0.0   # int |w B| over the cells accepted so far, per weight
     cells = []
     splits = 0
     for depth in range(MAX_DEPTH + 1):
+        k, err, mag = _gk15(profile, weights, a, b)
+        tol = rtol * (accepted + mag.sum(axis=1))
+        rate = (tol / (hi - lo))[:, None]
+        bad = np.any(err > rate * (b - a), axis=0)
+        accepted += mag[:, ~bad].sum(axis=1)
         cells.append((b[~bad], k[:, ~bad], err[:, ~bad]))
         a, b, k, err = a[bad], b[bad], k[:, bad], err[:, bad]
         if not b.size or depth == MAX_DEPTH or splits + b.size > MAX_SPLITS:
@@ -124,8 +129,6 @@ def _moments(profile, xs, weights, rtol):
         splits += b.size
         mid = 0.5 * (a + b)
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        k, err, _ = _gk15(profile, weights, a, b)
-        bad = np.any(err > rate * (b - a), axis=0)
     if b.size:
         # cells left unresolved at the depth or bisection cap
         cells.append((b, k, err))

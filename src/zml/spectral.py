@@ -367,9 +367,9 @@ def windowed_singular_modes(op, lo, hi):
     (eps^(2/3) ||A|| / g)^3, which is below eps once g exceeds
     eps^(1/3) ||A||: as good as a full-precision shift.  Closer neighbours
     get a vector of their own: the window is bisected eps^(1/3) ||A||
-    wider at both edges, once per sign half, or as one interval when the
-    halves overlap, and the vectors of each run of values closer than
-    eps^(1/3) ||A|| are rotated to the Ritz vectors of A on their span
+    wider at both edges, once per sign half (the halves meet at 0 when the
+    widening reaches it), and the vectors of each run of values closer
+    than eps^(1/3) ||A|| are rotated to the Ritz vectors of A on their span
     (Rayleigh-Ritz), which parts them as well as A's conditioning allows.
     Only the values that fall in [lo, hi] are returned.  Which values those
     are is decided by the Ritz values, which are accurate to about
@@ -396,11 +396,10 @@ def windowed_singular_modes(op, lo, hi):
     abstol = eps ** (2.0 / 3.0) * norm
     margin = eps ** (1.0 / 3.0) * norm
     lapack = _lapack()
-    # widened by margin, so a neighbour across an edge has its own vector
-    if lo <= margin:
-        windows = [(-hi - margin, hi + margin)]
-    else:
-        windows = [(-hi - margin, -lo + margin), (lo - margin, hi + margin)]
+    # widened by margin, so a neighbour across an edge has its own vector;
+    # the two half-open windows meet at 0 once the widening reaches it
+    inner = max(lo - margin, 0.0)
+    windows = [(-hi - margin, -inner), (inner, hi + margin)]
     found = []
     for vl, vu in windows:
         k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, vl, vu, 0, 0,

@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import lapack
 
 import zml
 from zml import __version__, _quadrature, reduction
 from zml.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from zml.potential import lambda_1d, lambda_2d_radial
-from zml.profiles import Grid1D, bump, total_flux
+from zml.profiles import Grid1D, bump, total_flux, truncated_gaussian
 
 
 def run_cli(capsys, *args):
@@ -1484,6 +1485,30 @@ class TestNumericalFailureExit:
         assert code == EXIT_OK
         assert json.loads(stdout)["Q"] == float(
             f"{total_flux(bump(1.0, 2.0)).value:.11e}")
+
+    @pytest.mark.parametrize("n", [6, 8, 12, 16])
+    def test_narrow_field_on_a_coarse_grid_converges(self, tmp_path, capsys,
+                                                     n):
+        # the first cells' nodes see this field only in its far tails, so
+        # a tolerance taken from their int |w B| alone would be ~1e-248
+        profile = truncated_gaussian(20.0, 0.05, 8.0)
+        cfg = write_cfg(tmp_path, profile={"kind": "truncated-gaussian",
+                                           "B0": 20.0, "sigma": 0.05,
+                                           "cutoff": 8.0},
+                        grid={"x_lo": -40.0, "x_hi": 40.0, "n": n}, k=0.0,
+                        out_dir=str(tmp_path / "o"))
+        code, _, err = run_cli(capsys, "potential", "--config", cfg)
+        assert code == EXIT_OK, err
+        grid = Grid1D(-40.0, 40.0, n)
+        lam = lambda_1d(profile, 0.0, grid).values
+        for x0, mine in zip(grid.points(), lam):
+            ref = quad(lambda t: 0.5 * abs(x0 - t) * profile(t), -8.0, 8.0,
+                       points=sorted({0.0, float(np.clip(x0, -8.0, 8.0))}),
+                       limit=200, epsabs=0.0, epsrel=1e-13)[0]
+            assert mine == pytest.approx(ref, rel=1e-12, abs=0.0)
+        rows = (tmp_path / "o" / "potential.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == [
+            float(f"{v:.11e}") for v in lam]
 
     def test_windowed_eigensolver_failure(self, tmp_path, capsys,
                                           monkeypatch):

@@ -18,6 +18,8 @@ from zml.profiles import (DEFAULT_RTOL, DIM_LINE, DIM_RADIAL, MAX_GRID_POINTS,
                           total_flux, truncated_gaussian)
 from zml.zeromodes import SECTOR_B, count_2d_zero_modes
 
+from dilation import dilate
+
 
 def _engine_flux(profile, rtol):
     """The flux as the convolutions' quadrature totals it, and int |B| (int
@@ -384,15 +386,7 @@ class TestTotalFlux:
         """x -> x / c, B -> c^2 B(c x) with c = 2^j: the line flux scales by
         c and the plane flux is unchanged, bit for bit."""
         c = 2.0 ** j
-        p = profile.params
-        if profile.kind == "piecewise-linear":
-            dilated = piecewise_linear([(x / c, c * c * v)
-                                        for x, v in p["points"]],
-                                       dimension=profile.dimension)
-        else:
-            widths = {name: v / c for name, v in p.items() if name != "B0"}
-            dilated = make_profile(profile.kind, profile.dimension,
-                                   B0=c * c * p["B0"], **widths)
+        dilated = dilate(profile, c)
         scale = 1.0 if profile.is_radial else c
         assert total_flux(dilated).value == scale * total_flux(profile).value
 

@@ -14,12 +14,14 @@ from zml.errors import (ClusterResolutionError, EigenSolveError, GridError,
                         PaddingError, ProfileError)
 from zml.potential import (PADDING_FLOOR, _on_edge, required_padding,
                            vector_potential_y, window_margin)
-from zml.profiles import (Grid1D, box, bump, make_profile, piecewise_linear,
-                          total_flux, truncated_gaussian)
+from zml.profiles import (Grid1D, box, bump, piecewise_linear, total_flux,
+                          truncated_gaussian)
 from zml.reduction import (MAX_CHANNELS, ReductionConfig, admissible_channels,
                            default_n_range, quantize_ky, verify_degeneracy)
 from zml.spectral import (_sturm_count, build_operator, default_zero_tolerance,
                           eigen_spectrum, windowed_singular_modes)
+
+from dilation import dilate
 
 TWO_PI = 2.0 * math.pi
 
@@ -447,15 +449,6 @@ class TestSweepSymmetries:
         assert counts(mirror, -kg, (-hi, -lo)).tolist() == base[::-1].tolist()
         shifted = counts(profile, kg + TWO_PI / ly, (lo - 1, hi - 1))
         assert shifted.tolist() == base.tolist()
-
-
-def dilate(profile, c):
-    """The line field B(x) mapped to c^2 B(c x): widths / c, values * c^2."""
-    p = profile.params
-    if profile.kind == "piecewise-linear":
-        return piecewise_linear([(x / c, c * c * b) for x, b in p["points"]])
-    widths = {name: v / c for name, v in p.items() if name != "B0"}
-    return make_profile(profile.kind, B0=c * c * p["B0"], **widths)
 
 
 def dilated_grid(grid, c):
