@@ -19,7 +19,9 @@ and in the radial plane, with G taken about c = 0,
 
     lambda(r) = int t B ln(max(r, t)) dt  = G(r) ln r + (H1 - H(r)),
 
-the r = 0 term G ln r being 0.  The fluxes are F1 and 2 pi G1.
+the r = 0 term G ln r being 0.  For r > 0, H1 - H(r) is summed over the
+cells right of r, not taken as a difference: just inside the support's
+outer edge it is small next to H1.  The fluxes are F1 and 2 pi G1.
 
 All moments come from one pass.  The support ends, the profile breakpoints
 and the query points inside the support split [lo, hi] into cells, each cell
@@ -103,7 +105,9 @@ def _moments(profile, xs, weights, rtol):
     """Prefix moments int_lo^x w(t) B(t) dt at each x, one row per weight.
 
     Returns the prefixes (clamped to 0 left of the support and to the total
-    right of it) and the totals over the support.
+    right of it), the totals over the support, and the suffixes int_x^hi:
+    each summed from the cells right of x alone, so a small tail keeps its
+    digits where the total less the prefix would cancel.
     """
     lo, hi = profile.support
     xs = np.asarray(xs, dtype=float).ravel()
@@ -142,11 +146,13 @@ def _moments(profile, xs, weights, rtol):
     ends = np.concatenate([c[0] for c in cells])
     order = np.argsort(ends)
     values = np.concatenate([c[1] for c in cells], axis=1)[:, order]
-    prefix = np.concatenate([np.zeros((len(weights), 1)),
-                             np.cumsum(values, axis=1)], axis=1)
+    zero = np.zeros((len(weights), 1))
+    prefix = np.concatenate([zero, np.cumsum(values, axis=1)], axis=1)
+    suffix = np.concatenate(
+        [np.cumsum(values[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
     idx = np.searchsorted(np.concatenate([[lo], ends[order]]),
                           np.clip(xs, lo, hi))
-    return prefix[:, idx], prefix[:, -1]
+    return prefix[:, idx], prefix[:, -1], suffix[:, idx]
 
 
 def _one(t):
@@ -167,7 +173,7 @@ def convolve_abs(profile, xs, rtol):
     """int 1/2 |x - t| B(t) dt for every x in xs."""
     x = np.asarray(xs, dtype=float)
     c = 0.5 * (profile.support[0] + profile.support[1])
-    (f, g), (f1, g1) = _moments(profile, x, (_one, lambda t: t - c), rtol)
+    (f, g), (f1, g1), _ = _moments(profile, x, (_one, lambda t: t - c), rtol)
     out = 0.5 * ((x.ravel() - c) * (2.0 * f - f1) - (2.0 * g - g1))
     return out.reshape(x.shape)
 
@@ -175,13 +181,16 @@ def convolve_abs(profile, xs, rtol):
 def convolve_sign(profile, xs, rtol):
     """int 1/2 sign(x - t) B(t) dt for every x in xs; exactly -/+ F1/2 outside."""
     x = np.asarray(xs, dtype=float)
-    (f,), (f1,) = _moments(profile, x, (_one,), rtol)
+    (f,), (f1,), _ = _moments(profile, x, (_one,), rtol)
     return (f - 0.5 * f1).reshape(x.shape)
 
 
 def convolve_log_radial(profile, rs, rtol):
     """int t B(t) ln(max(r, t)) dt for every radius r in rs (r0 = 1)."""
     r = np.asarray(rs, dtype=float)
-    (g, h), (_, h1) = _moments(profile, r, (_t, _t_log_t), rtol)
-    log_r = np.log(np.where(r.ravel() > 0.0, r.ravel(), 1.0))
-    return (g * log_r + (h1 - h)).reshape(r.shape)
+    (g, _), (_, h1), (_, tail) = _moments(profile, r, (_t, _t_log_t), rtol)
+    # at r = 0 the total, summed from the origin: the suffix would add the
+    # deepest origin cells last, where they vanish below half an ulp
+    positive = r.ravel() > 0.0
+    log_r = np.log(np.where(positive, r.ravel(), 1.0))
+    return (g * log_r + np.where(positive, tail, h1)).reshape(r.shape)

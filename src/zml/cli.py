@@ -11,7 +11,12 @@ the padding itself, with one ``check_padding`` call.
 One JSON config describes one run; unknown keys are rejected with the
 offending field named.  Reports are written into the output directory (and
 the JSON one echoed to stdout) with fixed number formatting and sorted keys,
-so identical configs produce byte-identical outputs.
+so identical configs produce byte-identical outputs.  Each report file is
+written as UTF-8 bytes, LF on every platform, in place: a file already there
+is overwritten from its start and then cut to the new length, not emptied
+first.  The reports are complete only when the command exits 0; a write cut
+short can leave a truncated file, or the new report's start followed by the
+old one's tail.
 
 Exit codes: 0 success; 2 config/input error (parse failure, bad field,
 wrong profile dimension, insufficient grid, non-finite grid or lambda,
@@ -22,6 +27,7 @@ never from ``flux`` or ``count``, which take only closed-form fluxes.
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -240,6 +246,21 @@ def _degeneracy_json(rep):
             "g_numeric": rep.g_numeric, "discrepancy": rep.discrepancy}
 
 
+def _overwrite(path, text):
+    """Write text to path as UTF-8 bytes, over any file already there.
+
+    Opened with ``open(path, "w")``'s flags and mode less ``O_TRUNC``:
+    emptying an existing file costs more than writing it again.  The file
+    is cut at the end of the new bytes, so a shorter report leaves no tail
+    of the old one.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode())
+        fh.truncate()
+
+
 class _Out:
     """Collects the report files of one run and writes them at the end."""
 
@@ -264,7 +285,7 @@ class _Out:
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
             for name, text in self.files.items():
-                (self.dir / name).write_text(text)
+                _overwrite(self.dir / name, text)
         except OSError as exc:
             raise ConfigError(f"cannot write reports to {self.dir}: "
                               f"{exc.strerror or exc}") from exc

@@ -239,6 +239,29 @@ class TestConfigValidation:
                        f"{reason}\n")
         assert blocker.read_text() == "not a directory\n"
 
+    def test_report_name_taken_by_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "flux.json").mkdir(parents=True)
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE)
+        code, stdout, err = run_cli(capsys, "flux", "--config", cfg,
+                                    "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith(f"config error: cannot write reports to {out}: ")
+        assert (out / "flux.json").is_dir()
+
+    def test_existing_longer_report_replaced_exactly(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        stale = b"an unrelated file, longer than the flux report\n" * 20
+        (out / "flux.json").write_bytes(stale)
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE)
+        code, stdout, _ = run_cli(capsys, "flux", "--config", cfg,
+                                  "--out", str(out))
+        assert code == EXIT_OK
+        assert len(stdout) < len(stale)
+        assert (out / "flux.json").read_bytes() == stdout.encode()
+
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, profile=BOX_PROFILE)
         code, _, err = run_cli(capsys, "modes", "--config", cfg)
@@ -695,6 +718,28 @@ class TestScan:
         assert len(entries) == len(k_list)
         assert 512 < sum(e["normalizable"] for e in entries) < len(k_list)
 
+    def test_rerun_into_the_same_directory(self, tmp_path, capsys):
+        # the second run's reports are shorter than the first's: each must
+        # read as a run into a fresh directory, with no tail of the first
+        def scan(name, out, k_list):
+            cfg = write_cfg(tmp_path, f"{name}.json", profile=BOX_PROFILE,
+                            grid={"x_lo": -30.0, "x_hi": 30.0, "n": 301},
+                            sector="b", k_list=k_list)
+            code, stdout, _ = run_cli(capsys, "scan", "--config", cfg,
+                                      "--out", str(out))
+            assert code == EXIT_OK
+            return stdout, {p.name: p.read_bytes()
+                            for p in sorted(out.iterdir())}
+
+        long_k = [-2.5 + 0.25 * i for i in range(21)]
+        short_k = [-1.0, 0.0, 1.0]
+        first = scan("long", tmp_path / "same", long_k)
+        again = scan("short", tmp_path / "same", short_k)
+        fresh = scan("fresh", tmp_path / "fresh", short_k)
+        assert again == fresh
+        assert set(fresh[1]) == {"scan.json", "scan.csv"}
+        for name, data in fresh[1].items():
+            assert len(data) < len(first[1][name])
 
     @pytest.mark.filterwarnings("error")
     def test_norm_on_a_tiny_grid(self, tmp_path, capsys):

@@ -333,6 +333,10 @@ _radial_profiles = st.one_of(
 # a small integral, where an absolute epsabs of 1e-13 stopped QUADPACK
 # 2.1e-15 off the closed form
 @example(profile=box(0.0625, 0.125, dimension=DIM_RADIAL), where=[1e-5])
+# just inside the support's outer edge, where the tail right of r is small
+# next to H1: taken as H1 - H(r), lambda was 6.6e-12 of the size off
+@example(profile=truncated_gaussian(1.0, 1.0, 1.0, dimension=DIM_RADIAL),
+         where=[0.99999])
 def test_radial_convolution_random_profiles(profile, where):
     """On random radial fields and radii:
 

@@ -88,6 +88,22 @@ class TestLambda1D:
                        limit=200, epsabs=1e-13, epsrel=1e-13)[0]
             assert vi == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="every QK15 node of the first cells falls "
+                       "where B underflows, so the first round integrates "
+                       "the field to 0 and accepts it")
+    def test_narrow_field_between_the_first_nodes(self):
+        # Q = 2.5e-3; lambda is returned as [-0, 0, 0].  QUADPACK's own
+        # first nodes miss the peak too unless it is split at 0 and +-10 sigma
+        p = truncated_gaussian(1.0, 1e-3, 8.0)
+        g = Grid1D(-20.0, 21.0, 3)
+        pot = lambda_1d(p, 0.0, g)
+        for xi, vi in zip(g.points(), pot.values):
+            ref = quad(lambda t: 0.5 * abs(xi - t) * p(t), -8.0, 8.0,
+                       points=[-0.01, 0.0, 0.01], limit=200, epsabs=1e-13,
+                       epsrel=1e-13)[0]
+            assert vi == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
     def test_rejects_radial_profile(self):
         with pytest.raises(ProfileError):
             lambda_1d(box(1.0, 1.0, dimension=DIM_RADIAL), 0.0,

@@ -309,6 +309,35 @@ class TestVerifyDegeneracy:
         assert np.all(moves < 1e-2)
         assert moves[1] < moves[0]
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="tau0 = pi/(8 min_pad) falls with the padding, "
+                       "below the singular value a box field's zero mode "
+                       "keeps on the lattice")
+    def test_level0_counts_the_window_at_twice_the_padding(self):
+        # Q = -6.938, g = 5, no channel on the window edge; h = 0.1 and
+        # twice the 870 padding the k = 3.434 channel needs.  The sweep
+        # counts [0 0 0 0 1 1 0 1 0 0] against the window's
+        # [0 0 1 1 1 1 1 1 0 0]
+        e = 2.031 + 1740.0
+        cfg = ReductionConfig(L_y=4.858, k_gauge=-0.446)
+        rep = verify_degeneracy(box(-1.708, 2.031), cfg, 0,
+                                Grid1D(-e, e, 34842))
+        assert (rep.channels.near_zero_count.tolist()
+                == rep.channels.admissible.astype(int).tolist())
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the level-1 count rounds a sum of bulk "
+                       "weights, which the padding sets for channels whose "
+                       "Landau orbit reaches the field's edge")
+    def test_level1_within_one_of_level0_on_a_wide_grid(self):
+        # criterion 8 without B_const; the sweeps count 10 at level 0 and
+        # 8 at level 1
+        cfg = ReductionConfig(L_y=TWO_PI, k_gauge=0.4, n_range=(-8, 8))
+        grid = Grid1D(-110.0, 110.0, 9567)
+        rep0 = verify_degeneracy(box(1.0, 5.0), cfg, 0, grid)
+        rep1 = verify_degeneracy(box(1.0, 5.0), cfg, 1, grid)
+        assert abs(rep1.g_numeric - rep0.g_numeric) <= 1
+
     def test_nonpositive_zero_tol_rejected(self, setup6):
         profile, cfg, grid = setup6
         # nan would count nothing and inf everything

@@ -4,14 +4,18 @@
     python3 tools/bench_digests.py --check    # name every job that moved
     python3 tools/bench_digests.py --write    # rewrite the manifest
 
-Each job of the three benchmark workloads, for seeds 41-43, runs once
-through ``zml.cli.main`` exactly as ``perfbench/run.py`` runs it (its
-``Runner`` writes the config and spells the arguments), and the sha256 of
-its report files plus what it printed (``run.report_digest``) is compared
-with ``bench_digests.json`` beside this script.  The job's own report check
-(``workloads.check``) must pass too.  Run it from any directory; it imports
-zml from ``src/`` and the benchmark modules from ``perfbench/``, and writes
-nothing outside a temporary directory unless ``--write`` is given.
+Each job of the three benchmark workloads, for seeds 41-43, runs through
+``zml.cli.main`` exactly as ``perfbench/run.py`` runs it (its ``Runner``
+writes the config and spells the arguments), and the sha256 of its report
+files plus what it printed (``run.report_digest``) is compared with
+``bench_digests.json`` beside this script.  The job's own report check
+(``workloads.check``) must pass too.  Each workload and seed runs two passes
+into the same directories, as the benchmark does, so the second overwrites
+every report file in place; a job whose second pass leaves other bytes than
+its first fails ("report files differ from the first pass").  Run it from
+any directory; it imports zml from ``src/`` and the benchmark modules from
+``perfbench/``, and writes nothing outside a temporary directory unless
+``--write`` is given.
 
 A change that moves report bytes on purpose regenerates the manifest with
 ``--write`` and names the moved jobs and why in its change log.
@@ -50,7 +54,8 @@ def digests():
                 jobs = workloads.generate(workload, seed)
                 runner = run.Runner(zml.cli.main,
                                     jobs, Path(tmp) / f"{workload}-{seed}")
-                runner.run_pass(traced=False)
+                for _ in range(2):
+                    runner.run_pass(traced=False)
                 out[workload][str(seed)] = {
                     job_key(i, job): digest
                     for i, (job, digest) in enumerate(
@@ -58,7 +63,8 @@ def digests():
                 failed += [f"{workload} seed {seed} {p['job']}: "
                            + "; ".join(p["problems"])
                            for p in runner.problems]
-    return out, failed
+    # a job that fails its first pass fails its second the same way
+    return out, list(dict.fromkeys(failed))
 
 
 def moved(expected, got):
