@@ -36,6 +36,16 @@ miss does not shrink the tolerance.  The error estimate is floored at
 are capped, so an unreachable tolerance fails quickly with a
 QuadratureError that carries the requested and the achieved error.
 
+A field narrower than the first cells can fall between all their nodes:
+each cell's K15, G7 and int |w B| are then 0 and the round accepts a total
+of 0.  So the flux weight's total (F1 on the line, G1 in the plane) is
+checked against its closed form, Q or Phi/2pi from ``total_flux``.  A miss
+beyond max(tolerance, 4 eps |closed form|) adds the midpoint of every
+first-round cell to the nodes and reruns the pass; once the nodes number
+more than MAX_SPLITS a miss raises QuadratureError, so a total that misses
+is never returned.  Where the first round sees the field, the check passes
+and the pass is the only one.
+
 The radial weight t ln t has an unbounded derivative at t = 0, where
 bisection would halve the cell at the origin about 20 times, one round each,
 so a support starting at 0 also has the nodes first 2^-d, d = 1 ... MAX_DEPTH,
@@ -47,11 +57,13 @@ any other.
 import numpy as np
 
 from .errors import QuadratureError
+from .profiles import TWO_PI, total_flux
 
 MAX_DEPTH = 30
 MAX_SPLITS = 1 << 15   # bisections per call: bounds the work when the
                        # tolerance is unreachable
 _EPS50 = 50.0 * np.finfo(float).eps
+_EPS4 = 4.0 * np.finfo(float).eps
 
 # QK15 abscissae on [0, 1] (descending) and weights; the Gauss 7-point rule
 # uses every second Kronrod node
@@ -101,21 +113,14 @@ def _gk15(profile, weights, a, b):
     return k, err, mag
 
 
-def _moments(profile, xs, weights, rtol):
-    """Prefix moments int_lo^x w(t) B(t) dt at each x, one row per weight.
+def _cells(profile, weights, nodes, rtol):
+    """One adaptive pass over [lo, hi] from the first-round cells between
+    the sorted nodes.
 
-    Returns the prefixes (clamped to 0 left of the support and to the total
-    right of it), the totals over the support, and the suffixes int_x^hi:
-    each summed from the cells right of x alone, so a small tail keeps its
-    digits where the total less the prefix would cancel.
+    Returns the accepted cells' right ends, sorted, their values (one row
+    per weight, in that order) and the last round's tolerance per weight.
     """
     lo, hi = profile.support
-    xs = np.asarray(xs, dtype=float).ravel()
-    nodes = np.unique(np.concatenate(
-        ([lo, hi], profile.seeds, xs[(xs > lo) & (xs < hi)])))
-    if lo == 0.0 and _t_log_t in weights:
-        nodes = np.unique(np.concatenate(
-            (nodes, np.ldexp(nodes[1], -np.arange(1, MAX_DEPTH + 1)))))
     a, b = nodes[:-1], nodes[1:]
     accepted = 0.0   # int |w B| over the cells accepted so far, per weight
     cells = []
@@ -146,12 +151,49 @@ def _moments(profile, xs, weights, rtol):
     ends = np.concatenate([c[0] for c in cells])
     order = np.argsort(ends)
     values = np.concatenate([c[1] for c in cells], axis=1)[:, order]
+    return ends[order], values, tol
+
+
+def _moments(profile, xs, weights, rtol):
+    """Prefix moments int_lo^x w(t) B(t) dt at each x, one row per weight.
+
+    Returns the prefixes (clamped to 0 left of the support and to the total
+    right of it), the totals over the support, and the suffixes int_x^hi:
+    each summed from the cells right of x alone, so a small tail keeps its
+    digits where the total less the prefix would cancel.
+
+    weights[0] must be the flux weight, 1 on the line and t in the plane:
+    its total is checked against the closed form, and a miss reruns the
+    pass on halved first-round cells (the module docstring).
+    """
+    lo, hi = profile.support
+    xs = np.asarray(xs, dtype=float).ravel()
+    nodes = np.unique(np.concatenate(
+        ([lo, hi], profile.seeds, xs[(xs > lo) & (xs < hi)])))
+    if lo == 0.0 and _t_log_t in weights:
+        nodes = np.unique(np.concatenate(
+            (nodes, np.ldexp(nodes[1], -np.arange(1, MAX_DEPTH + 1)))))
+    flux = total_flux(profile).value
+    closed = flux / TWO_PI if profile.is_radial else flux
     zero = np.zeros((len(weights), 1))
-    prefix = np.concatenate([zero, np.cumsum(values, axis=1)], axis=1)
+    while True:
+        ends, values, tol = _cells(profile, weights, nodes, rtol)
+        prefix = np.concatenate([zero, np.cumsum(values, axis=1)], axis=1)
+        miss = abs(prefix[0, -1] - closed)
+        allowed = max(tol[0], _EPS4 * abs(closed))
+        if miss <= allowed:
+            break
+        if nodes.size > MAX_SPLITS:
+            raise QuadratureError(
+                f"quadrature did not converge: requested tolerance "
+                f"{allowed:.3e}, achieved error {miss:.3e} against the "
+                f"closed-form flux", requested=float(allowed),
+                achieved=float(miss))
+        nodes = np.unique(np.concatenate(
+            (nodes, 0.5 * (nodes[:-1] + nodes[1:]))))
     suffix = np.concatenate(
         [np.cumsum(values[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
-    idx = np.searchsorted(np.concatenate([[lo], ends[order]]),
-                          np.clip(xs, lo, hi))
+    idx = np.searchsorted(np.concatenate([[lo], ends]), np.clip(xs, lo, hi))
     return prefix[:, idx], prefix[:, -1], suffix[:, idx]
 
 

@@ -16,7 +16,9 @@ written as UTF-8 bytes, LF on every platform, in place: a file already there
 is overwritten from its start and then cut to the new length, not emptied
 first.  The reports are complete only when the command exits 0; a write cut
 short can leave a truncated file, or the new report's start followed by the
-old one's tail.
+old one's tail.  A stage that draws a plot (potential, modes) run without
+``--plots`` removes its own plot file from an earlier run, so the directory
+never holds a plot of another field beside the new reports.
 
 Exit codes: 0 success; 2 config/input error (parse failure, bad field,
 wrong profile dimension, insufficient grid, non-finite grid or lambda,
@@ -268,6 +270,7 @@ class _Out:
         self.dir = Path(out_dir)
         self.plots = plots
         self.files = {}
+        self.stale = []   # plots of this stage that a rerun must not keep
         self.report_text = ""
 
     def json(self, name, obj):
@@ -280,12 +283,16 @@ class _Out:
     def svg(self, name, xs, ys, xlabel, ylabel):
         if self.plots:
             self.files[name] = line_plot_svg(xs, ys, xlabel, ylabel)
+        else:
+            self.stale.append(name)
 
     def flush(self):
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
             for name, text in self.files.items():
                 _overwrite(self.dir / name, text)
+            for name in self.stale:
+                (self.dir / name).unlink(missing_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot write reports to {self.dir}: "
                               f"{exc.strerror or exc}") from exc

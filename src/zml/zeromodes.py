@@ -27,7 +27,10 @@ grid's infinite continuation there is a geometric series in closed form,
 (h/3) f_end (1 + 4r + r^2)/(1 - r^2) with r = exp(-2|k -/+ Q/2| h).  A side
 where the grid ends inside the support keeps the sum truncated at the
 grid's end; a potential whose support is the whole line gets the plain
-Simpson sum over its grid.
+Simpson sum over its grid.  One routine, ``_line_modes``, takes the
+verdicts and the norms for both ``build_mode_1d`` (one k, the ``modes``
+stage) and ``scan_k`` (many k, the ``scan`` stage), so the two agree bit
+for bit by construction.
 """
 
 import math
@@ -137,11 +140,6 @@ def flux_sector(q):
     return SECTOR_NONE
 
 
-def _normalizable(sector, q, k):
-    # elementwise in k, so one call gives the verdicts of an array of k
-    return (sector is flux_sector(q)) & (window_margin(q, k) > 0.0)
-
-
 def _representable(log_values):
     # overflow -> nan; underflow falls through to an exact 0.0, the true limit
     vals = np.full(log_values.shape, np.nan)
@@ -246,38 +244,68 @@ def _norms(log_rows, weights, h, tails, slopes):
         return np.where(log_norms <= _LOG_MAX, np.exp(log_norms), math.inf)
 
 
+def _line_modes(pot, sector, ks):
+    """Verdicts and L2 norms of the sector's modes exp(gamma lambda_k), per k.
+
+    ``pot`` is a line potential lambda_k0 and ``ks`` a float array of k; the
+    mode at k is exp(gamma (lambda_k0 + (k - k0) x)).  The verdict is the
+    window rule on k and the exact Q alone: true precisely in the sector
+    ``flux_sector`` picks where ``window_margin`` is positive.  The norm of
+    an admissible k is the support block's Simpson sum plus the closed-form
+    exterior tails (the module docstring), inf elsewhere.  Only the block's
+    columns are exponentiated, as one (rows x block) matrix of log samples
+    of at most _SCAN_SAMPLES values at a time, so the temporaries stay flat
+    however many k there are; the block's weights are built once.  The
+    exterior is exact however far the grid reaches past the support, so
+    the norms hold up to the window edges, where they diverge like
+    (2 delta)^(-1/2); a side where the grid ends inside the support is
+    truncated there.  build_mode_1d and scan_k both call this routine, so
+    their verdicts and norms at one k are the same bits.
+    """
+    if sector is SECTOR_NONE or not isinstance(sector, SpinSector):
+        raise ValueError("line modes need sector a or b")
+    q = pot.flux.value
+    ok = (sector is flux_sector(q)) & (window_margin(q, ks) > 0.0)
+    norms = np.full(ks.shape, math.inf)
+    admissible = np.flatnonzero(ok)
+    x = pot.grid.points()
+    block, tails = _support_block(x, pot.support)
+    x, values = x[block], pot.values[block]
+    weights = _simpson_weights(x)
+    step = max(1, _SCAN_SAMPLES // x.size)
+    half_q = 0.5 * q
+    for start in range(0, admissible.size, step):
+        rows = admissible[start:start + step]
+        k = ks[rows]
+        # gamma (lambda_k0 + (k - k0) x), built in place
+        log_rows = (k - pot.k)[:, None] * x
+        log_rows += values
+        if sector.gamma < 0:
+            np.negative(log_rows, out=log_rows)
+        norms[rows] = _norms(log_rows, weights, pot.grid.h, tails,
+                             (k - half_q, k + half_q))
+    return ok, norms
+
+
 def build_mode_1d(pot, sector):
     """The sector's candidate mode exp(gamma lambda_k) on pot's grid.
 
     ``pot`` is lambda_k, a ScalarPotential from lambda_1d; its k, grid and
-    flux are the mode's (``ZeroMode.flux``).  The normalizability verdict is
-    the window rule on its exact k and Q alone.  The L2 norm is the support
-    block's composite Simpson sum plus, on each side where the grid reaches
-    past pot's support, the closed-form Simpson sum of the grid's infinite
-    exponential continuation (the module docstring): the routine scan_k
-    uses, so the two agree bit for bit.  The exterior is exact, so the norm
-    does not depend on how far the grid is padded, and it grows like
-    (2 delta)^(-1/2) as delta = ``window_margin`` -> 0, as the continuum
-    norm does.  It is flagged infinite for non-normalizable modes.
+    flux are the mode's (``ZeroMode.flux``).  The verdict and the L2 norm
+    are ``_line_modes``' at k alone, the routine scan_k calls, so the two
+    agree bit for bit.  The exterior is exact, so the norm does not depend
+    on how far the grid is padded, and it grows like (2 delta)^(-1/2) as
+    delta = ``window_margin`` -> 0, as the continuum norm does.  It is
+    flagged infinite for non-normalizable modes.
     """
     if not isinstance(pot, ScalarPotential):
         raise ProfileError("build_mode_1d needs a line potential "
                            "(ScalarPotential)")
-    if sector is SECTOR_NONE or not isinstance(sector, SpinSector):
-        raise ValueError("build_mode_1d needs sector a or b")
-    normalizable = bool(_normalizable(sector, pot.flux.value, pot.k))
+    (normalizable,), (norm,) = _line_modes(pot, sector, np.array([pot.k]))
     log_values = sector.gamma * pot.values
-    if normalizable:
-        x = pot.grid.points()
-        block, tails = _support_block(x, pot.support)
-        norm = float(_norms(log_values[None, block].copy(),
-                            _simpson_weights(x[block]), pot.grid.h, tails,
-                            (pot.slope_left, pot.slope_right))[0])
-    else:
-        norm = math.inf
     return ZeroMode(sector=sector, k=pot.k, flux=pot.flux, grid=pot.grid,
                     log_values=log_values, values=_representable(log_values),
-                    l2_norm=norm, normalizable=normalizable)
+                    l2_norm=float(norm), normalizable=bool(normalizable))
 
 
 def scan_k(base, sector, k_list):
@@ -290,44 +318,15 @@ def scan_k(base, sector, k_list):
     Returns one numpy record array in the order of k_list, so its len is
     len(k_list).  Its fields ``k`` (float), ``normalizable`` (bool) and
     ``l2_norm`` (float, inf where not normalizable) are 1-D columns, and
-    each row carries the same three fields as attributes.
-
-    Verdicts are exact: true precisely in the sector ``flux_sector`` picks
-    where ``window_margin`` is positive.  The norms of the admissible k are
-    build_mode_1d's at each k, bit for bit: the support block's Simpson sum
-    plus the closed-form exterior tails.  Only the block's columns are
-    exponentiated, as one (rows x block) matrix of log samples
-    gamma (lambda_0 + k x) of at most _SCAN_SAMPLES values at a time, so the
-    temporaries stay flat however long k_list is; the block's weights are
-    built once per scan.  The exterior is exact however far base's grid
-    reaches past the support, so the norms hold up to the window edges,
-    where they diverge like (2 delta)^(-1/2); a side where the grid ends
-    inside the support is truncated there.
+    each row carries the same three fields as attributes.  Verdicts and
+    norms are ``_line_modes``', the routine build_mode_1d calls at its own
+    k, so each row is build_mode_1d's at its k, bit for bit.
     """
-    if sector is SECTOR_NONE or not isinstance(sector, SpinSector):
-        raise ValueError("scan_k needs sector a or b")
     if base.k != 0.0:
         raise ValueError(f"scan_k needs lambda_0 as its base, "
                          f"got k = {base.k}")
-    x = base.grid.points()
     ks = np.asarray(k_list, dtype=float)
-    ok = _normalizable(sector, base.flux.value, ks)
-    norms = np.full(ks.shape, math.inf)
-    admissible = np.flatnonzero(ok)
-    block, tails = _support_block(x, base.support)
-    x, values = x[block], base.values[block]
-    weights = _simpson_weights(x)
-    step = max(1, _SCAN_SAMPLES // x.size)
-    half_q = 0.5 * base.flux.value
-    for start in range(0, admissible.size, step):
-        rows = admissible[start:start + step]
-        # gamma (lambda_0 + k x), built in place
-        log_rows = ks[rows, None] * x
-        log_rows += values
-        if sector.gamma < 0:
-            np.negative(log_rows, out=log_rows)
-        norms[rows] = _norms(log_rows, weights, base.grid.h, tails,
-                             (ks[rows] - half_q, ks[rows] + half_q))
+    ok, norms = _line_modes(base, sector, ks)
     return np.rec.fromarrays((ks, ok, norms),
                              names=("k", "normalizable", "l2_norm"))
 

@@ -646,6 +646,38 @@ class TestModes:
         svg = (out / "modes.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_rerun_without_plots_removes_the_old_plot(self, tmp_path, capsys):
+        # a plot of the first run's field must not stay beside the second
+        # run's reports
+        out = tmp_path / "o"
+        first = write_cfg(tmp_path, "first.json", profile=BOX_PROFILE,
+                          grid=GRID, k=0.0, sector="b")
+        second = write_cfg(tmp_path, "second.json",
+                           profile=dict(BOX_PROFILE, B0=2.0), grid=GRID,
+                           k=0.0, sector="b")
+        code, _, _ = run_cli(capsys, "modes", "--config", first,
+                             "--out", str(out), "--plots")
+        assert code == EXIT_OK
+        assert (out / "modes.svg").exists()
+        code, _, _ = run_cli(capsys, "modes", "--config", second,
+                             "--out", str(out))
+        assert code == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["modes.csv",
+                                                         "modes.json"]
+
+    def test_plot_name_taken_by_a_directory(self, tmp_path, capsys):
+        # the stale plot cannot be removed: exit 2, nothing on stdout
+        out = tmp_path / "o"
+        (out / "modes.svg").mkdir(parents=True)
+        cfg = write_cfg(tmp_path, profile=BOX_PROFILE, grid=GRID, k=0.0,
+                        sector="b")
+        code, stdout, err = run_cli(capsys, "modes", "--config", cfg,
+                                    "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith(f"config error: cannot write reports to {out}: ")
+        assert (out / "modes.svg").is_dir()
+
 
 class TestScan:
     def test_window_booleans(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from zml.errors import GridError, PaddingError, ProfileError
@@ -12,7 +12,8 @@ from zml.potential import (alpha_gauge, check_padding, lambda_1d,
                            lambda_2d_radial, poisson_residual,
                            required_padding, vector_potential_y,
                            window_margin)
-from zml.profiles import DIM_RADIAL, Grid1D, box, bump, truncated_gaussian
+from zml.profiles import (DIM_LINE, DIM_RADIAL, Grid1D, box, bump,
+                          truncated_gaussian)
 
 
 def box_lambda_exact(x, b0=1.0, a=2.0, k=0.0):
@@ -88,13 +89,11 @@ class TestLambda1D:
                        limit=200, epsabs=1e-13, epsrel=1e-13)[0]
             assert vi == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="every QK15 node of the first cells falls "
-                       "where B underflows, so the first round integrates "
-                       "the field to 0 and accepts it")
     def test_narrow_field_between_the_first_nodes(self):
-        # Q = 2.5e-3; lambda is returned as [-0, 0, 0].  QUADPACK's own
-        # first nodes miss the peak too unless it is split at 0 and +-10 sigma
+        # Q = 2.5e-3; every QK15 node of the first cells falls where B
+        # underflows, so the first round alone integrates the field to 0
+        # (lambda was once returned as [-0, 0, 0]).  QUADPACK's own first
+        # nodes miss the peak too unless it is split at 0 and +-10 sigma
         p = truncated_gaussian(1.0, 1e-3, 8.0)
         g = Grid1D(-20.0, 21.0, 3)
         pot = lambda_1d(p, 0.0, g)
@@ -108,6 +107,61 @@ class TestLambda1D:
         with pytest.raises(ProfileError):
             lambda_1d(box(1.0, 1.0, dimension=DIM_RADIAL), 0.0,
                       Grid1D(-10.0, 10.0, 11))
+
+
+def _narrow_field(kind, b0, width, cutoff, radial):
+    dimension = DIM_RADIAL if radial else DIM_LINE
+    if kind == "bump":
+        return bump(b0, width, dimension)
+    return truncated_gaussian(b0, width, cutoff, dimension)
+
+
+_narrow_fields = st.builds(
+    _narrow_field, st.sampled_from(["truncated-gaussian", "bump"]),
+    st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+    st.floats(-4.0, math.log10(3e-2)).map(lambda e: 10.0 ** e),
+    st.floats(1.0, 20.0), st.integers(0, 9).map(lambda d: d < 3))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(max_examples=settings.default.max_examples // 5)
+@given(profile=_narrow_fields, lo=st.floats(-25.0, -0.5),
+       hi=st.floats(0.5, 25.0), n=st.integers(3, 12))
+def test_narrow_fields_on_coarse_grids(profile, lo, hi, n):
+    """Narrow fields (sigma or a in 1e-4 ... 3e-2, 30% radial) on grids of
+    3-12 points, whose first quadrature cells can straddle the whole peak:
+    lambda, and A_y on the line, match QUADPACK split at the peak and at
+    +-10 widths, to 1e-9 of the integral of the absolute integrand."""
+    width = profile.params.get("sigma", profile.params.get("a"))
+    s_lo, s_hi = profile.support
+    if profile.is_radial:
+        grid = Grid1D(0.0, hi, n)
+        values = lambda_2d_radial(profile, grid).values
+        peaks = [width, 10.0 * width]
+    else:
+        grid = Grid1D(lo, hi, n)
+        values = lambda_1d(profile, 0.0, grid).values
+        a_y = vector_potential_y(profile, grid.points())
+        peaks = [-10.0 * width, 0.0, 10.0 * width]
+
+    def ref(kernel, x0):
+        pts = sorted({p for p in peaks + [x0] if s_lo < p < s_hi})
+        size = quad(lambda t: abs(kernel(t)), s_lo, s_hi, points=pts,
+                    limit=200, epsabs=0.0, epsrel=1e-13)[0]
+        return quad(kernel, s_lo, s_hi, points=pts, limit=200,
+                    epsabs=1e-13 * size, epsrel=1e-13)[0], size
+
+    for i, x0 in enumerate(grid.points()):
+        if profile.is_radial:
+            want, size = ref(lambda t: t * profile(t) * math.log(max(x0, t))
+                             if t > 0.0 else 0.0, x0)
+        else:
+            want, size = ref(lambda t: 0.5 * abs(x0 - t) * profile(t), x0)
+            want_ay, size_ay = ref(lambda t: 0.5 * math.copysign(1.0, x0 - t)
+                                   * profile(t), x0)
+            assert a_y[i] == pytest.approx(want_ay, rel=1e-9,
+                                           abs=1e-9 * size_ay)
+        assert values[i] == pytest.approx(want, rel=1e-9, abs=1e-9 * size)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -479,6 +479,36 @@ class TestSweepSymmetries:
         shifted = counts(profile, kg + TWO_PI / ly, (lo - 1, hi - 1))
         assert shifted.tolist() == base.tolist()
 
+    # a wider grid lowers tau0 = pi/(8 pad); a box field's kinks keep a
+    # lattice floor that it can fall below (the strict xfail
+    # test_level0_counts_the_window_at_twice_the_padding), but on smooth
+    # fields the padding must not move a count
+    @settings(max_examples=settings.default.max_examples // 10)
+    @given(kind=st.sampled_from(["bump", "gaussian"]),
+           b0=st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+           a=st.floats(1.0, 3.0), ly=st.floats(3.0, 12.0),
+           kg=st.floats(-0.5, 0.5))
+    def test_level0_counts_do_not_depend_on_the_padding(self, kind, b0, a,
+                                                         ly, kg):
+        profile = (bump(b0, a) if kind == "bump"
+                   else truncated_gaussian(b0, a / 3.0, a))
+        q = total_flux(profile).value
+        cfg = ReductionConfig(L_y=ly, k_gauge=kg)
+        ks = kg + admissible_channels(profile, cfg).channels.k_y
+        margins = window_margin(q, ks)
+        assume(np.all(np.abs(margins) > 0.15))
+        pad = max([required_padding(q, k) for k in ks[margins > 0]],
+                  default=PADDING_FLOOR)
+
+        def counts(scale):
+            # h <= 0.05; the half-unit slack keeps rounding off the padding
+            extent = a + scale * pad + 0.5
+            grid = Grid1D(-extent, extent, int(math.ceil(40.0 * extent)) + 1)
+            return verify_degeneracy(profile, cfg, 0,
+                                     grid).channels.near_zero_count.tolist()
+
+        assert counts(4.0) == counts(1.0)
+
 
 def dilated_grid(grid, c):
     return Grid1D(grid.x_lo / c, grid.x_hi / c, grid.n)

@@ -179,12 +179,6 @@ _k_over_half_q = st.one_of(st.sampled_from([-1.0, 1.0, 0.0]),
                            st.floats(-2.0, 2.0))
 
 
-def _same_norm(got, want):
-    if math.isinf(want) or want == 0.0:
-        return got == want
-    return abs(got - want) <= 4 * np.spacing(want)
-
-
 def _check_against_modes(profile, sector, k_list, grid):
     entries = scan_k(lambda_1d(profile, 0.0, grid), sector, k_list)
     assert len(entries) == len(k_list)
@@ -195,7 +189,7 @@ def _check_against_modes(profile, sector, k_list, grid):
             modes[k] = build_mode_1d(lambda_1d(profile, k, grid), sector)
         mode = modes[k]
         assert entry.normalizable == mode.normalizable
-        assert _same_norm(entry.l2_norm, mode.l2_norm), (k, entry, mode.l2_norm)
+        assert entry.l2_norm == mode.l2_norm, (k, entry, mode.l2_norm)
     return entries
 
 
@@ -209,7 +203,7 @@ def _check_against_modes(profile, sector, k_list, grid):
 def test_scan_matches_per_k_modes(profile, fractions, length, seed,
                                   container, n):
     """Across block boundaries, every scan row of either sector has the
-    verdict of build_mode_1d at its k and its norm to 4 ulp, and the scan's
+    verdict of build_mode_1d at its k and its norm bit for bit, and the scan's
     columns are 1-D float, bool and float arrays in k_list order; k values are
     drawn from a few multiples of Q/2 (the edges exactly among them) in a
     random order, so each distinct k needs one reference mode."""
